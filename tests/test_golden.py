@@ -1,0 +1,61 @@
+"""Golden digests: the SHA-256 of every CSV the subcommands write.
+
+The default config and seed are used throughout, plus one ``detailed`` run
+with a small sampling oracle.  A refactor that changes any written number,
+even in the twelfth digit, changes a digest.  Any update to this table is a
+deliberate change of output and has to be stated with its reason.
+"""
+import hashlib
+
+import pytest
+
+from micromacro import cli
+
+GOLDEN = {
+    "curves": {
+        "reference_points.csv": "6cac7d0537f63dccbe4bfb3155a4dcf9b8d4f547cc21b4c6e7e52bd9434602cc",
+        "witness_curves.csv": "fef4b9319fdd8b7e60987d755ecb58a06fa3893b442627b4264825a47b700bdc",
+    },
+    "size": {
+        "size_curve.csv": "d81ca020bc6781cef583875ab3f391ad356bc421593028cc7f9c5c9268d057d6",
+        "size_summary.csv": "8d98593a07a133e4d25bc9d427a64ed0972e8c7e51242578efc74821dc649b14",
+    },
+    "hom": {
+        "hom_overlap.csv": "bb1e9717ad1746ecde2a898ed3371c17397726df846f5b4d5eaae028fe829e9d",
+        "hom_visibility.csv": "8d7cd42e60099c6ecae8243b660a2528401cf1dfb21ef5e9ced76047715352d6",
+    },
+    "detailed": {
+        "detailed_grid.csv": "548bdf10afbd318a7177ad561cad8f43a9cf86383469b069b4c31fce01075a84",
+        "detailed_summary.csv": "602ddd4fa28bb7962a499eaa7eceaecd976fb8e443b8a942ca19b6e08f2419b4",
+    },
+    "tomo": {
+        "tomo_matrix.csv": "787ab8dd19a3775286cf974f0aa009aa4a777b8809340583c83b6a4d502cdce5",
+        "tomo_summary.csv": "33ca371dcc18d6c6bdf5d3b115db4667dbffffd4fc11f9ebe742bf2b9e933f70",
+    },
+}
+
+#: ``detailed`` with ``detailed.mc_samples = 2000``
+GOLDEN_ORACLE = {
+    "detailed_grid.csv": "f4e3085754ba7e8d43bfebcdb90b0a36286ef9ccf8ebffd5855748413d1aa34a",
+    "detailed_oracle.csv": "91f26cadd69da7448a33934e145a0e8b65d4edd40eb74709bf20cb889e240987",
+    "detailed_summary.csv": "0a65e60cd405adf817496c06d3ed8ccbd527e29ced22e33e0268b99069156862",
+}
+
+
+def _digests(directory) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_default_outputs_match_golden_digests(command, tmp_path):
+    assert cli.main([command, "--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path) == GOLDEN[command]
+
+
+def test_oracle_outputs_match_golden_digests(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("detailed.mc_samples = 2000\n")
+    out = tmp_path / "out"
+    assert cli.main(["detailed", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _digests(out) == GOLDEN_ORACLE
