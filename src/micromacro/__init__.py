@@ -62,10 +62,8 @@ from .spdc import (  # noqa: F401
     monte_carlo_oracle,
 )
 from .macro import (  # noqa: F401
-    CoarseDetector,
     SizeResult,
     UnattainableTargetError,
-    effective_size,
     guessing_probability,
     macro_components,
     sigma_max,

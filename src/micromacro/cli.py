@@ -214,16 +214,17 @@ def cmd_hom(args) -> int:
 def cmd_detailed(args) -> int:
     cfg, seed, meta = _load(args)
     params = cfg.detailed_params()
+    grid = [(ta, tb) for ta in GRID_DEG for tb in GRID_DEG]
+    joints = [spdc.joint_probabilities(math.radians(ta), math.radians(tb), params)
+              for ta, tb in grid]
     table = ResultTable(
         "detailed_grid",
         ["theta_a_deg", "theta_b_deg", "p_pp", "p_pm", "p_mp", "p_mm",
          "correlator"],
         meta=dict(meta, command="detailed", g_reading=params.g_reading),
     )
-    for ta in GRID_DEG:
-        for tb in GRID_DEG:
-            j = spdc.joint_probabilities(math.radians(ta), math.radians(tb), params)
-            table.add_row(ta, tb, j.p_pp, j.p_pm, j.p_mp, j.p_mm, j.correlator())
+    for (ta, tb), j in zip(grid, joints):
+        table.add_row(ta, tb, j.p_pp, j.p_pm, j.p_mp, j.p_mm, j.correlator())
     _emit(args, table)
 
     settings = tuple(np.deg2rad([45.0, 0.0, 22.5, 67.5]))
@@ -239,7 +240,6 @@ def cmd_detailed(args) -> int:
 
     samples = cfg["detailed.mc_samples"]
     if samples > 0:
-        grid = [(ta, tb) for ta in GRID_DEG for tb in GRID_DEG]
         tasks = [
             (i, math.radians(ta), math.radians(tb), params, samples,
              _point_seed(seed, i))
@@ -255,8 +255,7 @@ def cmd_detailed(args) -> int:
         )
         for i, (ta, tb) in enumerate(grid):
             est = results[i]
-            ana = spdc.joint_probabilities(math.radians(ta), math.radians(tb),
-                                           params).as_array()
+            ana = joints[i].as_array()
             for k, name in enumerate(("pp", "pm", "mp", "mm")):
                 val = est.joints.as_array()[k]
                 se = est.errors.as_array()[k]
@@ -267,13 +266,11 @@ def cmd_detailed(args) -> int:
 
     if args.svg:
         x = np.array(GRID_DEG)
-        series = {}
-        for ta in GRID_DEG:
-            series[f"theta_a={ta}"] = [
-                spdc.joint_probabilities(math.radians(ta), math.radians(tb),
-                                         params).correlator()
-                for tb in GRID_DEG
-            ]
+        series = {
+            f"theta_a={ta}": [j.correlator() for (a, _), j in zip(grid, joints)
+                              if a == ta]
+            for ta in GRID_DEG
+        }
         _emit_chart(args, "detailed_grid", x, series,
                     "Correlator vs analyzer angle", "theta_b_deg", "E")
     return 0
@@ -319,6 +316,13 @@ def cmd_validate(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="micromacro",
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed (overrides run.seed)")
     common.add_argument("--svg", action="store_true",
                         help="also write SVG charts")
-    common.add_argument("--jobs", type=int, default=1,
+    common.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for grid evaluations")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,13 +1,17 @@
 """Run configuration: plain text, one ``section.key = value`` per line.
 
 ``#`` starts a comment, blank lines are ignored, and any key outside the
-schema is rejected.  Defaults reproduce the reference experiment, so an empty
-config is a valid complete run.  The resolved key/value map has a canonical
-text form whose SHA-256 is stamped into every output table.
+schema is rejected, as is any value outside its range: floats must be
+finite, grid sizes and shot counts at least 1, seeds and band sample counts
+at least 0, and oracle sample counts 0 (off) or at least 2.  Defaults
+reproduce the reference experiment, so an empty config is a valid complete
+run.  The resolved key/value map has a canonical text form whose SHA-256 is
+stamped into every output table.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .noise import ExperimentParams
@@ -19,11 +23,30 @@ class ConfigError(ValueError):
 
 
 def _float(s: str) -> float:
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
-def _int(s: str) -> int:
-    return int(s)
+def _int_from(lo: int):
+    def cast(s: str) -> int:
+        value = int(s)
+        if value < lo:
+            raise ValueError(f"must be >= {lo}")
+        return value
+    return cast
+
+
+_count = _int_from(1)
+_nonnegative = _int_from(0)
+
+
+def _mc_samples(s: str) -> int:
+    value = _nonnegative(s)
+    if value == 1:
+        raise ValueError("must be 0 (no oracle) or >= 2 for a standard error")
+    return value
 
 
 def _reading(s: str) -> str:
@@ -38,14 +61,14 @@ _DETAILED_KEYS = ("g", "r", "eta_d", "p_dc", "t1", "t2", "eta_c", "gamma",
                   "sigma_phi")
 
 SCHEMA: dict[str, tuple] = {
-    "run.seed": (_int, 0),
+    "run.seed": (_nonnegative, 0),
     "curves.alpha_sq_min": (_float, 0.0),
     "curves.alpha_sq_max": (_float, 100.0),
-    "curves.points": (_int, 41),
-    "curves.band_samples": (_int, 200),
+    "curves.points": (_count, 41),
+    "curves.band_samples": (_nonnegative, 200),
     "size.beta_sq_min": (_float, 2.0),
     "size.beta_sq_max": (_float, 60.0),
-    "size.points": (_int, 15),
+    "size.points": (_count, 15),
     "size.beta_sq_star": (_float, 47.0),
     "size.target_p_g": (_float, 2.0 / 3.0),
     "hom.p_pair": (_float, 0.005),
@@ -56,15 +79,15 @@ SCHEMA: dict[str, tuple] = {
     "hom.mu_star": (_float, 0.012),
     "hom.mu_min": (_float, 0.001),
     "hom.mu_max": (_float, 0.2),
-    "hom.points": (_int, 25),
+    "hom.points": (_count, 25),
     "hom.csp_fwhm": (_float, 1.0),
     "hom.hsp_tau_c": (_float, 1.9),
     "hom.window_min": (_float, 0.5),
     "hom.window_max": (_float, 6.0),
-    "hom.window_points": (_int, 23),
+    "hom.window_points": (_count, 23),
     "detailed.g_reading": (_reading, "per_mode"),
-    "detailed.mc_samples": (_int, 0),
-    "tomo.shots": (_int, 100_000),
+    "detailed.mc_samples": (_mc_samples, 0),
+    "tomo.shots": (_count, 100_000),
     "tomo.werner_w": (_float, 0.94),
 }
 for _k in _NOISE_KEYS:
@@ -89,7 +112,8 @@ def parse_config_text(text: str) -> dict:
         try:
             values[key] = caster(val)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value {val!r} for {key}") from exc
+            raise ConfigError(
+                f"line {lineno}: bad value {val!r} for {key}: {exc}") from exc
     return values
 
 

@@ -6,6 +6,12 @@ validate the probability mass lost to the cutoff and fail loudly instead of
 silently clipping tails.  Everything in this module is a pure function over
 immutable values.
 
+Displaced states have closed forms: D(alpha)|0> = |alpha> and
+D(alpha)|1> = (a^dag - alpha*)|alpha>, whose amplitudes are
+c_n (n/alpha - alpha*) with c_n those of |alpha>.  No model path builds a
+displacement matrix; ``displacement_operator`` (dense ``expm``) remains as
+the reference the consistency checks and the tests compare against.
+
 Beam-splitter sign convention (fixed once, used everywhere): a transmittance-T
 splitter maps coherent amplitudes ``(a, b) -> (sqrt(T) a + sqrt(1-T) b,
 -sqrt(1-T) a + sqrt(T) b)``.
@@ -68,6 +74,20 @@ class TruncatedState:
         return DensityOperator(np.outer(v, v.conj()), self.n_max, self.n_modes)
 
 
+def check_density_matrix(m: np.ndarray, trace_tol: float) -> None:
+    """Raise ValueError unless m is Hermitian, PSD (both within TAU_NUM) and
+    has unit trace within ``trace_tol``."""
+    herm = np.max(np.abs(m - m.conj().T))
+    if herm > TAU_NUM:
+        raise ValueError(f"not Hermitian: max asymmetry {herm:.3g}")
+    tr = float(np.real(np.trace(m)))
+    if abs(tr - 1.0) > trace_tol:
+        raise ValueError(f"trace {tr:.12g} not within {trace_tol} of 1")
+    lo = float(np.linalg.eigvalsh(m)[0])
+    if lo < -TAU_NUM:
+        raise ValueError(f"negative eigenvalue {lo:.3g}")
+
+
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator on the truncated space.
 
@@ -86,16 +106,7 @@ class DensityOperator:
             self._validate()
 
     def _validate(self):
-        m = self.matrix
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > TAU_NUM:
-            raise ValueError(f"not Hermitian: max asymmetry {herm:.3g}")
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > TAU_TRUNC:
-            raise ValueError(f"trace {tr:.12g} not within {TAU_TRUNC} of 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -TAU_NUM:
-            raise ValueError(f"negative eigenvalue {lo:.3g}")
+        check_density_matrix(self.matrix, TAU_TRUNC)
 
     def diagonal(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
@@ -245,9 +256,9 @@ def coherent_state(alpha: complex, n_max: int) -> TruncatedState:
 def displacement_operator(alpha: complex, n_max: int) -> np.ndarray:
     """Matrix of D(alpha) = expm(alpha a^dag - alpha* a) on the truncated space.
 
-    Unitary within TAU_NUM on the low-photon-number block; the caller must
-    leave margin between the input state's support plus ``|alpha|**2`` and
-    ``n_max``.
+    Dense reference for the closed forms; unitary within TAU_NUM on the
+    low-photon-number block, so the caller must leave margin between the
+    input state's support plus ``|alpha|**2`` and ``n_max``.
     """
     tail = poisson_tail_mass(abs(alpha) ** 2, n_max)
     if tail > TAU_TRUNC:
@@ -260,14 +271,16 @@ def displacement_operator(alpha: complex, n_max: int) -> np.ndarray:
 
 
 def displaced_single_photon(alpha: complex, n_max: int) -> TruncatedState:
-    """D(alpha)|1>, the displaced-single-photon component."""
-    d = displacement_operator(alpha, n_max)
-    vec = d[:, 1].copy()
-    nrm2 = float(np.sum(np.abs(vec) ** 2))
-    if nrm2 < 1.0 - TAU_TRUNC:
-        raise TruncationError(
-            f"D(alpha)|1> loses mass {1 - nrm2:.3g} at n_max={n_max}"
-        )
+    """D(alpha)|1> = (a^dag - alpha*)|alpha>, amplitudes c_n (n/alpha - alpha*).
+
+    Evaluated as sqrt(n) c_{n-1} - alpha* c_n (c_n n / alpha = sqrt(n) c_{n-1}),
+    which needs no division, so any complex alpha works and alpha = 0 gives
+    |1>.  Raises TruncationError when the mass beyond ``n_max`` exceeds
+    ``TAU_TRUNC``.
+    """
+    c = coherent_amplitudes(alpha, n_max)
+    vec = -np.conj(alpha) * c
+    vec[1:] += np.sqrt(np.arange(1, n_max + 1)) * c[:-1]
     return TruncatedState(vec)
 
 
@@ -287,13 +300,6 @@ def apply_transform(mt: ModeTransform, state: TruncatedState) -> TruncatedState:
     u = mt.fock_unitary(state.n_max)
     v = u @ state.amplitudes.reshape(-1)
     return TruncatedState(v.reshape(state.amplitudes.shape))
-
-
-def apply_transform_density(mt: ModeTransform, rho: DensityOperator) -> DensityOperator:
-    if rho.n_modes != mt.n_modes:
-        raise ValueError(f"state has {rho.n_modes} modes, transform {mt.n_modes}")
-    u = mt.fock_unitary(rho.n_max)
-    return DensityOperator(u @ rho.matrix @ u.conj().T, rho.n_max, rho.n_modes)
 
 
 def loss_channel(eta: float, rho: DensityOperator) -> DensityOperator:

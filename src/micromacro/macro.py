@@ -5,6 +5,10 @@ Gaussian resolution sigma sees their photon-number distributions convolved
 with the kernel; the optimal single-shot guessing probability for equal
 priors is P_g = 1/2 + (1/4) * L1 distance between the smoothed distributions
 (maximum-likelihood decision).
+
+Both components come from closed forms: D(alpha)|0> = |alpha> and
+D(alpha)|1> = (a^dag - alpha*)|alpha> (see ``fock``), so no displacement
+matrix is built.
 """
 from __future__ import annotations
 
@@ -15,10 +19,12 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .fock import (TAU_TRUNC, TruncationError, coherent_amplitudes,
-                   displacement_operator)
+                   displaced_single_photon)
 
 #: default grid spacing (photons) for the Gaussian smoothing integral
 GRID_SPACING = 0.05
+#: default bisection tolerance (photons) of sigma_max
+SIGMA_MAX_TOL = 1e-3
 
 
 class UnattainableTargetError(ValueError):
@@ -45,41 +51,10 @@ class MacroComponentPair:
 
 
 @dataclass(frozen=True)
-class CoarseDetector:
-    """Photon-number measurement blurred by a Gaussian of width sigma.
-
-    Decision rule: maximum-likelihood threshold on the smoothed outcome.
-    """
-
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-
-    def guessing_probability(self, pair: "MacroComponentPair") -> float:
-        return guessing_probability(pair, self.sigma)
-
-
-@dataclass(frozen=True)
 class SizeResult:
     p_g: float
     sigma_max: float
     n_eff: int
-
-
-@dataclass(frozen=True)
-class MixtureDescription:
-    """Two-branch heralded state: entangled branch plus separable remainder."""
-
-    alpha: float
-    entangled_weight: float
-    separable_weight: float
-
-    def __post_init__(self):
-        if not math.isclose(self.entangled_weight + self.separable_weight, 1.0,
-                            abs_tol=1e-12):
-            raise ValueError("branch weights must sum to 1")
 
 
 def default_n_max(mean: float) -> int:
@@ -94,13 +69,10 @@ def macro_components(alpha: float, n_max: int) -> MacroComponentPair:
     """Number distributions of D(alpha)(|0> + |1>)/sqrt(2) and D(alpha)(|0> - |1>)/sqrt(2)."""
     if alpha < 0:
         raise ValueError("alpha must be real and >= 0")
-    d = displacement_operator(alpha, n_max)
-    plus = (d[:, 0] + d[:, 1]) / math.sqrt(2)
-    minus = (d[:, 0] - d[:, 1]) / math.sqrt(2)
-    pp = np.abs(plus) ** 2
-    pm = np.abs(minus) ** 2
-    if pp.sum() < 1.0 - TAU_TRUNC or pm.sum() < 1.0 - TAU_TRUNC:
-        raise TruncationError(f"components lose mass at n_max={n_max}")
+    zero = coherent_amplitudes(alpha, n_max)
+    one = displaced_single_photon(alpha, n_max).amplitudes
+    pp = np.abs((zero + one) / math.sqrt(2)) ** 2
+    pm = np.abs((zero - one) / math.sqrt(2)) ** 2
     return MacroComponentPair(pp, pm, float(alpha))
 
 
@@ -147,9 +119,7 @@ def guessing_probability(pair: MacroComponentPair, sigma: float) -> float:
     maxima at half-integer lam (0.9289 at 0.5, 0.9099 at 1.5) and kinked minima
     at integer lam, both tending to 1/2 + 1/sqrt(2 pi) = 0.898942.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    return 0.5 + 0.25 * _l1_smoothed(pair.p_plus, pair.p_minus, sigma)
+    return guessing_probability_dists(pair.p_plus, pair.p_minus, sigma)
 
 
 def guessing_probability_dists(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
@@ -159,12 +129,9 @@ def guessing_probability_dists(p: np.ndarray, q: np.ndarray, sigma: float) -> fl
     return 0.5 + 0.25 * _l1_smoothed(np.asarray(p, float), np.asarray(q, float), sigma)
 
 
-def sigma_max(alpha: float, target_p_g: float, n_max: int | None = None,
-              tol: float = 1e-3) -> float:
-    """Largest sigma with P_g(sigma) >= target, by bisection on the monotone curve."""
-    if n_max is None:
-        n_max = default_n_max(alpha**2 + 1.0)
-    pair = macro_components(alpha, n_max)
+def _sigma_max(pair: MacroComponentPair, target_p_g: float,
+               tol: float) -> tuple[float, float]:
+    """(P_g(0), largest sigma with P_g(sigma) >= target), one bisection."""
     p0 = guessing_probability(pair, 0.0)
     if not 0.5 < target_p_g < p0:
         raise UnattainableTargetError(
@@ -172,48 +139,41 @@ def sigma_max(alpha: float, target_p_g: float, n_max: int | None = None,
         )
     def excess(s):
         return guessing_probability(pair, s) - target_p_g
-    hi = max(2.0, 2.0 * alpha)
+    hi = max(2.0, 2.0 * pair.alpha)
     while excess(hi) > 0.0:
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("sigma_max search did not bracket the target")
-    return float(brentq(excess, 0.0, hi, xtol=tol))
+    return p0, float(brentq(excess, 0.0, hi, xtol=tol))
 
 
-def effective_size(alpha: float, target_p_g: float, n_max: int | None = None) -> int:
-    """Smallest N such that |0> vs |N> stays distinguishable at sigma_max.
+def sigma_max(alpha: float, target_p_g: float, n_max: int | None = None,
+              tol: float = SIGMA_MAX_TOL) -> float:
+    """Largest sigma with P_g(sigma) >= target, by bisection on the monotone curve."""
+    if n_max is None:
+        n_max = default_n_max(alpha**2 + 1.0)
+    return _sigma_max(macro_components(alpha, n_max), target_p_g, tol)[1]
 
-    Uses the same detector model and decision rule as the macro pair itself.
+
+def size_analysis(alpha: float, target_p_g: float = 2.0 / 3.0,
+                  n_max: int | None = None) -> SizeResult:
+    """P_g(0), sigma_max and the effective size N_eff of the pair at alpha.
+
+    N_eff is the smallest N such that |0> vs |N> stays distinguishable at
+    sigma_max, with the same detector model and decision rule as the pair.
     """
-    s_max = sigma_max(alpha, target_p_g, n_max=n_max)
+    if n_max is None:
+        n_max = default_n_max(alpha**2 + 1.0)
+    p_g, s_max = _sigma_max(macro_components(alpha, n_max), target_p_g, SIGMA_MAX_TOL)
     n = 1
     while True:
         p0 = np.zeros(n + 1); p0[0] = 1.0
         pn = np.zeros(n + 1); pn[n] = 1.0
         if guessing_probability_dists(p0, pn, s_max) >= target_p_g:
-            return n
+            return SizeResult(p_g=p_g, sigma_max=s_max, n_eff=n)
         n += 1
         if n > 100 * (alpha**2 + 1):
             raise RuntimeError("effective size search ran away")
-
-
-def size_analysis(alpha: float, target_p_g: float = 2.0 / 3.0,
-                  n_max: int | None = None) -> SizeResult:
-    if n_max is None:
-        n_max = default_n_max(alpha**2 + 1.0)
-    pair = macro_components(alpha, n_max)
-    return SizeResult(
-        p_g=guessing_probability(pair, 0.0),
-        sigma_max=sigma_max(alpha, target_p_g, n_max=n_max),
-        n_eff=effective_size(alpha, target_p_g, n_max=n_max),
-    )
-
-
-def heralded_mixture_state(alpha: float, eta_h: float) -> MixtureDescription:
-    """Branch weights of the heralded state: eta_h entangled, 1 - eta_h separable."""
-    if not 0.0 <= eta_h <= 1.0:
-        raise ValueError("eta_h must be in [0, 1]")
-    return MixtureDescription(float(alpha), float(eta_h), float(1.0 - eta_h))
 
 
 def lossy_mixture_guessing(alpha: float, eta_h: float, eta_abs: float,

@@ -137,16 +137,15 @@ def excitations_from_alpha(alpha_sq: float, eta_abs: float) -> float:
     return eta_abs * alpha_sq
 
 
-def s_from_visibility(w: float) -> float:
-    return 2.0 * math.sqrt(2.0) * w
+def werner_witnesses(w):
+    """(CHSH S, PPT minimum eigenvalue, concurrence) of Werner visibility w.
 
-
-def ppt_from_visibility(w: float) -> float:
-    return (1.0 - 3.0 * w) / 4.0
-
-
-def concurrence_from_visibility(w: float) -> float:
-    return max(0.0, (3.0 * w - 1.0) / 2.0)
+    S = 2 sqrt(2) w, PPT = (1 - 3w)/4, C = max(0, (3w - 1)/2); ``w`` may be
+    a scalar or an array.
+    """
+    w = np.asarray(w, dtype=float)
+    return (2.0 * math.sqrt(2.0) * w, (1.0 - 3.0 * w) / 4.0,
+            np.maximum(0.0, (3.0 * w - 1.0) / 2.0))
 
 
 def _sample_params(params: ExperimentParams, rng: np.random.Generator) -> ExperimentParams:
@@ -174,11 +173,8 @@ def witness_band_point(alpha_sq: float, params: ExperimentParams,
         predict_werner_visibility(alpha_sq, _sample_params(params, rng))
         for _ in range(band_samples)
     ])
-    return (
-        float(np.std(2.0 * math.sqrt(2.0) * ws)),
-        float(np.std((1.0 - 3.0 * ws) / 4.0)),
-        float(np.std(np.maximum(0.0, (3.0 * ws - 1.0) / 2.0))),
-    )
+    s, ppt, conc = werner_witnesses(ws)
+    return float(np.std(s)), float(np.std(ppt)), float(np.std(conc))
 
 
 def predict_witness_curves(alpha_sq_grid, params: ExperimentParams = DEFAULT_PARAMS,
@@ -194,9 +190,7 @@ def predict_witness_curves(alpha_sq_grid, params: ExperimentParams = DEFAULT_PAR
     if grid.size == 0:
         raise ValueError("alpha_sq grid is empty")
     w = np.array([predict_werner_visibility(a, params) for a in grid])
-    s = 2.0 * math.sqrt(2.0) * w
-    ppt = (1.0 - 3.0 * w) / 4.0
-    conc = np.maximum(0.0, (3.0 * w - 1.0) / 2.0)
+    s, ppt, conc = werner_witnesses(w)
 
     band_s = np.zeros_like(grid)
     band_ppt = np.zeros_like(grid)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TAU_NUM
+from .fock import TAU_NUM, check_density_matrix
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -26,15 +26,7 @@ class TwoQubitDensity:
         if self.matrix.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
         if check:
-            herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
-            if herm > TAU_NUM:
-                raise ValueError(f"not Hermitian: max asymmetry {herm:.3g}")
-            tr = float(np.real(np.trace(self.matrix)))
-            if abs(tr - 1.0) > TAU_NUM:
-                raise ValueError(f"trace {tr:.12g} != 1")
-            lo = float(np.linalg.eigvalsh(self.matrix)[0])
-            if lo < -TAU_NUM:
-                raise ValueError(f"negative eigenvalue {lo:.3g}")
+            check_density_matrix(self.matrix, TAU_NUM)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-TAU_NUM = 1e-10
+from .fock import TAU_NUM
 
 
 class ModelInconsistencyError(ArithmeticError):
@@ -157,17 +157,21 @@ def _derived(p: DetailedParams):
     return nbar, mbar, eta, eps, t_amp, w1, w2
 
 
-def _f_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams) -> float:
-    """E[no-click on the main detector] over thermal modes and phase jitter."""
-    _, _, eta, eps, _, _, _ = _derived(p)
+def _f_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams, eta: float,
+              eps: float) -> float:
+    """E[no-click on the main detector] over thermal modes and phase jitter.
+
+    ``eta`` and ``eps`` are the overall efficiency and the phase-jitter
+    exponent of ``_derived(p)``.
+    """
     d = 1.0 + (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
     zeta = p.t2**2 * p.gamma**2 * p.eta_d * math.cos(th_a - th_b) ** 2 / d
     return (1.0 / d) / math.sqrt(1.0 + 4.0 * zeta * eps)
 
 
-def _g_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams) -> float:
-    """E[no click on either detector] over thermal modes and phase jitter."""
-    _, _, eta, eps, _, _, _ = _derived(p)
+def _g_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams, eta: float,
+              eps: float) -> float:
+    """E[no click on either detector]; arguments as for ``_f_factor``."""
     gg = 1.0 / ((1.0 + nu_b * eta) * (1.0 + nu_p * eta))
     if p.g_reading == "per_mode":
         z = p.t2**2 * p.gamma**2 * p.eta_d * (
@@ -188,13 +192,14 @@ def joint_probabilities(th_a: float, th_b: float,
     on side B measured in the displacement-matched frame.  The four raw
     joints need not sum to one because double-no-click rounds are dropped.
     """
-    nbar, mbar, _, _, _, w1, w2 = _derived(p)
+    nbar, mbar, eta, eps, _, w1, w2 = _derived(p)
 
     def f_plus(nb, np_):
-        return _f_factor(nb, np_, th_a, th_b, p) - _g_factor(nb, np_, th_a, th_b, p)
+        return (_f_factor(nb, np_, th_a, th_b, p, eta, eps)
+                - _g_factor(nb, np_, th_a, th_b, p, eta, eps))
 
     def f_minus(nb, np_):
-        return 1.0 - _f_factor(nb, np_, th_a, th_b, p)
+        return 1.0 - _f_factor(nb, np_, th_a, th_b, p, eta, eps)
 
     vals = np.array([
         w1 * f_plus(nbar, mbar) - w2 * f_plus(mbar, mbar),

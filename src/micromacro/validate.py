@@ -47,11 +47,12 @@ def _werner_witnesses():
     worst = 0.0
     for w in (0.2, 0.6, 0.94):
         rho = polarization.werner_state(w)
+        s, ppt, conc = noise.werner_witnesses(w)
         worst = max(
             worst,
-            abs(polarization.chsh_maximum(rho) - 2.0 * RT2 * w),
-            abs(polarization.ppt_min_eigenvalue(rho) - (1.0 - 3.0 * w) / 4.0),
-            abs(polarization.concurrence(rho) - max(0.0, (3.0 * w - 1.0) / 2.0)),
+            abs(polarization.chsh_maximum(rho) - s),
+            abs(polarization.ppt_min_eigenvalue(rho) - ppt),
+            abs(polarization.concurrence(rho) - conc),
         )
     return worst < 1e-10, f"worst closed-form deviation = {worst:.3e}"
 

@@ -48,6 +48,38 @@ def test_config_rejects_bad_input():
         parse_config_text("detailed.g_reading = averaged")
 
 
+@pytest.mark.parametrize("command, line", [
+    ("curves", "curves.alpha_sq_max = nan"),
+    ("curves", "curves.alpha_sq_min = -inf"),
+    ("hom", "hom.mu_min = nan"),
+    ("curves", "curves.points = 0"),
+    ("size", "size.points = 0"),
+    ("hom", "hom.points = 0"),
+    ("hom", "hom.window_points = 0"),
+    ("tomo", "tomo.shots = 0"),
+    ("curves", "curves.band_samples = -5"),
+    ("detailed", "detailed.mc_samples = 1"),
+    ("detailed", "detailed.mc_samples = -1"),
+    ("tomo", "run.seed = -1"),
+    ("curves", "--jobs 0"),
+    ("size", "--jobs -3"),
+])
+def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
+    out = tmp_path / "out"
+    if line.startswith("--"):
+        # a bad flag is a usage error: argparse exits with status 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--out", str(out), *line.split()])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+    else:
+        cfg = write_config(tmp_path, f"# range check\n{line}\n")
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "line 2: bad value" in err and line.split()[0] in err
+    assert not out.exists()
+
+
 def test_config_hash_ignores_formatting():
     a = RunConfig.from_text("run.seed = 3\ncurves.points = 4\n")
     b = RunConfig.from_text("# comment\ncurves.points=4\n\nrun.seed   =  3")

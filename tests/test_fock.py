@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import binom, poisson
@@ -49,6 +49,18 @@ def test_displaced_photon_number_distribution(alpha):
     logw = -lam + (n - 1) * math.log(lam) - gammaln(n + 1)
     expected = np.exp(logw) * (n - lam) ** 2
     assert np.max(np.abs(p - expected)) < 1e-10
+
+
+@given(st.builds(lambda r, phi: r * complex(math.cos(phi), math.sin(phi)),
+                 st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)))
+@example(0j)
+@settings(max_examples=60, deadline=None)
+def test_displaced_single_photon_matches_dense_displacement(alpha):
+    # reference: the column D(alpha)|1> of the dense expm; |1> at alpha = 0
+    n_max = 60
+    got = fock.displaced_single_photon(alpha, n_max).amplitudes
+    ref = fock.displacement_operator(alpha, n_max)[:, 1]
+    assert np.max(np.abs(got - ref)) < 1e-10
 
 
 def test_beam_splitter_unitary_on_fock_space():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import norm
 
-from micromacro import macro
+from micromacro import fock, macro
 from oracles import ideal_guessing_probability
 
 
@@ -57,6 +59,27 @@ def test_guessing_probability_monotone_in_blur():
     values = [macro.guessing_probability(pair, s) for s in sigmas]
     assert np.all(np.diff(values) <= 1e-12)
     assert values[-1] > 0.5 - 1e-12
+    with pytest.raises(ValueError):
+        macro.guessing_probability(pair, -0.1)
+
+
+@given(st.floats(0.0, 3.0))
+@example(0.0)
+@settings(max_examples=40, deadline=None)
+def test_components_match_dense_displacement(alpha):
+    # reference: the columns D(alpha)|0> and D(alpha)|1> of the dense expm
+    n_max = 60
+    pair = macro.macro_components(alpha, n_max)
+    d = fock.displacement_operator(alpha, n_max)
+    p_plus = np.abs(d[:, 0] + d[:, 1]) ** 2 / 2.0
+    p_minus = np.abs(d[:, 0] - d[:, 1]) ** 2 / 2.0
+    assert np.max(np.abs(pair.p_plus - p_plus)) < 1e-10
+    assert np.max(np.abs(pair.p_minus - p_minus)) < 1e-10
+
+
+def test_components_reject_small_cutoff():
+    with pytest.raises(fock.TruncationError):
+        macro.macro_components(math.sqrt(47.0), 60)
 
 
 def test_sigma_max_and_effective_size_at_47():
@@ -79,16 +102,3 @@ def test_lossy_mixture_guessing_value_and_decay():
     assert abs(values[0] - 0.541616) < 1e-4
     assert values[0] > values[1] > values[2]
 
-
-def test_heralded_mixture_weights():
-    mix = macro.heralded_mixture_state(2.0, 0.19)
-    assert mix.entangled_weight == 0.19
-    assert abs(mix.entangled_weight + mix.separable_weight - 1.0) < 1e-15
-
-
-def test_coarse_detector_wrapper():
-    pair = macro.macro_components(1.0, 30)
-    det = macro.CoarseDetector(sigma=0.8)
-    assert det.guessing_probability(pair) == macro.guessing_probability(pair, 0.8)
-    with pytest.raises(ValueError):
-        macro.CoarseDetector(sigma=-0.1)
