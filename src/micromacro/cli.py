@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, macro, noise, polarization, spdc, tomography
+from . import __version__, noise, polarization, spdc
 from . import hom as hom_mod
 from . import validate as validate_mod
 from .config import ConfigError, RunConfig
@@ -53,6 +53,7 @@ def _band_worker(task):
 
 
 def _size_worker(task):
+    from . import macro  # scipy (brentq) loads only for the size solver
     i, beta_sq = task
     pair = macro.macro_components(math.sqrt(beta_sq), macro.default_n_max(beta_sq + 1.0))
     return i, macro.guessing_probability(pair, 0.0)
@@ -137,6 +138,7 @@ def cmd_curves(args) -> int:
 
 
 def cmd_size(args) -> int:
+    from . import macro
     cfg, seed, meta = _load(args)
     nparams = cfg.noise_params()
     grid = np.linspace(cfg["size.beta_sq_min"], cfg["size.beta_sq_max"],
@@ -277,6 +279,7 @@ def cmd_detailed(args) -> int:
 
 
 def cmd_tomo(args) -> int:
+    from . import tomography  # scipy (L-BFGS-B) loads only for the MLE
     cfg, seed, meta = _load(args)
     w = cfg["tomo.werner_w"]
     shots = cfg["tomo.shots"]
@@ -316,11 +319,15 @@ def cmd_validate(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_from(lo: int):
+    """Argparse type: an integer of at least ``lo``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run configuration file (section.key = value)")
     common.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current)")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_int_from(0), default=None,
                         help="master seed (overrides run.seed)")
     common.add_argument("--svg", action="store_true",
                         help="also write SVG charts")
-    common.add_argument("--jobs", type=_positive_int, default=1,
+    common.add_argument("--jobs", type=_int_from(1), default=1,
                         help="worker processes for grid evaluations")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,8 +9,10 @@ immutable values.
 Displaced states have closed forms: D(alpha)|0> = |alpha> and
 D(alpha)|1> = (a^dag - alpha*)|alpha>, whose amplitudes are
 c_n (n/alpha - alpha*) with c_n those of |alpha>.  No model path builds a
-displacement matrix; ``displacement_operator`` (dense ``expm``) remains as
-the reference the consistency checks and the tests compare against.
+displacement matrix; ``displacement_operator`` remains for the consistency
+checks.  The Fock-space unitaries that are built (splitters, displacements)
+come from one exponential of a skew-Hermitian generator, ``_expm_skew``,
+which diagonalises it with ``eigh``; the module needs numpy only.
 
 Beam-splitter sign convention (fixed once, used everywhere): a transmittance-T
 splitter maps coherent amplitudes ``(a, b) -> (sqrt(T) a + sqrt(1-T) b,
@@ -20,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm, logm
-from scipy.special import gammaln
 
 #: numerical tolerance for unitarity / hermiticity / eigenvalue checks
 TAU_NUM = 1e-10
@@ -138,17 +139,19 @@ class ModeTransform:
     def fock_unitary(self, n_max: int) -> np.ndarray:
         """Unitary on the full truncated Fock space.
 
-        Built as ``expm(sum_ij G_ij a_i^dag a_j)`` with ``G = logm(S)``; the
-        generator is skew-Hermitian even after truncation, so the result is
-        exactly unitary (photon-number flow above n_max is reflected, not
-        lost — callers keep support comfortably below the cutoff).
+        Built as ``exp(sum_ij G_ij a_i^dag a_j)`` with ``G = log(S)`` taken
+        from the eigendecomposition of S; the generator is skew-Hermitian
+        even after truncation, so the result is exactly unitary
+        (photon-number flow above n_max is reflected, not lost — callers
+        keep support comfortably below the cutoff).
         """
         key = (self.matrix.tobytes(), n_max)
         cached = _FOCK_UNITARY_CACHE.get(key)
         if cached is not None:
             return cached
         k = self.n_modes
-        gen_modes = logm(self.matrix)
+        phases, vecs = np.linalg.eig(self.matrix)
+        gen_modes = (vecs * (1j * np.angle(phases))) @ np.linalg.inv(vecs)
         a = annihilation(n_max)
         d = n_max + 1
         eye = np.eye(d)
@@ -158,15 +161,10 @@ class ModeTransform:
                 if gen_modes[i, j] == 0:
                     continue
                 ops = [eye] * k
-                if i == j:
-                    ops[i] = a.conj().T @ a
-                    term = _kron_chain(ops)
-                else:
-                    ops[i] = a.conj().T
-                    ops[j] = a
-                    term = _kron_chain(ops)
-                gen += gen_modes[i, j] * term
-        u = expm(gen)
+                ops[j] = a
+                ops[i] = a.T @ ops[i]  # a_i^dag a_j; a^dag a when i == j
+                gen += gen_modes[i, j] * reduce(np.kron, ops)
+        u = _expm_skew(gen)
         if len(_FOCK_UNITARY_CACHE) > 32:
             _FOCK_UNITARY_CACHE.clear()
         _FOCK_UNITARY_CACHE[key] = u
@@ -176,11 +174,11 @@ class ModeTransform:
 _FOCK_UNITARY_CACHE: dict = {}
 
 
-def _kron_chain(ops) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+def _expm_skew(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) for skew-Hermitian gen: with 1j gen = V diag(lam) V^dag,
+    exp(gen) = V diag(exp(-1j lam)) V^dag, unitary to rounding."""
+    lam, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -212,18 +210,30 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
         c[0] = 1.0
         return c
     n = np.arange(n_max + 1)
-    logmag = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    logmag = (-abs(alpha) ** 2 / 2 + n * math.log(abs(alpha))
+              - 0.5 * log_factorials(n_max))
     phase = np.exp(1j * n * np.angle(alpha))
     return np.exp(logmag) * phase
 
 
+def log_factorials(n_max: int) -> np.ndarray:
+    """log(n!) for n = 0..n_max."""
+    return np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)])
+
+
+def poisson_pmf(mean: float, n_max: int) -> np.ndarray:
+    """Poisson(mean) probabilities of n = 0..n_max, evaluated in log form."""
+    if mean == 0:
+        p = np.zeros(n_max + 1)
+        p[0] = 1.0
+        return p
+    n = np.arange(n_max + 1)
+    return np.exp(-mean + n * math.log(mean) - log_factorials(n_max))
+
+
 def poisson_tail_mass(mean: float, n_max: int) -> float:
     """Probability mass of a Poisson(mean) above n_max (log-domain partial sum)."""
-    if mean == 0:
-        return 0.0
-    n = np.arange(n_max + 1)
-    logp = -mean + n * math.log(mean) - gammaln(n + 1)
-    return max(0.0, 1.0 - float(np.sum(np.exp(logp))))
+    return max(0.0, 1.0 - float(np.sum(poisson_pmf(mean, n_max))))
 
 
 def coherent_state(alpha: complex, n_max: int) -> TruncatedState:
@@ -254,7 +264,7 @@ def coherent_state(alpha: complex, n_max: int) -> TruncatedState:
 
 
 def displacement_operator(alpha: complex, n_max: int) -> np.ndarray:
-    """Matrix of D(alpha) = expm(alpha a^dag - alpha* a) on the truncated space.
+    """Matrix of D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space.
 
     Dense reference for the closed forms; unitary within TAU_NUM on the
     low-photon-number block, so the caller must leave margin between the
@@ -267,7 +277,7 @@ def displacement_operator(alpha: complex, n_max: int) -> np.ndarray:
             f"(vacuum-image tail mass {tail:.3g})"
         )
     a = annihilation(n_max)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    return _expm_skew(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 def displaced_single_photon(alpha: complex, n_max: int) -> TruncatedState:
@@ -313,7 +323,7 @@ def loss_channel(eta: float, rho: DensityOperator) -> DensityOperator:
     if rho.n_modes != 1:
         raise ValueError("loss_channel acts on a single mode")
     d = rho.n_max + 1
-    n = np.arange(d)
+    lf = log_factorials(rho.n_max)
     out = np.zeros_like(rho.matrix)
     # log-binomial weights, guarded for eta = 0 or 1
     for k in range(d):
@@ -325,7 +335,7 @@ def loss_channel(eta: float, rho: DensityOperator) -> DensityOperator:
             w = np.where(k == 0, np.ones_like(src, dtype=float), 0.0)
         else:
             logw = 0.5 * (
-                gammaln(src + 1) - gammaln(k + 1) - gammaln(src - k + 1)
+                lf[src] - lf[k] - lf[src - k]
                 + (src - k) * math.log(eta) + k * math.log(1 - eta)
             )
             w = np.exp(logw)

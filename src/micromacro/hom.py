@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import binom
 
 from .fock import ClickDetector, beam_splitter, coherent_amplitudes
 
@@ -72,8 +70,14 @@ def heralded_signal_dist(p_pair: float, eta_h: float, kmax: int = 4) -> np.ndarr
     w = w / w.sum()
     q = np.zeros(kmax + 1)
     for kk in range(kmax + 1):
-        q[: kk + 1] += w[kk] * binom.pmf(np.arange(kk + 1), kk, eta_h)
+        q[: kk + 1] += w[kk] * binomial_pmf(kk, eta_h)
     return q
+
+
+def binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) probabilities of k = 0..n."""
+    return np.array([math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+                     for k in range(n + 1)])
 
 
 def coincidence_from_joint(rho_matrix: np.ndarray, n_max: int, det: ClickDetector,
@@ -163,19 +167,37 @@ def overlap_ratio(v_m: float, v_e: float) -> float:
     return v_m / v_e
 
 
+def _erfcx(x: float) -> float:
+    """exp(x^2) erfc(x) for x >= 0; the asymptotic series (relative error
+    below 3e-13) takes over where exp(x^2) would overflow."""
+    if x < 25.0:
+        return math.exp(x * x) * math.erfc(x)
+    y = 1.0 / (2.0 * x * x)
+    series = 1.0 - y * (1.0 - 3.0 * y * (1.0 - 5.0 * y * (1.0 - 7.0 * y)))
+    return series / (x * math.sqrt(math.pi))
+
+
 def temporal_overlap(profiles: TemporalProfiles, window: float | None = None) -> float:
-    """Squared normalized overlap of the window-restricted amplitude profiles."""
+    """Squared normalized overlap of the window-restricted amplitude profiles.
+
+    With the CSP amplitude g(t) = exp(-t^2 / 2s^2) and the heralded amplitude
+    h(t) = exp(-|t| / tau), all three integrals over [-w/2, w/2] are closed:
+    int g^2 = s sqrt(pi) erf(w / 2s), int h^2 = tau (1 - e^(-w/tau)), and
+    int g h = s sqrt(2 pi) e^(a^2) [erfc(a) - erfc(a + w / (2 sqrt2 s))]
+    with a = s / (sqrt2 tau), written through erfcx(x) = e^(x^2) erfc(x).
+    """
     if window is None:
         window = profiles.window
     s = profiles.csp_fwhm / (2.0 * math.sqrt(math.log(2.0)))
     tau = profiles.hsp_tau_c
-    g = lambda t: np.exp(-t**2 / (2.0 * s**2))
-    h = lambda t: np.exp(-abs(t) / tau)
     half = window / 2.0
-    num = quad(lambda t: g(t) * h(t), -half, half)[0] ** 2
-    den = quad(lambda t: g(t) ** 2, -half, half)[0] \
-        * quad(lambda t: h(t) ** 2, -half, half)[0]
-    return num / den
+    a = s / (math.sqrt(2.0) * tau)
+    b = a + half / (math.sqrt(2.0) * s)
+    gh = s * math.sqrt(2.0 * math.pi) \
+        * (_erfcx(a) - math.exp(a * a - b * b) * _erfcx(b))
+    gg = s * math.sqrt(math.pi) * math.erf(half / s)
+    hh = -tau * math.expm1(-window / tau)
+    return gh**2 / (gg * hh)
 
 
 def overlap_vs_window(profiles: TemporalProfiles, windows, v_e: float = 0.85):

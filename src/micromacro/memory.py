@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fock import TAU_NUM
 
@@ -128,15 +127,3 @@ def visibility_from_errors(delta_a: float, sigma_phi: float,
     dark = np.abs(1.0 + r * np.exp(1j * (math.pi + x))) ** 2
     mean_dark = float(np.dot(w, dark) / math.sqrt(math.pi))
     return 1.0 - mean_dark / (1.0 + r) ** 2
-
-
-def sigma_for_visibility(v_target: float, delta_a: float = 0.0) -> float:
-    """Phase jitter that degrades the visibility to v_target (root-find)."""
-    if not 0.0 < v_target <= visibility_from_errors(delta_a, 0.0):
-        raise ValueError("target visibility unreachable for this delta_a")
-    if v_target == visibility_from_errors(delta_a, 0.0):
-        return 0.0
-    return float(brentq(
-        lambda s: visibility_from_errors(delta_a, s) - v_target, 0.0, 4.0,
-        xtol=1e-12,
-    ))

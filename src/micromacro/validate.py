@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
 
 from . import fock, hom, memory, noise, polarization, spdc
 
@@ -63,7 +62,7 @@ def _poisson_series():
     for mu in (0.5, 13.3, 86.0):
         lam = 2.0 * mu * p.eta * (1.0 - p.vis)
         n = np.arange(0, 200)
-        series = float(np.sum(poisson.pmf(n, mu) * (1.0 - lam / mu) ** n))
+        series = float(np.sum(fock.poisson_pmf(mu, 199) * (1.0 - lam / mu) ** n))
         worst = max(worst, abs(noise.noise_click_prob(mu, p.eta, p.vis)
                                - (1.0 - series)))
     return worst < 1e-12, f"worst series deviation = {worst:.3e}"

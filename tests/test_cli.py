@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from micromacro import cli
@@ -63,6 +68,19 @@ def test_config_rejects_bad_input():
     ("tomo", "run.seed = -1"),
     ("curves", "--jobs 0"),
     ("size", "--jobs -3"),
+    ("tomo", "--seed -1"),
+    ("curves", "--seed -7"),
+    ("size", "size.beta_sq_min = 70"),
+    ("size", "size.beta_sq_min = -4"),
+    ("size", "size.beta_sq_star = -2"),
+    ("hom", "hom.mu_min = -0.5"),
+    ("hom", "hom.mu_max = 0.001"),
+    ("hom", "hom.mu_star = -1"),
+    ("hom", "hom.window_min = 0"),
+    ("hom", "hom.window_max = -1"),
+    ("hom", "hom.window_min = 6"),
+    ("curves", "curves.alpha_sq_min = 200"),
+    ("curves", "curves.alpha_sq_max = -5"),
 ])
 def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
     out = tmp_path / "out"
@@ -71,13 +89,23 @@ def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--out", str(out), *line.split()])
         assert exc.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert f"argument {line.split()[0]}: must be >= " in capsys.readouterr().err
     else:
         cfg = write_config(tmp_path, f"# range check\n{line}\n")
         assert run([command, "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert "line 2: bad value" in err and line.split()[0] in err
     assert not out.exists()
+
+
+def test_grid_bounds_must_be_ordered():
+    # the later of the two lines is blamed, and both keys are named
+    message = (r"line 3: bad value '2' for size\.beta_sq_max: "
+               r"size\.beta_sq_min \(5\) must be below size\.beta_sq_max \(2\)")
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text("# grid\nsize.beta_sq_min = 5\nsize.beta_sq_max = 2\n")
+    values = parse_config_text("hom.window_min = 0.1\nhom.window_max = 0.2\n")
+    assert (values["hom.window_min"], values["hom.window_max"]) == (0.1, 0.2)
 
 
 def test_config_hash_ignores_formatting():
@@ -218,3 +246,26 @@ def test_add_row_checks_arity():
     table = ResultTable("demo", ["x", "y"])
     with pytest.raises(ValueError):
         table.add_row(1.0)
+
+
+def test_cli_loads_no_scipy_outside_the_solvers(tmp_path):
+    # only size (brentq) and tomo (L-BFGS-B) need scipy; importing the CLI
+    # and running curves, hom and detailed must not load it
+    script = (
+        "import sys\n"
+        "from micromacro import cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_modules())\n"
+        "for cmd in ('curves', 'hom', 'detailed'):\n"
+        f"    cli.main([cmd, '--out', {str(tmp_path)!r}])\n"
+        "print(scipy_modules())\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    lines = [line for line in proc.stdout.splitlines()
+             if not line.startswith("wrote ")]
+    assert lines == ["[]", "[]"]

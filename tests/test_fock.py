@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import binom, poisson
 
@@ -56,11 +57,53 @@ def test_displaced_photon_number_distribution(alpha):
 @example(0j)
 @settings(max_examples=60, deadline=None)
 def test_displaced_single_photon_matches_dense_displacement(alpha):
-    # reference: the column D(alpha)|1> of the dense expm; |1> at alpha = 0
+    # reference: the column D(alpha)|1> of the dense matrix; |1> at alpha = 0
     n_max = 60
     got = fock.displaced_single_photon(alpha, n_max).amplitudes
     ref = fock.displacement_operator(alpha, n_max)[:, 1]
     assert np.max(np.abs(got - ref)) < 1e-10
+
+
+@given(st.builds(lambda r, phi: r * complex(math.cos(phi), math.sin(phi)),
+                 st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)))
+@example(0j)
+@example(3.0 + 0j)
+@settings(max_examples=60, deadline=None)
+def test_displacement_operator_matches_expm(alpha):
+    n_max = 40
+    a = fock.annihilation(n_max)
+    ref = expm(alpha * a.T - np.conj(alpha) * a)
+    assert np.max(np.abs(fock.displacement_operator(alpha, n_max) - ref)) < 1e-12
+
+
+@given(st.floats(0.0, 1.0), st.integers(1, 10))
+@example(0.0, 10)
+@example(0.5, 10)
+@example(1.0, 10)
+@example(1.0 - 1e-15, 10)
+@settings(max_examples=60, deadline=None)
+def test_fock_unitary_matches_expm(transmittance, n_max):
+    # S = [[t, r], [-r, t]] is a rotation by theta = atan2(r, t), so
+    # log S = theta [[0, 1], [-1, 0]] and the Fock-space generator is
+    # theta (a^dag (x) a - a (x) a^dag)
+    theta = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
+    a = fock.annihilation(n_max)
+    ref = expm(theta * (np.kron(a.T, a) - np.kron(a, a.T)))
+    u = fock.beam_splitter(transmittance).fock_unitary(n_max)
+    assert np.max(np.abs(u - ref)) < 1e-12
+
+
+@given(st.floats(0.0, 200.0), st.integers(0, 300))
+@example(0.0, 5)
+@settings(max_examples=60, deadline=None)
+def test_poisson_pmf_matches_scipy(mean, n_max):
+    ref = poisson.pmf(np.arange(n_max + 1), mean)
+    assert np.max(np.abs(fock.poisson_pmf(mean, n_max) - ref)) < 1e-13
+
+
+def test_log_factorials_match_gammaln():
+    ref = gammaln(np.arange(501) + 1)
+    assert np.max(np.abs(fock.log_factorials(500) - ref) / (1.0 + ref)) < 1e-15
 
 
 def test_beam_splitter_unitary_on_fock_space():

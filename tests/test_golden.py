@@ -21,8 +21,8 @@ GOLDEN = {
         "size_summary.csv": "8d98593a07a133e4d25bc9d427a64ed0972e8c7e51242578efc74821dc649b14",
     },
     "hom": {
-        "hom_overlap.csv": "bb1e9717ad1746ecde2a898ed3371c17397726df846f5b4d5eaae028fe829e9d",
-        "hom_visibility.csv": "8d7cd42e60099c6ecae8243b660a2528401cf1dfb21ef5e9ced76047715352d6",
+        "hom_overlap.csv": "549dc8abed5ee3a9613b1f6f68f5c8abb68f8964a522c98cea9056705063a70f",
+        "hom_visibility.csv": "c74cafb0eddc2b67d342ad9705ca0bc6eb105b57ec498547ea1669c8364c25f6",
     },
     "detailed": {
         "detailed_grid.csv": "548bdf10afbd318a7177ad561cad8f43a9cf86383469b069b4c31fce01075a84",

@@ -3,6 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.stats import binom
 
 from micromacro import hom
 from micromacro.fock import ClickDetector
@@ -55,6 +59,55 @@ def test_temporal_overlap_window_dependence():
     xi = np.array([hom.temporal_overlap(profiles, w) for w in windows])
     assert np.all(np.diff(xi) < 0.0)
     assert xi[-1] < 0.96
+
+
+def quad_overlap(profiles, window):
+    """The window overlap by adaptive quadrature (the replaced reference)."""
+    s = profiles.csp_fwhm / (2.0 * math.sqrt(math.log(2.0)))
+    tau = profiles.hsp_tau_c
+    half = window / 2.0
+
+    def integral(f):
+        return quad(f, -half, half, points=[0.0], epsabs=0.0, epsrel=1e-13)[0]
+
+    num = integral(lambda t: math.exp(-t**2 / (2.0 * s**2) - abs(t) / tau)) ** 2
+    den = integral(lambda t: math.exp(-t**2 / s**2)) \
+        * integral(lambda t: math.exp(-2.0 * abs(t) / tau))
+    return num / den
+
+
+@given(st.floats(0.5, 6.0))
+@example(0.5)
+@example(6.0)
+@settings(max_examples=60, deadline=None)
+def test_temporal_overlap_matches_quadrature(window):
+    profiles = hom.TemporalProfiles()
+    assert abs(hom.temporal_overlap(profiles, window) - quad_overlap(profiles, window)) \
+        < 1e-12
+
+
+@pytest.mark.parametrize("tau_c", [0.005, 0.0169, 0.0171, 0.3, 50.0])
+def test_temporal_overlap_across_erfcx_branches(tau_c):
+    # a = s / (sqrt2 tau) crosses 25 between tau_c = 0.0169 and 0.0171 ns
+    profiles = hom.TemporalProfiles(hsp_tau_c=tau_c)
+    for window in (0.5, 3.0, 6.0):
+        assert abs(hom.temporal_overlap(profiles, window)
+                   - quad_overlap(profiles, window)) < 1e-12
+
+
+def test_erfcx_is_continuous_at_the_switch():
+    below = hom._erfcx(np.nextafter(25.0, 0.0))
+    assert abs(hom._erfcx(25.0) / below - 1.0) < 1e-12
+
+
+# scipy's binom.pmf raises OverflowError for p below about 1e-307, and below
+# p ~ 1e-70 it is off by up to 7e-14 where the exact (1 - p)^n rounds to 1
+@given(st.integers(0, 30), st.floats(1e-300, 1.0) | st.just(0.0))
+@example(4, 0.19)
+@settings(max_examples=60, deadline=None)
+def test_binomial_pmf_matches_scipy(n, p):
+    ref = binom.pmf(np.arange(n + 1), n, p)
+    assert np.max(np.abs(hom.binomial_pmf(n, p) - ref)) < 1e-13
 
 
 def test_overlap_vs_window_scales_expected_visibility():

@@ -4,10 +4,23 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from micromacro import memory
 
 PARAMS = memory.MemoryParams()
+
+
+def sigma_for_visibility(v_target: float, delta_a: float = 0.0) -> float:
+    """Phase jitter that degrades the visibility to v_target (root-find)."""
+    if not 0.0 < v_target <= memory.visibility_from_errors(delta_a, 0.0):
+        raise ValueError("target visibility unreachable for this delta_a")
+    if v_target == memory.visibility_from_errors(delta_a, 0.0):
+        return 0.0
+    return float(brentq(
+        lambda s: memory.visibility_from_errors(delta_a, s) - v_target, 0.0, 4.0,
+        xtol=1e-12,
+    ))
 
 
 def test_three_pulse_amplitudes():
@@ -60,7 +73,7 @@ def test_visibility_closed_form(delta_a, sigma):
 
 def test_sigma_for_visibility_round_trip():
     for v in (0.9985, 0.95, 0.7):
-        sigma = memory.sigma_for_visibility(v)
+        sigma = sigma_for_visibility(v)
         assert abs(memory.visibility_from_errors(0.0, sigma) - v) < 1e-9
 
 
