@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, noise, polarization, spdc
+from . import __version__, macro, noise, polarization, spdc
 from . import hom as hom_mod
 from . import validate as validate_mod
 from .config import ConfigError, RunConfig
@@ -47,13 +47,7 @@ def _point_seed(master: int, index: int) -> int:
 
 # ---- top-level workers (picklable) ----
 
-def _band_worker(task):
-    i, alpha_sq, params, samples, seed = task
-    return (i, *noise.witness_band_point(alpha_sq, params, samples, seed, i))
-
-
 def _size_worker(task):
-    from . import macro  # scipy (brentq) loads only for the size solver
     i, beta_sq = task
     pair = macro.macro_components(math.sqrt(beta_sq), macro.default_n_max(beta_sq + 1.0))
     return i, macro.guessing_probability(pair, 0.0)
@@ -99,13 +93,7 @@ def cmd_curves(args) -> int:
     params = cfg.noise_params()
     grid = np.linspace(cfg["curves.alpha_sq_min"], cfg["curves.alpha_sq_max"],
                        cfg["curves.points"])
-    samples = cfg["curves.band_samples"]
-    curve = noise.predict_witness_curves(grid, params, band_samples=0)
-    bands = {i: (0.0, 0.0, 0.0) for i in range(grid.size)}
-    if samples > 0:
-        tasks = [(i, float(a), params, samples, seed) for i, a in enumerate(grid)]
-        for i, bs, bp, bc in _pmap(_band_worker, tasks, args.jobs):
-            bands[i] = (bs, bp, bc)
+    curve = noise.predict_witness_curves(grid, params, cfg["curves.band_samples"], seed)
 
     table = ResultTable(
         "witness_curves",
@@ -113,10 +101,9 @@ def cmd_curves(args) -> int:
          "ppt_band", "concurrence", "concurrence_band"],
         meta=dict(meta, command="curves"),
     )
-    for i, a in enumerate(grid):
-        bs, bp, bc = bands[i]
-        table.add_row(float(a), float(curve.excitations[i]), float(curve.s[i]),
-                      bs, float(curve.ppt[i]), bp, float(curve.concurrence[i]), bc)
+    for row in zip(grid, curve.excitations, curve.s, curve.band_s, curve.ppt,
+                   curve.band_ppt, curve.concurrence, curve.band_concurrence):
+        table.add_row(*map(float, row))
     _emit(args, table)
 
     ref = ResultTable(
@@ -131,14 +118,12 @@ def cmd_curves(args) -> int:
 
     _emit_chart(args, "witness_curves", grid,
                 {"S": curve.s,
-                 "S+band": curve.s + np.array([bands[i][0] for i in range(grid.size)]),
-                 "S-band": curve.s - np.array([bands[i][0] for i in range(grid.size)])},
+                 "S+band": curve.s + curve.band_s, "S-band": curve.s - curve.band_s},
                 "CHSH witness vs displacement size", "alpha_sq", "S")
     return 0
 
 
 def cmd_size(args) -> int:
-    from . import macro
     cfg, seed, meta = _load(args)
     nparams = cfg.noise_params()
     grid = np.linspace(cfg["size.beta_sq_min"], cfg["size.beta_sq_max"],
@@ -347,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--svg", action="store_true",
                         help="also write SVG charts")
     common.add_argument("--jobs", type=_int_from(1), default=1,
-                        help="worker processes for grid evaluations")
+                        help="worker processes for the size, hom and detailed-oracle grids")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("curves", parents=[common],

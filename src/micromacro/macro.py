@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fock import (TAU_TRUNC, TruncationError, coherent_amplitudes,
                    displaced_single_photon)
@@ -132,6 +131,7 @@ def guessing_probability_dists(p: np.ndarray, q: np.ndarray, sigma: float) -> fl
 def _sigma_max(pair: MacroComponentPair, target_p_g: float,
                tol: float) -> tuple[float, float]:
     """(P_g(0), largest sigma with P_g(sigma) >= target), one bisection."""
+    from scipy.optimize import brentq  # only the sigma_max solver needs scipy
     p0 = guessing_probability(pair, 0.0)
     if not 0.5 < target_p_g < p0:
         raise UnattainableTargetError(

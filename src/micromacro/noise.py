@@ -9,7 +9,7 @@ verify against the defining Poisson series to 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,41 +74,53 @@ class WitnessCurve:
                 raise ValueError("band half-widths must be >= 0")
 
 
-def noise_click_prob(mu: float, eta: float, vis: float) -> float:
+def noise_click_prob(mu: float, eta, vis):
     """Probability that residual back-displacement light produces a click.
 
     Closed form of the Poisson sum over >= 1 displacement photons each
-    leaking with probability 2 eta (1 - vis).
+    leaking with probability 2 eta (1 - vis).  ``eta`` and ``vis`` may be
+    arrays.
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    return 1.0 - math.exp(-2.0 * mu * eta * (1.0 - vis))
+    return 1.0 - np.exp(-2.0 * mu * eta * (1.0 - vis))
 
 
-def no_leak_prob(mu: float, eta: float, vis: float) -> float:
+def no_leak_prob(mu: float, eta, vis):
     """Probability that at least one photon arrived and none leaked.
 
     The defining sum starts at one photon, so the Poisson vacuum term is
-    excluded: exp(-2 mu eta (1-vis)) - exp(-mu).  Zero at mu = 0.
+    excluded: exp(-2 mu eta (1-vis)) - exp(-mu).  Zero at mu = 0.  ``eta``
+    and ``vis`` may be arrays.
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    return math.exp(-2.0 * mu * eta * (1.0 - vis)) - math.exp(-mu)
+    return np.exp(-2.0 * mu * eta * (1.0 - vis)) - math.exp(-mu)
 
 
-def signal_prob(params: ExperimentParams, pbar_n: float) -> float:
-    """p_s = eta_h * bs_t * eta * pbar_n."""
-    return params.eta_h * params.bs_t * params.eta * pbar_n
+def _noise_fraction(mu: float, bs_t: float, eta_h, eta, vis):
+    """p_n / (p_s + p_n) with p_s = eta_h bs_t eta pbar_n; arrays allowed."""
+    p_n = noise_click_prob(mu, eta, vis)
+    p_s = eta_h * bs_t * eta * no_leak_prob(mu, eta, vis)
+    denom = p_s + p_n
+    if np.any(denom == 0.0):
+        raise ValueError("p_s + p_n = 0: noise fraction undefined at this input")
+    return p_n / denom
 
 
 def noise_fraction(mu: float, params: ExperimentParams = DEFAULT_PARAMS) -> float:
     """Noise weight of the Werner state, p_n / (p_s + p_n)."""
-    p_n = noise_click_prob(mu, params.eta, params.vis)
-    p_s = signal_prob(params, no_leak_prob(mu, params.eta, params.vis))
-    denom = p_s + p_n
-    if denom == 0.0:
-        raise ValueError("p_s + p_n = 0: noise fraction undefined at this input")
-    return p_n / denom
+    return _noise_fraction(mu, params.bs_t, params.eta_h, params.eta, params.vis)
+
+
+def _werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vis):
+    """W at alpha_sq for the given (scalar or array) eta_h, eta and vis."""
+    if alpha_sq < 0:
+        raise ValueError("alpha_sq must be >= 0")
+    if alpha_sq == 0.0:
+        return params.v_mm + np.zeros_like(eta)
+    return params.v_mm * (1.0 - _noise_fraction(params.kappa * alpha_sq, params.bs_t,
+                                                eta_h, eta, vis))
 
 
 def predict_werner_visibility(alpha_sq: float,
@@ -119,20 +131,17 @@ def predict_werner_visibility(alpha_sq: float,
     so alpha_sq = 0 maps to W = v_mm exactly (the noise formulas themselves
     condition on at least one displacement photon and are undefined there).
     """
-    if alpha_sq < 0:
-        raise ValueError("alpha_sq must be >= 0")
-    if alpha_sq == 0.0:
-        return params.v_mm
-    return params.v_mm * (1.0 - noise_fraction(params.kappa * alpha_sq, params))
+    return _werner_visibility(alpha_sq, params, params.eta_h, params.eta, params.vis)
 
 
-def excitations_from_alpha(alpha_sq: float, eta_abs: float) -> float:
+def excitations_from_alpha(alpha_sq, eta_abs: float):
     """Mean atomic-excitation count for a displacement of size alpha_sq.
 
     The quoted alpha_sq values are already overlap-corrected upstream, so
-    only the absorption probability enters here.
+    only the absorption probability enters here.  ``alpha_sq`` may be an
+    array.
     """
-    if alpha_sq < 0:
+    if np.any(np.asarray(alpha_sq) < 0):
         raise ValueError("alpha_sq must be >= 0")
     return eta_abs * alpha_sq
 
@@ -148,31 +157,24 @@ def werner_witnesses(w):
             np.maximum(0.0, (3.0 * w - 1.0) / 2.0))
 
 
-def _sample_params(params: ExperimentParams, rng: np.random.Generator) -> ExperimentParams:
-    draw = {
-        "eta_h": rng.normal(params.eta_h, params.sd_eta_h),
-        "eta": rng.normal(params.eta, params.sd_eta),
-        "vis": rng.normal(params.vis, params.sd_vis),
-    }
-    draw["eta_h"] = float(np.clip(draw["eta_h"], 0.0, 1.0))
-    draw["eta"] = float(np.clip(draw["eta"], 0.0, 1.0))
-    draw["vis"] = float(np.clip(draw["vis"], 0.0, 1.0))
-    return replace(params, **draw)
-
-
 def witness_band_point(alpha_sq: float, params: ExperimentParams,
                        band_samples: int, rng_seed: int,
                        index: int) -> tuple[float, float, float]:
     """One-sigma witness spreads at a single grid point.
 
-    The generator is seeded from (rng_seed, index), so the result does not
-    depend on evaluation order or on how points are split across workers.
+    One (band_samples, 3) block of standard normals gives every sample's
+    (eta_h, eta, vis) = mean + sd * z, clipped to [0, 1]; W is evaluated on
+    all samples at once.  Row-major order uses the draws as one scalar
+    ``rng.normal(mean, sd)`` per parameter and sample would.  The generator
+    is seeded from (rng_seed, index), so the result does not depend on
+    evaluation order or on how points are split across workers.
     """
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, index]))
-    ws = np.array([
-        predict_werner_visibility(alpha_sq, _sample_params(params, rng))
-        for _ in range(band_samples)
-    ])
+    z = rng.standard_normal((band_samples, 3))
+    mean = np.array([params.eta_h, params.eta, params.vis])
+    sd = np.array([params.sd_eta_h, params.sd_eta, params.sd_vis])
+    eta_h, eta, vis = np.clip(mean + sd * z, 0.0, 1.0).T
+    ws = _werner_visibility(alpha_sq, params, eta_h, eta, vis)
     s, ppt, conc = werner_witnesses(ws)
     return float(np.std(s)), float(np.std(ppt)), float(np.std(conc))
 
@@ -182,9 +184,10 @@ def predict_witness_curves(alpha_sq_grid, params: ExperimentParams = DEFAULT_PAR
     """Predicted S / PPT / concurrence over a displacement-size grid.
 
     Band half-widths are one standard deviation of each witness under
-    Gaussian draws of the uncertain parameters (eta_h, eta, vis).  Every grid
-    point derives its own seed from (rng_seed, point index), so results are
-    independent of evaluation order and worker count.
+    ``band_samples`` Gaussian draws of the uncertain parameters (eta_h, eta,
+    vis), one vectorised ``witness_band_point`` per grid point; 0 gives zero
+    bands.  Every grid point derives its own seed from (rng_seed, point
+    index), so results are independent of evaluation order.
     """
     grid = np.asarray(alpha_sq_grid, dtype=float)
     if grid.size == 0:
@@ -203,7 +206,7 @@ def predict_witness_curves(alpha_sq_grid, params: ExperimentParams = DEFAULT_PAR
 
     return WitnessCurve(
         alpha_sq=grid,
-        excitations=params.eta_abs * grid,
+        excitations=excitations_from_alpha(grid, params.eta_abs),
         s=s, ppt=ppt, concurrence=conc,
         band_s=band_s, band_ppt=band_ppt, band_concurrence=band_conc,
     )

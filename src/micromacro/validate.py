@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, hom, memory, noise, polarization, spdc
+from . import fock, hom, macro, memory, noise, polarization, spdc
 
 RT2 = math.sqrt(2.0)
 
@@ -69,7 +69,6 @@ def _poisson_series():
 
 
 def _guessing_monotone():
-    from . import macro
     pair = macro.macro_components(RT2, 60)
     vals = [macro.guessing_probability(pair, s) for s in (0.0, 0.5, 1.0, 2.0, 4.0)]
     diffs = np.diff(vals)

@@ -136,13 +136,13 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_worker_count_does_not_change_output(tmp_path):
-    cfg = write_config(tmp_path, FAST_CURVES)
+    cfg = write_config(tmp_path, "hom.points = 4\nhom.window_points = 4\n")
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     out1.mkdir(), out2.mkdir()
-    assert run(["curves", "--config", cfg, "--out", out1, "--jobs", 1]) == 0
-    assert run(["curves", "--config", cfg, "--out", out2, "--jobs", 2]) == 0
-    assert (out1 / "witness_curves.csv").read_bytes() == \
-        (out2 / "witness_curves.csv").read_bytes()
+    assert run(["hom", "--config", cfg, "--out", out1, "--jobs", 1]) == 0
+    assert run(["hom", "--config", cfg, "--out", out2, "--jobs", 2]) == 0
+    for name in ("hom_visibility.csv", "hom_overlap.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_exit_codes(tmp_path):
@@ -249,17 +249,18 @@ def test_add_row_checks_arity():
 
 
 def test_cli_loads_no_scipy_outside_the_solvers(tmp_path):
-    # only size (brentq) and tomo (L-BFGS-B) need scipy; importing the CLI
-    # and running curves, hom and detailed must not load it
+    # only the sigma_max solver of size (brentq) and tomo (L-BFGS-B) need
+    # scipy; importing the CLI and running curves, hom, detailed and validate
+    # must not load it
     script = (
         "import sys\n"
         "from micromacro import cli\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy_modules())\n"
-        "for cmd in ('curves', 'hom', 'detailed'):\n"
+        "print('scipy', scipy_modules())\n"
+        "for cmd in ('curves', 'hom', 'detailed', 'validate'):\n"
         f"    cli.main([cmd, '--out', {str(tmp_path)!r}])\n"
-        "print(scipy_modules())\n"
+        "print('scipy', scipy_modules())\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -267,5 +268,5 @@ def test_cli_loads_no_scipy_outside_the_solvers(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     lines = [line for line in proc.stdout.splitlines()
-             if not line.startswith("wrote ")]
-    assert lines == ["[]", "[]"]
+             if line.startswith("scipy ")]
+    assert lines == ["scipy []", "scipy []"]

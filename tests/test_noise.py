@@ -1,12 +1,30 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from micromacro import noise
 
 P = noise.ExperimentParams()
+
+
+def reference_band_point(alpha_sq, params, band_samples, rng_seed, index):
+    """The per-sample band loop: three scalar normal draws per sample, each
+    clipped to [0, 1], then the scalar W of the perturbed parameters."""
+    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, index]))
+    ws = []
+    for _ in range(band_samples):
+        draw = {name: float(np.clip(rng.normal(getattr(params, name),
+                                               getattr(params, f"sd_{name}")),
+                                    0.0, 1.0))
+                for name in ("eta_h", "eta", "vis")}
+        ws.append(noise.predict_werner_visibility(alpha_sq, replace(params, **draw)))
+    s, ppt, conc = noise.werner_witnesses(np.array(ws))
+    return float(np.std(s)), float(np.std(ppt)), float(np.std(conc))
 
 
 def test_witness_anchor_values():
@@ -55,6 +73,10 @@ def test_excitation_conversion_is_linear_in_size():
     assert abs(noise.excitations_from_alpha(13.3, P.eta_abs) - 7.315) < 1e-12
     assert abs(noise.excitations_from_alpha(42.0, P.eta_abs) - 23.1) < 1e-12
     assert abs(noise.excitations_from_alpha(86.0, P.eta_abs) - 47.3) < 1e-12
+    grid = np.array([0.0, 13.3, 86.0])
+    assert np.array_equal(noise.excitations_from_alpha(grid, P.eta_abs), P.eta_abs * grid)
+    with pytest.raises(ValueError, match="alpha_sq must be >= 0"):
+        noise.excitations_from_alpha(np.array([1.0, -1.0]), P.eta_abs)
 
 
 def test_band_sampling_is_order_independent():
@@ -64,6 +86,34 @@ def test_band_sampling_is_order_independent():
     assert a == b
     assert a != c
     assert all(v > 0.0 for v in a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha_sq=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+       band_samples=st.integers(1, 1000),
+       rng_seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**16))
+@example(alpha_sq=13.3, band_samples=1000, rng_seed=0, index=0)
+@example(alpha_sq=1e-20, band_samples=5, rng_seed=0, index=0)  # p_s + p_n rounds to 0
+def test_band_point_matches_per_sample_loop(alpha_sq, band_samples, rng_seed, index):
+    # same draws in the same order; only np.exp on arrays vs scalars may
+    # differ, by ulps that the spread amplifies
+    try:
+        expected = reference_band_point(alpha_sq, P, band_samples, rng_seed, index)
+    except ValueError:
+        with pytest.raises(ValueError):
+            noise.witness_band_point(alpha_sq, P, band_samples, rng_seed, index)
+        return
+    got = noise.witness_band_point(alpha_sq, P, band_samples, rng_seed, index)
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+
+
+def test_band_rejects_a_draw_with_no_click():
+    # eta = 0 with no spread: p_s + p_n = 0 for every sample
+    dark = noise.ExperimentParams(eta=0.0, sd_eta=0.0)
+    with pytest.raises(ValueError, match=r"p_s \+ p_n = 0"):
+        noise.witness_band_point(13.3, dark, 10, rng_seed=1, index=0)
+    with pytest.raises(ValueError, match=r"p_s \+ p_n = 0"):
+        reference_band_point(13.3, dark, 10, rng_seed=1, index=0)
 
 
 def test_curve_container_shapes():
