@@ -13,7 +13,7 @@ memory          storage-loop pulse bookkeeping and back-displacement nulling
 cli             command-line entry point producing CSV/SVG result tables
 
 Nothing is re-exported here: import the submodule (``from micromacro import
-fock``).  Only ``macro`` and ``tomography`` import scipy.
+fock``).  Only ``tomography`` imports scipy.
 """
 
 __version__ = "0.1.0"

@@ -20,9 +20,9 @@ import numpy as np
 from .fock import (TAU_TRUNC, TruncationError, coherent_amplitudes,
                    displaced_single_photon)
 
-#: default grid spacing (photons) for the Gaussian smoothing integral
-GRID_SPACING = 0.05
-#: default bisection tolerance (photons) of sigma_max
+#: fewest lattice points per photon of the Gaussian smoothing integral
+GRID_POINTS = 20
+#: default root tolerance (photons) of sigma_max
 SIGMA_MAX_TOL = 1e-3
 
 
@@ -79,30 +79,34 @@ def _l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     """L1 distance between the sigma-smoothed distributions.
 
     sigma = 0 compares the raw distributions.  Smoothing places a Gaussian at
-    every integer outcome and integrates |difference| on a grid of spacing
-    GRID_SPACING (refined when sigma is below a few spacings) over the range
-    mean +- 8 sigma +- 8 sqrt(mean).
+    every outcome n and sums |difference| * h over mean +- 8 sigma +- 8 sqrt(mean)
+    on a lattice of m = ceil(6 / sigma) points per photon clipped to
+    [GRID_POINTS, 10000] (h = 1/20 for sigma >= 0.3).  Grid point k sees n
+    through entry k - m n of one sampled kernel, so m residue-class
+    correlations replace an exp per (n, k).  The error sits at the sign
+    changes x0 of the difference d, at most h^2 sum |d'(x0)| / 6; against a
+    1/4000 grid, P_g is off by up to 1.2e-4 at sigma = 0.29, 6e-5 at 0.5,
+    1.5e-5 at 1 and 5e-7 at 5 (alpha in [0.3, 3]).
     """
+    diff = np.zeros(max(p.size, q.size))
+    diff[:p.size] = p; diff[:q.size] -= q
     if sigma == 0.0:
-        size = max(p.size, q.size)
-        pp = np.zeros(size); pp[:p.size] = p
-        qq = np.zeros(size); qq[:q.size] = q
-        return float(np.abs(pp - qq).sum())
+        return float(np.abs(diff).sum())
     means = [mean_photon(p), mean_photon(q)]
     lo_mean, hi_mean = min(means), max(means)
     margin = 8.0 * sigma + 8.0 * math.sqrt(hi_mean + 1.0)
-    spacing = min(GRID_SPACING, max(sigma / 6.0, 1e-4))
-    x = np.arange(lo_mean - margin, hi_mean + margin + spacing, spacing)
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-    dp = np.zeros_like(x)
-    dq = np.zeros_like(x)
-    for n in range(max(p.size, q.size)):
-        g = norm * np.exp(-0.5 * ((x - n) / sigma) ** 2)
-        if n < p.size and p[n] != 0.0:
-            dp += p[n] * g
-        if n < q.size and q[n] != 0.0:
-            dq += q[n] * g
-    return float(np.abs(dp - dq).sum() * spacing)
+    # 1e-12 shave: sigma = 6/k keeps m = k despite rounding in 6/sigma
+    m = min(10_000, max(GRID_POINTS, math.ceil(6.0 / sigma * (1.0 - 1e-12))))
+    spacing = 1.0 / m
+    start = lo_mean - margin
+    n_x = math.ceil((hi_mean + margin + spacing - start) / spacing)
+    kernel = spacing * np.arange(-m * (diff.size - 1), n_x)  # the largest array: in place
+    kernel += start; kernel /= sigma; kernel *= -0.5 * kernel
+    np.exp(kernel, out=kernel); kernel /= sigma * math.sqrt(2.0 * math.pi)
+    d = np.empty(n_x)
+    for r in range(m):
+        d[r::m] = np.correlate(kernel[r::m], diff[::-1], "valid")
+    return float(np.abs(d).sum() * spacing)
 
 
 def guessing_probability(pair: MacroComponentPair, sigma: float) -> float:
@@ -128,10 +132,47 @@ def guessing_probability_dists(p: np.ndarray, q: np.ndarray, sigma: float) -> fl
     return 0.5 + 0.25 * _l1_smoothed(np.asarray(p, float), np.asarray(q, float), sigma)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4), op for op
+    scipy.optimize.brentq's brentq.c at rtol = 4 eps, maxiter = 100."""
+    rtol = 4.0 * math.ulp(1.0)
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False  # interpolation step short enough to take; else bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
+
+
 def _sigma_max(pair: MacroComponentPair, target_p_g: float,
                tol: float) -> tuple[float, float]:
-    """(P_g(0), largest sigma with P_g(sigma) >= target), one bisection."""
-    from scipy.optimize import brentq  # only the sigma_max solver needs scipy
+    """(P_g(0), largest sigma with P_g(sigma) >= target), one Brent search."""
     p0 = guessing_probability(pair, 0.0)
     if not 0.5 < target_p_g < p0:
         raise UnattainableTargetError(
@@ -144,12 +185,12 @@ def _sigma_max(pair: MacroComponentPair, target_p_g: float,
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("sigma_max search did not bracket the target")
-    return p0, float(brentq(excess, 0.0, hi, xtol=tol))
+    return p0, _brentq(excess, 0.0, hi, xtol=tol)
 
 
 def sigma_max(alpha: float, target_p_g: float, n_max: int | None = None,
               tol: float = SIGMA_MAX_TOL) -> float:
-    """Largest sigma with P_g(sigma) >= target, by bisection on the monotone curve."""
+    """Largest sigma with P_g(sigma) >= target, by Brent's method on the monotone curve."""
     if n_max is None:
         n_max = default_n_max(alpha**2 + 1.0)
     return _sigma_max(macro_components(alpha, n_max), target_p_g, tol)[1]

@@ -83,19 +83,20 @@ def noise_click_prob(mu: float, eta, vis):
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    return 1.0 - np.exp(-2.0 * mu * eta * (1.0 - vis))
+    return -np.expm1(-2.0 * mu * eta * (1.0 - vis))
 
 
 def no_leak_prob(mu: float, eta, vis):
     """Probability that at least one photon arrived and none leaked.
 
     The defining sum starts at one photon, so the Poisson vacuum term is
-    excluded: exp(-2 mu eta (1-vis)) - exp(-mu).  Zero at mu = 0.  ``eta``
-    and ``vis`` may be arrays.
+    excluded: exp(-2 mu eta (1-vis)) - exp(-mu), written with expm1 so it
+    keeps full precision at small mu.  Zero at mu = 0.  ``eta`` and ``vis``
+    may be arrays.
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    return np.exp(-2.0 * mu * eta * (1.0 - vis)) - math.exp(-mu)
+    return np.expm1(-2.0 * mu * eta * (1.0 - vis)) - math.expm1(-mu)
 
 
 def _noise_fraction(mu: float, bs_t: float, eta_h, eta, vis):

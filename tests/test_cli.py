@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -96,6 +97,18 @@ def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
         err = capsys.readouterr().err
         assert "line 2: bad value" in err and line.split()[0] in err
     assert not out.exists()
+
+
+def test_curves_run_at_a_vanishing_size(tmp_path):
+    # the noise fraction keeps its small-size limit (0.0156) at alpha_sq = 1e-20
+    cfg = write_config(tmp_path, "curves.alpha_sq_min = 1e-20\ncurves.points = 4\n"
+                                 "curves.band_samples = 24\n")
+    assert run(["curves", "--config", cfg, "--out", tmp_path]) == 0
+    _, cols, rows = read_table(tmp_path / "witness_curves.csv")
+    first = dict(zip(cols, rows[0]))
+    assert first["alpha_sq"] == 1e-20
+    assert abs(first["chsh_s"] - 2.0 * math.sqrt(2.0) * 0.94 * (1.0 - 0.015623054352)) < 1e-9
+    assert all(math.isfinite(v) for row in rows for v in row)
 
 
 def test_grid_bounds_must_be_ordered():
@@ -249,16 +262,15 @@ def test_add_row_checks_arity():
 
 
 def test_cli_loads_no_scipy_outside_the_solvers(tmp_path):
-    # only the sigma_max solver of size (brentq) and tomo (L-BFGS-B) need
-    # scipy; importing the CLI and running curves, hom, detailed and validate
-    # must not load it
+    # only the MLE of tomo (L-BFGS-B) needs scipy; importing the CLI and
+    # running curves, size, hom, detailed and validate must not load it
     script = (
         "import sys\n"
         "from micromacro import cli\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print('scipy', scipy_modules())\n"
-        "for cmd in ('curves', 'hom', 'detailed', 'validate'):\n"
+        "for cmd in ('curves', 'size', 'hom', 'detailed', 'validate'):\n"
         f"    cli.main([cmd, '--out', {str(tmp_path)!r}])\n"
         "print('scipy', scipy_modules())\n"
     )

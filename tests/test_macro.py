@@ -4,11 +4,60 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import gammaln
 from scipy.stats import norm
 
 from micromacro import fock, macro
 from oracles import ideal_guessing_probability
+
+
+def reference_smoothed_difference(p, q, sigma, spacing):
+    """The sigma-smoothed p - q on the grid of the per-photon loop: one
+    Gaussian per outcome n, evaluated at every grid point."""
+    means = [macro.mean_photon(p), macro.mean_photon(q)]
+    lo_mean, hi_mean = min(means), max(means)
+    margin = 8.0 * sigma + 8.0 * math.sqrt(hi_mean + 1.0)
+    x = np.arange(lo_mean - margin, hi_mean + margin + spacing, spacing)
+    norm_ = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    dp = np.zeros_like(x)
+    dq = np.zeros_like(x)
+    for n in range(max(p.size, q.size)):
+        g = norm_ * np.exp(-0.5 * ((x - n) / sigma) ** 2)
+        if n < p.size and p[n] != 0.0:
+            dp += p[n] * g
+        if n < q.size and q[n] != 0.0:
+            dq += q[n] * g
+    return dp - dq
+
+
+def reference_spacing(sigma):
+    """Grid spacing of the per-photon loop: 0.05, refined to sigma / 6."""
+    return min(0.05, max(sigma / 6.0, 1e-4))
+
+
+def reference_l1_smoothed(p, q, sigma, spacing=None):
+    """L1 distance of the smoothed distributions by the per-photon loop."""
+    spacing = reference_spacing(sigma) if spacing is None else spacing
+    return float(np.abs(reference_smoothed_difference(p, q, sigma, spacing)).sum()
+                 * spacing)
+
+
+@st.composite
+def distribution_pairs(draw, max_size=300):
+    """Two normalised distributions on 0..size-1: random weights with zeros,
+    or a point mass each."""
+    size = draw(st.integers(1, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if size > 1 and draw(st.booleans()):
+        i, j = rng.choice(size, 2, replace=False)
+        return np.eye(size)[i], np.eye(size)[j]
+    pair = []
+    for _ in range(2):
+        w = rng.random(size) * (rng.random(size) < 0.7)
+        w[rng.integers(size)] += 0.5   # at least one nonzero weight
+        pair.append(w / w.sum())
+    return tuple(pair)
 
 
 def test_component_distributions_closed_form():
@@ -42,15 +91,62 @@ def test_frozen_guessing_values():
 
 def test_two_point_masses_match_normal_cdf():
     # for delta distributions at 0 and N the optimal guess succeeds with
-    # probability Phi(N / (2 sigma))
-    n = 8
-    p = np.zeros(n + 1)
-    q = np.zeros(n + 1)
-    p[0] = 1.0
-    q[n] = 1.0
-    for sigma in (1.0, 2.5, 6.0):
-        got = macro.guessing_probability_dists(p, q, sigma)
-        assert abs(got - norm.cdf(n / (2.0 * sigma))) < 1e-4
+    # probability Phi(N / (2 sigma)); the grid error sits at the one sign
+    # change x = N / 2 and is largest where it is steepest, 3.9e-5 at N = 1,
+    # sigma = 0.5 (5.9e-6 at N = 8, sigma = 2.5 for sigma >= 1)
+    for n in (1, 8, 13, 40):
+        p = np.zeros(n + 1)
+        q = np.zeros(n + 1)
+        p[0] = 1.0
+        q[n] = 1.0
+        for sigma in (0.5, 1.0, 2.5, 6.0, 15.0):
+            got = macro.guessing_probability_dists(p, q, sigma)
+            tol = 1e-5 if sigma >= 1.0 else 4e-5
+            assert abs(got - norm.cdf(n / (2.0 * sigma))) < tol, (n, sigma)
+
+
+@given(pair=distribution_pairs(),
+       sigma=st.one_of(st.floats(0.3, 60.0),
+                       st.integers(21, 120).map(lambda k: 6.0 / k)))
+@example(pair=(np.eye(9)[0], np.eye(9)[8]), sigma=2.5)
+@example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=6.0 / 47)  # 6 / (6 / 47) > 47
+@settings(max_examples=40, deadline=None)
+def test_lattice_smoothing_matches_per_photon_loop(pair, sigma):
+    # sigma >= 0.3 and sigma = 6/k keep the per-photon loop's grid, so only
+    # rounding separates the two
+    p, q = pair
+    want = 0.5 + 0.25 * reference_l1_smoothed(p, q, sigma)
+    got = macro.guessing_probability_dists(p, q, sigma)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@given(data=st.data(), sigma=st.floats(1e-3, 0.3, exclude_max=True))
+@example(data=None, sigma=0.29)
+@settings(max_examples=30, deadline=None)
+def test_fine_lattice_error_within_kink_bound(data, sigma):
+    # below sigma = 0.3 the lattice has m = ceil(6 / sigma) points per photon,
+    # never coarser than the loop's sigma / 6 (up to the rule's 1e-12 shave).
+    # The integrand |d| is smooth except at the sign changes x0 of d, where
+    # the rectangle rule errs by at most h^2 |d'(x0)| / 6 (periodic Bernoulli
+    # B2 <= 1/6, kink 2 |d'|).
+    # The reference runs at a tenth of the loop's spacing; its cost grows as
+    # size^2 / sigma, hence the size cap.  Its np.arange steps by
+    # (start + h) - start, which stretches the grid by up to ulp(start) / h,
+    # 1e-10 relative at sigma = 1e-3: the 1e-9 relative floor.
+    if data is None:  # the 0.3-photon pair of macro_components at alpha = 0.3
+        pair = macro.macro_components(0.3, 40)
+        p, q = pair.p_plus, pair.p_minus
+    else:
+        p, q = data.draw(distribution_pairs(max(2, int(200 * math.sqrt(sigma)))))
+    h_ref = reference_spacing(sigma) / 10
+    d = reference_smoothed_difference(p, q, sigma, h_ref)
+    fine = float(np.abs(d).sum() * h_ref)
+    cross = np.flatnonzero(np.signbit(d[:-1]) != np.signbit(d[1:]))
+    slopes = float(np.abs(d[cross + 1] - d[cross]).sum() / h_ref)
+    h = 1.0 / min(10_000, math.ceil(6.0 / sigma * (1.0 - 1e-12)))
+    assert h <= reference_spacing(sigma) * (1.0 + 1e-12)
+    bound = 1.25 * (h**2 + h_ref**2) / 6.0 * slopes + 1e-9 * fine
+    assert abs(macro._l1_smoothed(p, q, sigma) - fine) <= bound
 
 
 def test_guessing_probability_monotone_in_blur():
@@ -87,6 +183,41 @@ def test_sigma_max_and_effective_size_at_47():
     assert abs(result.sigma_max - 14.908) < 5e-3
     assert result.n_eff == 13
     assert abs(result.p_g - ideal_guessing_probability(47.0)) < 1e-9
+
+
+MONOTONE = (
+    lambda t, a, b: a * t + b * t**3,
+    lambda t, a, b: math.tanh(a * t) + b * t,
+    lambda t, a, b: math.expm1(a * t),
+    lambda t, a, b: a * math.atan(t) + b * t**5,
+)
+
+
+@given(kind=st.integers(0, len(MONOTONE) - 1), root=st.floats(-5.0, 5.0),
+       a=st.floats(0.01, 10.0), b=st.floats(0.0, 3.0), sign=st.sampled_from([1, -1]),
+       below=st.floats(1e-3, 20.0), above=st.floats(1e-3, 20.0),
+       log_xtol=st.floats(-15.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_brentq_port_matches_scipy(kind, root, a, b, sign, below, above, log_xtol):
+    # the same floats: every iterate, hence the root, is bit-identical
+    def f(x):
+        return sign * MONOTONE[kind](x - root, a, b)
+    lo, hi, xtol = root - below, root + above, 10.0**log_xtol
+    assert macro._brentq(f, lo, hi, xtol) == brentq(f, lo, hi, xtol=xtol)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-12])
+def test_brentq_port_matches_scipy_on_the_size_solver(tol):
+    pair = macro.macro_components(math.sqrt(47.0), macro.default_n_max(48.0))
+    def excess(s):
+        return macro.guessing_probability(pair, s) - 2.0 / 3.0
+    hi = 4.0 * math.sqrt(47.0)  # _sigma_max's bracket: 2 alpha, doubled once
+    assert macro._sigma_max(pair, 2.0 / 3.0, tol)[1] == brentq(excess, 0.0, hi, xtol=tol)
+
+
+def test_brentq_port_rejects_an_unbracketed_root():
+    with pytest.raises(ValueError, match="different signs"):
+        macro._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-6)
 
 
 def test_unattainable_targets_rejected():

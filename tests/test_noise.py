@@ -45,6 +45,16 @@ def test_noise_fraction_anchor():
     assert abs(noise.noise_fraction(13.3, P) - 0.174406) < 1e-5
 
 
+@pytest.mark.parametrize("alpha_sq", [1e-20, 1e-14, 1e-10])
+def test_noise_fraction_small_size_limit(alpha_sq):
+    # as mu -> 0, p_n -> 2 mu eta (1 - vis) and pbar_n -> mu (1 - 2 eta (1 - vis)),
+    # so the fraction tends to x / (x + eta_h bs_t eta (1 - x)), x = 2 eta (1 - vis),
+    # with relative corrections of order mu
+    x = 2.0 * P.eta * (1.0 - P.vis)
+    limit = x / (x + P.eta_h * P.bs_t * P.eta * (1.0 - x))
+    assert abs(noise.noise_fraction(alpha_sq, P) - limit) <= 1e-9 * limit
+
+
 def test_click_formulas_match_poisson_series():
     # both click formulas are Poisson sums: sum_n pmf(n, mu) x^n with
     # x = 1 - 2 eta (1 - vis), once including and once excluding n = 0
@@ -93,7 +103,7 @@ def test_band_sampling_is_order_independent():
        band_samples=st.integers(1, 1000),
        rng_seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**16))
 @example(alpha_sq=13.3, band_samples=1000, rng_seed=0, index=0)
-@example(alpha_sq=1e-20, band_samples=5, rng_seed=0, index=0)  # p_s + p_n rounds to 0
+@example(alpha_sq=1e-20, band_samples=5, rng_seed=0, index=0)  # small-size limit
 def test_band_point_matches_per_sample_loop(alpha_sq, band_samples, rng_seed, index):
     # same draws in the same order; only np.exp on arrays vs scalars may
     # differ, by ulps that the spread amplifies
