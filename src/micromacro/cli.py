@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -34,33 +33,8 @@ REFERENCE_POINTS = (
 )
 
 
-def _pmap(fn, tasks, jobs: int):
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _point_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
-
-
-# ---- top-level workers (picklable) ----
-
-def _size_worker(task):
-    i, beta_sq = task
-    pair = macro.macro_components(math.sqrt(beta_sq), macro.default_n_max(beta_sq + 1.0))
-    return i, macro.guessing_probability(pair, 0.0)
-
-
-def _hom_worker(task):
-    i, params = task
-    return i, hom_mod.hom_visibility(params)
-
-
-def _oracle_worker(task):
-    i, th_a, th_b, params, samples, seed = task
-    return i, spdc.monte_carlo_oracle(th_a, th_b, params, samples, seed)
 
 
 # ---- subcommands ----
@@ -128,13 +102,15 @@ def cmd_size(args) -> int:
     nparams = cfg.noise_params()
     grid = np.linspace(cfg["size.beta_sq_min"], cfg["size.beta_sq_max"],
                        cfg["size.points"])
-    tasks = [(i, float(b)) for i, b in enumerate(grid)]
-    pg = dict(_pmap(_size_worker, tasks, args.jobs))
+    pg = []
+    for b in map(float, grid):
+        pair = macro.macro_components(math.sqrt(b), macro.default_n_max(b + 1.0))
+        pg.append(macro.guessing_probability(pair, 0.0))
 
     table = ResultTable("size_curve", ["beta_sq", "p_g_ideal"],
                         meta=dict(meta, command="size"))
-    for i, b in enumerate(grid):
-        table.add_row(float(b), pg[i])
+    for b, p in zip(grid, pg):
+        table.add_row(float(b), p)
     _emit(args, table)
 
     star = cfg["size.beta_sq_star"]
@@ -154,7 +130,7 @@ def cmd_size(args) -> int:
     summary.add_row("p_g_mixture_sigma0", float(pg_mix))
     _emit(args, summary)
 
-    _emit_chart(args, "size_curve", grid, {"P_g": [pg[i] for i in range(grid.size)]},
+    _emit_chart(args, "size_curve", grid, {"P_g": pg},
                 "Ideal guessing probability vs stored size", "beta_sq", "P_g")
     return 0
 
@@ -169,15 +145,15 @@ def _hom_params(cfg, mu: float) -> hom_mod.HomParams:
 
 def cmd_hom(args) -> int:
     cfg, seed, meta = _load(args)
-    v_e = hom_mod.hom_visibility(_hom_params(cfg, cfg["hom.mu_star"]))
+    params = _hom_params(cfg, cfg["hom.mu_star"])
+    v_e = hom_mod.hom_visibility(params)
     mu_grid = np.linspace(cfg["hom.mu_min"], cfg["hom.mu_max"], cfg["hom.points"])
-    tasks = [(i, _hom_params(cfg, float(m))) for i, m in enumerate(mu_grid)]
-    vis = dict(_pmap(_hom_worker, tasks, args.jobs))
+    vis = hom_mod.hom_visibility_curve(mu_grid, params)
 
     table = ResultTable("hom_visibility", ["mu", "visibility"],
                         meta=dict(meta, command="hom"))
-    for i, m in enumerate(mu_grid):
-        table.add_row(float(m), vis[i])
+    for m, v in zip(mu_grid, vis):
+        table.add_row(float(m), float(v))
     _emit(args, table)
 
     profiles = hom_mod.TemporalProfiles(cfg["hom.csp_fwhm"], cfg["hom.hsp_tau_c"])
@@ -192,8 +168,7 @@ def cmd_hom(args) -> int:
         overlap.add_row(float(w), float(x), float(v))
     _emit(args, overlap)
 
-    _emit_chart(args, "hom_visibility", mu_grid,
-                {"V": [vis[i] for i in range(mu_grid.size)]},
+    _emit_chart(args, "hom_visibility", mu_grid, {"V": vis},
                 "Interference visibility vs coherent pulse size", "mu", "V")
     return 0
 
@@ -214,25 +189,19 @@ def cmd_detailed(args) -> int:
         table.add_row(ta, tb, j.p_pp, j.p_pm, j.p_mp, j.p_mm, j.correlator())
     _emit(args, table)
 
-    settings = tuple(np.deg2rad([45.0, 0.0, 22.5, 67.5]))
     summary = ResultTable(
         "detailed_summary", ["key", "value"],
         meta=dict(meta, command="detailed",
-                  settings_deg="45,0,22.5,67.5", g_reading=params.g_reading),
+                  settings_deg=",".join(f"{d:g}" for d in spdc.CHSH_SETTINGS_DEG),
+                  g_reading=params.g_reading),
     )
-    summary.add_row("chsh_s", spdc.chsh_from_detailed(settings, params))
+    summary.add_row("chsh_s", spdc.chsh_from_detailed(spdc.CHSH_SETTINGS, params))
     summary.add_row("herald_probability",
                     spdc.herald_probability(params.g, params.r, params.p_dc))
     _emit(args, summary)
 
     samples = cfg["detailed.mc_samples"]
     if samples > 0:
-        tasks = [
-            (i, math.radians(ta), math.radians(tb), params, samples,
-             _point_seed(seed, i))
-            for i, (ta, tb) in enumerate(grid)
-        ]
-        results = dict(_pmap(_oracle_worker, tasks, args.jobs))
         oracle = ResultTable(
             "detailed_oracle",
             ["theta_a_deg", "theta_b_deg", "outcome", "analytic", "mc_value",
@@ -240,9 +209,10 @@ def cmd_detailed(args) -> int:
             meta=dict(meta, command="detailed", mc_samples=samples,
                       g_reading=params.g_reading),
         )
-        for i, (ta, tb) in enumerate(grid):
-            est = results[i]
-            ana = joints[i].as_array()
+        for i, ((ta, tb), joint) in enumerate(zip(grid, joints)):
+            est = spdc.monte_carlo_oracle(math.radians(ta), math.radians(tb), params,
+                                          samples, _point_seed(seed, i))
+            ana = joint.as_array()
             for k, name in enumerate(("pp", "pm", "mp", "mm")):
                 val = est.joints.as_array()[k]
                 se = est.errors.as_array()[k]
@@ -331,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed (overrides run.seed)")
     common.add_argument("--svg", action="store_true",
                         help="also write SVG charts")
-    common.add_argument("--jobs", type=_int_from(1), default=1,
-                        help="worker processes for the size, hom and detailed-oracle grids")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("curves", parents=[common],

@@ -1,10 +1,11 @@
-"""Truncated photon-number-space state algebra.
+"""Truncated photon-number amplitudes, click detectors and splitter unitaries.
 
-States live on one or more bosonic modes, each truncated at a caller-chosen
-photon number ``n_max``.  The caller owns the truncation choice; constructors
-validate the probability mass lost to the cutoff and fail loudly instead of
-silently clipping tails.  Everything in this module is a pure function over
-immutable values.
+Amplitudes live on bosonic modes, each truncated at a caller-chosen photon
+number ``n_max``.  The caller owns the truncation choice; ``TruncatedState``
+checks the probability mass lost to the cutoff and fails loudly instead of
+silently clipping tails.  The loss channel, density operators and click
+POVMs that production no longer needs are test references
+(``tests/references.py``).
 
 Displaced states have closed forms: D(alpha)|0> = |alpha> and
 D(alpha)|1> = (a^dag - alpha*)|alpha>, whose amplitudes are
@@ -62,18 +63,6 @@ class TruncatedState:
                 "increase n_max or renormalize the input"
             )
 
-    @property
-    def n_max(self) -> int:
-        return self.amplitudes.shape[0] - 1
-
-    @property
-    def n_modes(self) -> int:
-        return self.amplitudes.ndim
-
-    def density(self) -> "DensityOperator":
-        v = self.amplitudes.reshape(-1)
-        return DensityOperator(np.outer(v, v.conj()), self.n_max, self.n_modes)
-
 
 def check_density_matrix(m: np.ndarray, trace_tol: float) -> None:
     """Raise ValueError unless m is Hermitian, PSD (both within TAU_NUM) and
@@ -87,30 +76,6 @@ def check_density_matrix(m: np.ndarray, trace_tol: float) -> None:
     lo = float(np.linalg.eigvalsh(m)[0])
     if lo < -TAU_NUM:
         raise ValueError(f"negative eigenvalue {lo:.3g}")
-
-
-class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator on the truncated space.
-
-    For ``n_modes > 1`` the matrix acts on the flattened tensor basis in row-major
-    mode order (last mode fastest).
-    """
-
-    def __init__(self, matrix, n_max: int, n_modes: int = 1, check: bool = True):
-        self.matrix = np.asarray(matrix, dtype=complex)
-        self.n_max = int(n_max)
-        self.n_modes = int(n_modes)
-        d = (self.n_max + 1) ** self.n_modes
-        if self.matrix.shape != (d, d):
-            raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
-        if check:
-            self._validate()
-
-    def _validate(self):
-        check_density_matrix(self.matrix, TAU_TRUNC)
-
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix)).copy()
 
 
 @dataclass(frozen=True)
@@ -131,10 +96,6 @@ class ModeTransform:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0]
-
-    def apply_to_amplitudes(self, alphas) -> np.ndarray:
-        """Image of coherent amplitudes under the transform."""
-        return self.matrix @ np.asarray(alphas, dtype=complex)
 
     def fock_unitary(self, n_max: int) -> np.ndarray:
         """Unitary on the full truncated Fock space.
@@ -236,33 +197,6 @@ def poisson_tail_mass(mean: float, n_max: int) -> float:
     return max(0.0, 1.0 - float(np.sum(poisson_pmf(mean, n_max))))
 
 
-def coherent_state(alpha: complex, n_max: int) -> TruncatedState:
-    """Coherent state |alpha> on a single truncated mode.
-
-    Parameters
-    ----------
-    alpha : complex
-        Displacement amplitude; mean photon number is ``|alpha|**2``.
-    n_max : int
-        Truncation level.  Must hold the Poisson tail: mass beyond ``n_max``
-        has to stay below ``TAU_TRUNC`` (guideline
-        ``n_max >= |alpha|**2 + 6|alpha| + 10``).
-
-    Raises
-    ------
-    TruncationError
-        If the tail mass beyond ``n_max`` is not negligible.
-    """
-    tail = poisson_tail_mass(abs(alpha) ** 2, n_max)
-    if tail > TAU_TRUNC:
-        raise TruncationError(
-            f"coherent tail mass {tail:.3g} beyond n_max={n_max} exceeds "
-            f"{TAU_TRUNC}; need n_max >= |alpha|^2 + 6|alpha| + 10 = "
-            f"{abs(alpha) ** 2 + 6 * abs(alpha) + 10:.1f}"
-        )
-    return TruncatedState(coherent_amplitudes(alpha, n_max))
-
-
 def displacement_operator(alpha: complex, n_max: int) -> np.ndarray:
     """Matrix of D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space.
 
@@ -301,95 +235,3 @@ def beam_splitter(transmittance: float) -> ModeTransform:
     t = math.sqrt(transmittance)
     r = math.sqrt(1.0 - transmittance)
     return ModeTransform(np.array([[t, r], [-r, t]]))
-
-
-def apply_transform(mt: ModeTransform, state: TruncatedState) -> TruncatedState:
-    """Apply a mode transform to a pure multimode state."""
-    if state.n_modes != mt.n_modes:
-        raise ValueError(f"state has {state.n_modes} modes, transform {mt.n_modes}")
-    u = mt.fock_unitary(state.n_max)
-    v = u @ state.amplitudes.reshape(-1)
-    return TruncatedState(v.reshape(state.amplitudes.shape))
-
-
-def loss_channel(eta: float, rho: DensityOperator) -> DensityOperator:
-    """Pure-loss (binomial damping) channel with transmission eta on one mode.
-
-    Kraus operators K_k |n> = sqrt(C(n,k) eta^{n-k} (1-eta)^k) |n-k>; coherent
-    states map to |sqrt(eta) alpha> and the trace is preserved.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1]")
-    if rho.n_modes != 1:
-        raise ValueError("loss_channel acts on a single mode")
-    d = rho.n_max + 1
-    lf = log_factorials(rho.n_max)
-    out = np.zeros_like(rho.matrix)
-    # log-binomial weights, guarded for eta = 0 or 1
-    for k in range(d):
-        kk = np.zeros((d, d))
-        src = np.arange(k, d)
-        if eta == 0.0:
-            w = np.where(src == k, 1.0, 0.0)
-        elif eta == 1.0:
-            w = np.where(k == 0, np.ones_like(src, dtype=float), 0.0)
-        else:
-            logw = 0.5 * (
-                lf[src] - lf[k] - lf[src - k]
-                + (src - k) * math.log(eta) + k * math.log(1 - eta)
-            )
-            w = np.exp(logw)
-        kk[src - k, src] = w
-        out += kk @ rho.matrix @ kk.T
-        if eta == 1.0 and k == 0:
-            break
-    return DensityOperator(out, rho.n_max, 1)
-
-
-def photon_number_distribution(state) -> np.ndarray:
-    """p_n = <n|rho|n> (joint tensor of outcome probabilities for multimode input)."""
-    if isinstance(state, TruncatedState):
-        return np.abs(state.amplitudes) ** 2
-    if isinstance(state, DensityOperator):
-        d = state.n_max + 1
-        return state.diagonal().reshape((d,) * state.n_modes)
-    raise TypeError("expected TruncatedState or DensityOperator")
-
-
-def no_click_probability(det: ClickDetector, state) -> float:
-    """Tr[(1 - p_dc)(1 - eta_d)^{n} rho] for a single-mode state."""
-    p = photon_number_distribution(state)
-    if p.ndim != 1:
-        raise ValueError("no_click_probability acts on a single mode")
-    weights = (1.0 - det.eta_d) ** np.arange(p.size)
-    return float((1.0 - det.p_dc) * np.dot(weights, p))
-
-
-def click_probability(det: ClickDetector, state) -> float:
-    return 1.0 - no_click_probability(det, state)
-
-
-def thermal_state(nbar: float, n_max: int) -> DensityOperator:
-    """Thermal (Bose-Einstein) state with mean photon number nbar."""
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
-    n = np.arange(n_max + 1)
-    if nbar == 0:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-    else:
-        x = nbar / (1.0 + nbar)
-        p = x**n / (1.0 + nbar)
-        tail = x ** (n_max + 1)
-        if tail > TAU_TRUNC:
-            raise TruncationError(
-                f"thermal tail {tail:.3g} beyond n_max={n_max} exceeds {TAU_TRUNC}"
-            )
-    return DensityOperator(np.diag(p.astype(complex)), n_max, 1)
-
-
-def tensor_states(a: TruncatedState, b: TruncatedState) -> TruncatedState:
-    """Tensor product of two pure states (modes of `a` first)."""
-    if a.n_max != b.n_max:
-        raise ValueError("operands must share a truncation level")
-    return TruncatedState(np.multiply.outer(a.amplitudes, b.amplitudes))

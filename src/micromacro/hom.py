@@ -10,7 +10,7 @@ V = (R_perp - R_par) / R_perp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -128,43 +128,10 @@ def hom_visibility(params: HomParams) -> float:
 
 
 def hom_visibility_curve(mu_grid, params: HomParams) -> np.ndarray:
-    from dataclasses import replace
+    """V at every CSP mean of ``mu_grid``, the other parameters as ``params``."""
     return np.array([
         hom_visibility(replace(params, mu_csp=float(m))) for m in mu_grid
     ])
-
-
-def classical_reference_visibility(mu_signal: float, mu_csp: float,
-                                   det: ClickDetector, n_phase: int = 64) -> float:
-    """Visibility when the heralded photon is replaced by a weak coherent state.
-
-    The relative phase is uniformly random; coherent inputs stay coherent, so
-    each phase sample factorizes into independent click probabilities.  The
-    weak-field limit approaches the classical bound of 1/2.
-    """
-    a = math.sqrt(mu_signal)
-    b = math.sqrt(mu_csp)
-    phases = 2.0 * math.pi * np.arange(n_phase) / n_phase
-    coinc = 0.0
-    for ph in phases:
-        o1 = (a + b * np.exp(1j * ph)) / math.sqrt(2)
-        o2 = (-a + b * np.exp(1j * ph)) / math.sqrt(2)
-        p1 = 1.0 - (1.0 - det.p_dc) * math.exp(-det.eta_d * abs(o1) ** 2)
-        p2 = 1.0 - (1.0 - det.p_dc) * math.exp(-det.eta_d * abs(o2) ** 2)
-        coinc += p1 * p2
-    r_par = coinc / n_phase
-    p1 = 1.0 - (1.0 - det.p_dc) * math.exp(-det.eta_d * (mu_signal + mu_csp) / 2.0)
-    r_perp = p1 * p1
-    if r_perp == 0.0:
-        raise UndefinedVisibilityError("no coincidences in the orthogonal case")
-    return (r_perp - r_par) / r_perp
-
-
-def overlap_ratio(v_m: float, v_e: float) -> float:
-    """Measured-to-expected visibility ratio, the mode-overlap estimate."""
-    if not 0.0 < v_m <= v_e <= 1.0:
-        raise ValueError(f"require 0 < v_m <= v_e <= 1, got ({v_m}, {v_e})")
-    return v_m / v_e
 
 
 def _erfcx(x: float) -> float:

@@ -178,8 +178,14 @@ def _sigma_max(pair: MacroComponentPair, target_p_g: float,
         raise UnattainableTargetError(
             f"target {target_p_g} outside (1/2, P_g(0) = {p0:.6f})"
         )
+    # memoized: _brentq reuses P_g(0) and the bracket search's last excess(hi)
+    seen = {0.0: p0 - target_p_g}
+
     def excess(s):
-        return guessing_probability(pair, s) - target_p_g
+        if s not in seen:
+            seen[s] = guessing_probability(pair, s) - target_p_g
+        return seen[s]
+
     hi = max(2.0, 2.0 * pair.alpha)
     while excess(hi) > 0.0:
         hi *= 2.0
@@ -188,24 +194,14 @@ def _sigma_max(pair: MacroComponentPair, target_p_g: float,
     return p0, _brentq(excess, 0.0, hi, xtol=tol)
 
 
-def sigma_max(alpha: float, target_p_g: float, n_max: int | None = None,
-              tol: float = SIGMA_MAX_TOL) -> float:
-    """Largest sigma with P_g(sigma) >= target, by Brent's method on the monotone curve."""
-    if n_max is None:
-        n_max = default_n_max(alpha**2 + 1.0)
-    return _sigma_max(macro_components(alpha, n_max), target_p_g, tol)[1]
-
-
-def size_analysis(alpha: float, target_p_g: float = 2.0 / 3.0,
-                  n_max: int | None = None) -> SizeResult:
+def size_analysis(alpha: float, target_p_g: float = 2.0 / 3.0) -> SizeResult:
     """P_g(0), sigma_max and the effective size N_eff of the pair at alpha.
 
     N_eff is the smallest N such that |0> vs |N> stays distinguishable at
     sigma_max, with the same detector model and decision rule as the pair.
     """
-    if n_max is None:
-        n_max = default_n_max(alpha**2 + 1.0)
-    p_g, s_max = _sigma_max(macro_components(alpha, n_max), target_p_g, SIGMA_MAX_TOL)
+    pair = macro_components(alpha, default_n_max(alpha**2 + 1.0))
+    p_g, s_max = _sigma_max(pair, target_p_g, SIGMA_MAX_TOL)
     n = 1
     while True:
         p0 = np.zeros(n + 1); p0[0] = 1.0
@@ -218,7 +214,7 @@ def size_analysis(alpha: float, target_p_g: float = 2.0 / 3.0,
 
 
 def lossy_mixture_guessing(alpha: float, eta_h: float, eta_abs: float,
-                           sigma_grid, n_max: int | None = None) -> np.ndarray:
+                           sigma_grid) -> np.ndarray:
     """P_g(sigma) for the loss-degraded mixture components.
 
     Conditioned on the idler diagonal-basis outcome, the stored state is
@@ -229,8 +225,7 @@ def lossy_mixture_guessing(alpha: float, eta_h: float, eta_abs: float,
     if not 0.0 <= eta_h <= 1.0 or not 0.0 <= eta_abs <= 1.0:
         raise ValueError("eta_h and eta_abs must be in [0, 1]")
     a_mem = math.sqrt(eta_abs) * alpha
-    if n_max is None:
-        n_max = default_n_max(a_mem**2 + 1.0)
+    n_max = default_n_max(a_mem**2 + 1.0)
     q = eta_h * eta_abs
     pair = macro_components(a_mem, n_max)
     coh = np.abs(coherent_amplitudes(a_mem, n_max)) ** 2

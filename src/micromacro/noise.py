@@ -109,11 +109,6 @@ def _noise_fraction(mu: float, bs_t: float, eta_h, eta, vis):
     return p_n / denom
 
 
-def noise_fraction(mu: float, params: ExperimentParams = DEFAULT_PARAMS) -> float:
-    """Noise weight of the Werner state, p_n / (p_s + p_n)."""
-    return _noise_fraction(mu, params.bs_t, params.eta_h, params.eta, params.vis)
-
-
 def _werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vis):
     """W at alpha_sq for the given (scalar or array) eta_h, eta and vis."""
     if alpha_sq < 0:
@@ -126,7 +121,7 @@ def _werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vi
 
 def predict_werner_visibility(alpha_sq: float,
                               params: ExperimentParams = DEFAULT_PARAMS) -> float:
-    """W = v_mm * (1 - noise_fraction(kappa * alpha_sq)).
+    """W = v_mm * (1 - p_n / (p_s + p_n)) at mu = kappa * alpha_sq.
 
     A zero-size displacement is no operation at all and contributes no noise,
     so alpha_sq = 0 maps to W = v_mm exactly (the noise formulas themselves

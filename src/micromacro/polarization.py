@@ -133,23 +133,3 @@ def state_fidelity(rho: TwoQubitDensity, sigma: TwoQubitDensity) -> float:
     iw = np.linalg.eigvalsh(inner)
     return float(np.sum(np.sqrt(np.clip(iw, 0.0, None))) ** 2)
 
-
-def arbitrary_polarization_equivalence_check(alpha: complex, beta: complex,
-                                             theta: float) -> float:
-    """Residual of the rotated-basis identity for the Bell state.
-
-    With |psi> = alpha|H> + e^{i theta} beta|V> (and |phi> its conjugate
-    partner), (|psi,phi> + |psi_perp,phi_perp>)/sqrt(2) must reproduce
-    (|HH> + |VV>)/sqrt(2) for every normalized (alpha, beta, theta).
-    Returns the 2-norm of the difference; callers compare against TAU_NUM.
-    """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > TAU_NUM:
-        raise ValueError("require |alpha|^2 + |beta|^2 = 1")
-    eith = np.exp(1j * theta)
-    psi = np.array([alpha, eith * beta])
-    psi_perp = np.array([-np.conj(eith * beta), np.conj(alpha)])
-    phi = psi.conj()
-    phi_perp = psi_perp.conj()
-    lhs = (np.kron(psi, phi) + np.kron(psi_perp, phi_perp)) / math.sqrt(2)
-    target = np.array([1, 0, 0, 1]) / math.sqrt(2)
-    return float(np.linalg.norm(lhs - target))

@@ -17,9 +17,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .fock import TAU_NUM
+
+
+#: lab analyzer settings (a1, a2, b1, b2) of the CHSH test, in degrees
+CHSH_SETTINGS_DEG = (45.0, 0.0, 22.5, 67.5)
+CHSH_SETTINGS = tuple(np.deg2rad(CHSH_SETTINGS_DEG))
 
 
 class ModelInconsistencyError(ArithmeticError):
@@ -102,47 +106,6 @@ def herald_weights(g: float, r: float, p_dc: float) -> tuple[float, float]:
     return w1, w1**2
 
 
-def spdc_amplitudes(g: float, n_max: int) -> np.ndarray:
-    """Four-mode amplitudes c[n_a, n_aperp, n_b, n_bperp] of the double pair.
-
-    Each squeezer contributes tanh(g)^n with n_a = n_bperp and
-    n_aperp = n_b; all other entries vanish.
-    """
-    tg = math.tanh(g)
-    d = n_max + 1
-    c = np.zeros((d, d, d, d))
-    for j in range(d):
-        for k in range(d):
-            c[j, k, k, j] = (1.0 - tg**2) * tg ** (j + k)
-    return c
-
-
-def thermal_dist(nbar: float, n_max: int) -> np.ndarray:
-    if nbar == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    q = nbar / (1.0 + nbar)
-    return (1.0 - q) * q ** np.arange(n_max + 1)
-
-
-def conditional_state_coeffs(g: float, r: float, p_dc: float,
-                             n_max: int) -> np.ndarray:
-    """Unnormalized B-side photon-number coefficients given herald +1.
-
-    Herald +1 means no click on analyzer output a and a click on a_perp.
-    The result is C[n_b, n_bperp] = w1 p_n(nbar) p_m(mbar) - w2 p_m p_m,
-    whose total is the herald probability w1 - w2.  Entries along the
-    n_bperp axis can be negative only through the subtraction and the
-    matrix total stays positive for g > 0.
-    """
-    nbar, mbar = thermal_means(g, r)
-    w1, w2 = herald_weights(g, r, p_dc)
-    pn = thermal_dist(nbar, n_max)
-    pm = thermal_dist(mbar, n_max)
-    return w1 * np.outer(pn, pm) - w2 * np.outer(pm, pm)
-
-
 def herald_probability(g: float, r: float, p_dc: float) -> float:
     w1, w2 = herald_weights(g, r, p_dc)
     return w1 - w2
@@ -213,16 +176,6 @@ def joint_probabilities(th_a: float, th_b: float,
     return JointProbabilities(*vals)
 
 
-def click_prob_coherent(alpha_hat: complex, beta_hat: complex, th_b: float,
-                        eta_d: float) -> tuple[float, float]:
-    """(P(B=+1), P(B=-1)) for definite coherent amplitudes, no dark counts."""
-    c_main = math.cos(th_b) * alpha_hat + math.sin(th_b) * beta_hat
-    c_orth = math.sin(th_b) * alpha_hat - math.cos(th_b) * beta_hat
-    pnc_main = math.exp(-abs(c_main) ** 2 * eta_d)
-    pnc_orth = math.exp(-abs(c_orth) ** 2 * eta_d)
-    return pnc_main * (1.0 - pnc_orth), 1.0 - pnc_main
-
-
 @dataclass(frozen=True)
 class OracleEstimate:
     joints: JointProbabilities
@@ -283,15 +236,6 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     )
 
 
-def gauss_hermite_phase_average(fn, sigma: float, n_nodes: int = 61) -> float:
-    """E[fn(phi)] for phi ~ N(0, sigma^2) by Gauss-Hermite quadrature."""
-    if sigma == 0.0:
-        return fn(0.0)
-    x, w = hermgauss(n_nodes)
-    return float(sum(wi * fn(math.sqrt(2.0) * sigma * xi)
-                     for xi, wi in zip(x, w)) / math.sqrt(math.pi))
-
-
 def chsh_from_detailed(settings, p: DetailedParams) -> float:
     """CHSH S for lab analyzer settings (a1, a2, b1, b2) in radians.
 
@@ -306,9 +250,8 @@ def chsh_from_detailed(settings, p: DetailedParams) -> float:
     return abs(corr(a1, b1) + corr(a1, b2) + corr(a2, b1) - corr(a2, b2))
 
 
-def detailed_chsh_curve(gammas, p: DetailedParams, settings=None) -> np.ndarray:
-    if settings is None:
-        settings = tuple(np.deg2rad([45.0, 0.0, 22.5, 67.5]))
+def detailed_chsh_curve(gammas, p: DetailedParams) -> np.ndarray:
+    """CHSH S at the lab settings for every leak gain of ``gammas``."""
     return np.array([
-        chsh_from_detailed(settings, replace(p, gamma=float(gm))) for gm in gammas
+        chsh_from_detailed(CHSH_SETTINGS, replace(p, gamma=float(gm))) for gm in gammas
     ])

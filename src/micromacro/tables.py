@@ -44,30 +44,3 @@ class ResultTable:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_csv_text())
 
-
-def read_table(path):
-    """(meta, columns, rows) back from a table file; cells parsed as float
-    when possible."""
-    meta, columns, rows = {}, None, []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    k, _, v = body.partition(":")
-                    meta[k.strip()] = v.strip()
-                continue
-            if not line:
-                continue
-            if columns is None:
-                columns = line.split(",")
-                continue
-            cells = []
-            for cell in line.split(","):
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    cells.append(cell)
-            rows.append(tuple(cells))
-    return meta, columns or [], rows

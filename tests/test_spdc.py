@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from micromacro import spdc
+from references import (conditional_state_coeffs, gauss_hermite_phase_average,
+                        spdc_amplitudes, thermal_dist)
 
-CHSH_SETTINGS = tuple(np.deg2rad([45.0, 0.0, 22.5, 67.5]))
 
-
-def brute_force_conditional(g, r, p_dc, n_max):
-    """Herald on (no click, click) directly from the four-mode amplitudes."""
-    c = spdc.spdc_amplitudes(g, n_max)
+def brute_force_conditional(g, r, p_dc, n_max, herald=+1):
+    """B-side photon-number weights C[n_b, n_bperp] jointly with the herald,
+    directly from the four-mode amplitudes.  Herald +1 is (no click on a,
+    click on a_perp); herald -1 is a click on a, whatever a_perp does."""
+    c = spdc_amplitudes(g, n_max)
     eta_a = 1.0 - r**2
     out = np.zeros((n_max + 1, n_max + 1))
     for j in range(n_max + 1):          # photons in a (= b_perp)
@@ -19,21 +21,61 @@ def brute_force_conditional(g, r, p_dc, n_max):
             w = c[j, k, k, j] ** 2
             p_noclick = (1.0 - p_dc) * (1.0 - eta_a) ** j
             p_click = 1.0 - (1.0 - p_dc) * (1.0 - eta_a) ** k
-            out[k, j] += w * p_noclick * p_click
+            out[k, j] += w * (p_noclick * p_click if herald > 0 else 1.0 - p_noclick)
     return out
 
 
 @pytest.mark.parametrize("g", [0.1, 0.3])
 def test_conditional_state_matches_brute_force(g):
     r, p_dc, n_max = 0.9, 1e-4, 8
-    closed = spdc.conditional_state_coeffs(g, r, p_dc, n_max)
+    closed = conditional_state_coeffs(g, r, p_dc, n_max)
     brute = brute_force_conditional(g, r, p_dc, n_max)
     assert np.max(np.abs(closed - brute)) < 1e-14
 
 
+@pytest.mark.parametrize("g", [0.2, 0.6])
+@pytest.mark.parametrize("th_b", [0.0, math.pi / 2])
+def test_joints_match_the_photon_number_brute_force(g, th_b):
+    # without phase jitter the leak drops out, and at th_b = 0 (pi/2) the
+    # main detector sees mode b (b_perp) alone: B = -1 when it clicks, +1
+    # when only the other one does, each photon detected with probability eta
+    p = spdc.DetailedParams(g=g, sigma_phi=0.0)
+    eta = p.eta_d * p.t1**2 * p.t2**2 * p.eta_c
+    n = np.arange(41)
+    silent = (1.0 - eta) ** n
+    b, b_perp = silent[:, None], silent[None, :]    # weights are [n_b, n_bperp]
+    main, orth = (b, b_perp) if th_b == 0.0 else (b_perp, b)
+    want = []
+    for herald in (+1, -1):
+        weights = brute_force_conditional(g, p.r, p.p_dc, 40, herald)
+        want += [float(np.sum(weights * main * (1.0 - orth))),
+                 float(np.sum(weights * (1.0 - main)))]
+    got = spdc.joint_probabilities(0.3, th_b, p).as_array()
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma, sigma_phi, eta_d", [(2.0, math.sqrt(0.003), 0.35),
+                                                      (6.0, 0.4, 0.9)])
+def test_jitter_factor_matches_the_phase_average(gamma, sigma_phi, eta_d):
+    # a leak phase phi displaces the main mode by t2 gamma phi cos(th_a - th_b);
+    # a thermal mode of detected mean nu then stays dark with probability
+    # exp(-eta_d |displacement|^2 / d) / d, d = 1 + nu, averaged over phi.
+    # 61 nodes leave 1e-7 at the strong leak (2 zeta sigma^2 ~ 7); 181 converge
+    p = spdc.DetailedParams(gamma=gamma, sigma_phi=sigma_phi, eta_d=eta_d)
+    eta = p.eta_d * p.t1**2 * p.t2**2 * p.eta_c
+    for nu_b, nu_p, th_a, th_b in ((0.04, 0.03, 0.3, 0.9), (1.5, 0.2, 0.0, 0.0),
+                                   (0.7, 0.7, 1.2, -0.4)):
+        d = 1.0 + (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
+        amp = p.t2 * p.gamma * math.cos(th_a - th_b)
+        want = gauss_hermite_phase_average(
+            lambda phi: math.exp(-p.eta_d * (amp * phi) ** 2 / d) / d, p.sigma_phi, 181)
+        got = spdc._f_factor(nu_b, nu_p, th_a, th_b, p, eta, p.sigma_phi**2 / 2.0)
+        assert abs(got - want) < 1e-12
+
+
 def test_conditional_trace_is_herald_probability():
     g, r, p_dc = 0.3, 0.9, 1e-4
-    coeffs = spdc.conditional_state_coeffs(g, r, p_dc, 120)
+    coeffs = conditional_state_coeffs(g, r, p_dc, 120)
     assert abs(coeffs.sum() - spdc.herald_probability(g, r, p_dc)) < 1e-10
     assert spdc.herald_probability(g, r, p_dc) > 0.0
 
@@ -42,14 +84,14 @@ def test_near_ideal_limit_approaches_tsirelson():
     p = spdc.DetailedParams(g=0.05, r=math.sqrt(1.0 - 0.98), eta_d=0.98,
                             p_dc=0.0, t1=1.0, t2=1.0, eta_c=1.0,
                             gamma=0.0, sigma_phi=0.0)
-    s = spdc.chsh_from_detailed(CHSH_SETTINGS, p)
+    s = spdc.chsh_from_detailed(spdc.CHSH_SETTINGS, p)
     assert abs(s - 2.8235) < 1e-3
     assert abs(s - 2.0 * math.sqrt(2.0)) < 0.02
 
 
 def test_gamma_irrelevant_without_phase_jitter():
     base = replace(spdc.DetailedParams(), sigma_phi=0.0)
-    vals = [spdc.chsh_from_detailed(CHSH_SETTINGS, replace(base, gamma=g))
+    vals = [spdc.chsh_from_detailed(spdc.CHSH_SETTINGS, replace(base, gamma=g))
             for g in (0.0, 2.0, 6.0)]
     assert max(vals) - min(vals) < 1e-12
 
@@ -119,23 +161,12 @@ def test_sampling_arbitrates_double_click_reading():
 def test_gauss_hermite_average():
     for c in (0.5, 3.0):
         for sigma in (0.2, 0.7):
-            got = spdc.gauss_hermite_phase_average(
+            got = gauss_hermite_phase_average(
                 lambda phi: math.exp(-c * phi**2), sigma)
             assert abs(got - 1.0 / math.sqrt(1.0 + 2.0 * c * sigma**2)) < 1e-12
-    got = spdc.gauss_hermite_phase_average(math.cos, 0.5)
+    got = gauss_hermite_phase_average(math.cos, 0.5)
     assert abs(got - math.exp(-0.125)) < 1e-12
-    assert spdc.gauss_hermite_phase_average(math.cos, 0.0) == 1.0
-
-
-def test_click_prob_coherent_limits():
-    eta_d = 0.8
-    alpha = 1.3 + 0.2j
-    p_plus, p_minus = spdc.click_prob_coherent(alpha, 0.0, 0.0, eta_d)
-    assert p_plus == 0.0  # orthogonal port is empty, so it never clicks
-    assert abs(p_minus - (1.0 - math.exp(-abs(alpha) ** 2 * eta_d))) < 1e-12
-    p_plus, p_minus = spdc.click_prob_coherent(alpha, 0.0, math.pi / 2, eta_d)
-    assert abs(p_minus) < 1e-12  # main port is empty
-    assert abs(p_plus - (1.0 - math.exp(-abs(alpha) ** 2 * eta_d))) < 1e-12
+    assert gauss_hermite_phase_average(math.cos, 0.0) == 1.0
 
 
 def test_parameter_validation():
@@ -150,8 +181,8 @@ def test_parameter_validation():
 
 
 def test_thermal_dist_edges():
-    d = spdc.thermal_dist(0.0, 5)
+    d = thermal_dist(0.0, 5)
     assert d[0] == 1.0 and np.all(d[1:] == 0.0)
-    d = spdc.thermal_dist(0.7, 400)
+    d = thermal_dist(0.7, 400)
     assert abs(d.sum() - 1.0) < 1e-12
     assert abs(np.arange(401) @ d - 0.7) < 1e-10
