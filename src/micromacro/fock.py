@@ -1,29 +1,32 @@
-"""Truncated photon-number amplitudes, click detectors and splitter unitaries.
+"""Truncated photon-number amplitudes, click detectors and the 50/50 splitter.
 
 Amplitudes live on bosonic modes, each truncated at a caller-chosen photon
 number ``n_max``.  The caller owns the truncation choice; ``TruncatedState``
 checks the probability mass lost to the cutoff and fails loudly instead of
-silently clipping tails.  The loss channel, density operators and click
-POVMs that production no longer needs are test references
-(``tests/references.py``).
+silently clipping tails.
 
 Displaced states have closed forms: D(alpha)|0> = |alpha> and
 D(alpha)|1> = (a^dag - alpha*)|alpha>, whose amplitudes are
 c_n (n/alpha - alpha*) with c_n those of |alpha>.  No model path builds a
-displacement matrix; ``displacement_operator`` remains for the consistency
-checks.  The Fock-space unitaries that are built (splitters, displacements)
-come from one exponential of a skew-Hermitian generator, ``_expm_skew``,
-which diagonalises it with ``eigh``; the module needs numpy only.
+displacement matrix.
 
-Beam-splitter sign convention (fixed once, used everywhere): a transmittance-T
-splitter maps coherent amplitudes ``(a, b) -> (sqrt(T) a + sqrt(1-T) b,
--sqrt(1-T) a + sqrt(T) b)``.
+The splitter conserves the total photon number N = n_a + n_b, so its
+unitary on the truncated two-mode space is one small block per N
+(``splitter_blocks``, at most ``n_max + 1`` square).  The dense Fock-space
+algebra it replaces (the k-mode ``ModeTransform``, the annihilation matrix
+and the dense displacement operator) is the test reference
+(``tests/references.py``), as are the loss channel, density operators and
+click POVMs.  The module needs numpy only.
+
+Beam-splitter sign convention (fixed once; the 50/50 blocks and the test
+references follow it): a transmittance-T splitter maps coherent amplitudes
+``(a, b) -> (sqrt(T) a + sqrt(1-T) b, -sqrt(1-T) a + sqrt(T) b)``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
 
 import numpy as np
 
@@ -64,82 +67,18 @@ class TruncatedState:
             )
 
 
-def check_density_matrix(m: np.ndarray, trace_tol: float) -> None:
-    """Raise ValueError unless m is Hermitian, PSD (both within TAU_NUM) and
-    has unit trace within ``trace_tol``."""
+def check_density_matrix(m: np.ndarray) -> None:
+    """Raise ValueError unless m is Hermitian, PSD and of unit trace, each
+    within TAU_NUM."""
     herm = np.max(np.abs(m - m.conj().T))
     if herm > TAU_NUM:
         raise ValueError(f"not Hermitian: max asymmetry {herm:.3g}")
     tr = float(np.real(np.trace(m)))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr:.12g} not within {trace_tol} of 1")
+    if abs(tr - 1.0) > TAU_NUM:
+        raise ValueError(f"trace {tr:.12g} not within {TAU_NUM} of 1")
     lo = float(np.linalg.eigvalsh(m)[0])
     if lo < -TAU_NUM:
         raise ValueError(f"negative eigenvalue {lo:.3g}")
-
-
-@dataclass(frozen=True)
-class ModeTransform:
-    """Linear-optics transform: a k x k unitary acting on mode operators."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("mode matrix must be square")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev > TAU_NUM:
-            raise ValueError(f"mode matrix not unitary: deviation {dev:.3g}")
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0]
-
-    def fock_unitary(self, n_max: int) -> np.ndarray:
-        """Unitary on the full truncated Fock space.
-
-        Built as ``exp(sum_ij G_ij a_i^dag a_j)`` with ``G = log(S)`` taken
-        from the eigendecomposition of S; the generator is skew-Hermitian
-        even after truncation, so the result is exactly unitary
-        (photon-number flow above n_max is reflected, not lost — callers
-        keep support comfortably below the cutoff).
-        """
-        key = (self.matrix.tobytes(), n_max)
-        cached = _FOCK_UNITARY_CACHE.get(key)
-        if cached is not None:
-            return cached
-        k = self.n_modes
-        phases, vecs = np.linalg.eig(self.matrix)
-        gen_modes = (vecs * (1j * np.angle(phases))) @ np.linalg.inv(vecs)
-        a = annihilation(n_max)
-        d = n_max + 1
-        eye = np.eye(d)
-        gen = np.zeros((d**k, d**k), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                if gen_modes[i, j] == 0:
-                    continue
-                ops = [eye] * k
-                ops[j] = a
-                ops[i] = a.T @ ops[i]  # a_i^dag a_j; a^dag a when i == j
-                gen += gen_modes[i, j] * reduce(np.kron, ops)
-        u = _expm_skew(gen)
-        if len(_FOCK_UNITARY_CACHE) > 32:
-            _FOCK_UNITARY_CACHE.clear()
-        _FOCK_UNITARY_CACHE[key] = u
-        return u
-
-
-_FOCK_UNITARY_CACHE: dict = {}
-
-
-def _expm_skew(gen: np.ndarray) -> np.ndarray:
-    """exp(gen) for skew-Hermitian gen: with 1j gen = V diag(lam) V^dag,
-    exp(gen) = V diag(exp(-1j lam)) V^dag, unitary to rounding."""
-    lam, v = np.linalg.eigh(1j * gen)
-    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -154,14 +93,6 @@ class ClickDetector:
             raise ValueError("eta_d must be in [0, 1]")
         if not 0.0 <= self.p_dc < 1.0:
             raise ValueError("p_dc must be in [0, 1)")
-
-
-def annihilation(n_max: int) -> np.ndarray:
-    """Single-mode annihilation operator, a|n> = sqrt(n)|n-1>."""
-    a = np.zeros((n_max + 1, n_max + 1))
-    n = np.arange(1, n_max + 1)
-    a[n - 1, n] = np.sqrt(n)
-    return a
 
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
@@ -192,28 +123,6 @@ def poisson_pmf(mean: float, n_max: int) -> np.ndarray:
     return np.exp(-mean + n * math.log(mean) - log_factorials(n_max))
 
 
-def poisson_tail_mass(mean: float, n_max: int) -> float:
-    """Probability mass of a Poisson(mean) above n_max (log-domain partial sum)."""
-    return max(0.0, 1.0 - float(np.sum(poisson_pmf(mean, n_max))))
-
-
-def displacement_operator(alpha: complex, n_max: int) -> np.ndarray:
-    """Matrix of D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space.
-
-    Dense reference for the closed forms; unitary within TAU_NUM on the
-    low-photon-number block, so the caller must leave margin between the
-    input state's support plus ``|alpha|**2`` and ``n_max``.
-    """
-    tail = poisson_tail_mass(abs(alpha) ** 2, n_max)
-    if tail > TAU_TRUNC:
-        raise TruncationError(
-            f"displacement alpha={alpha} too large for n_max={n_max} "
-            f"(vacuum-image tail mass {tail:.3g})"
-        )
-    a = annihilation(n_max)
-    return _expm_skew(alpha * a.conj().T - np.conj(alpha) * a)
-
-
 def displaced_single_photon(alpha: complex, n_max: int) -> TruncatedState:
     """D(alpha)|1> = (a^dag - alpha*)|alpha>, amplitudes c_n (n/alpha - alpha*).
 
@@ -228,10 +137,26 @@ def displaced_single_photon(alpha: complex, n_max: int) -> TruncatedState:
     return TruncatedState(vec)
 
 
-def beam_splitter(transmittance: float) -> ModeTransform:
-    """Two-mode beam splitter with the module-level sign convention."""
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError("transmittance must be in [0, 1]")
-    t = math.sqrt(transmittance)
-    r = math.sqrt(1.0 - transmittance)
-    return ModeTransform(np.array([[t, r], [-r, t]]))
+@cache
+def splitter_blocks(n_max: int) -> tuple:
+    """The 50/50 splitter on two modes truncated at n_max, one block per N.
+
+    Entry N of the tuple (N = 0..2 n_max) is ``(n_a, u)``: the occupations
+    n_a of mode a whose partner N - n_a also fits below the cutoff, and the
+    unitary u[i, k] = <n_a[i], N - n_a[i]| U |n_a[k], N - n_a[k]>.  U is
+    exp(pi/4 (a^dag b - a b^dag)) with the truncated a^dag, which cannot
+    raise n_a or n_b past n_max, so for N > n_max photon flow at the cutoff
+    is reflected, exactly as in the generator on the full truncated space.
+    The tridiagonal generator is exponentiated as V diag(exp(-1j lam)) V^dag
+    from ``eigh`` of 1j times it, unitary to rounding.  The arrays are
+    read-only, since every caller shares the cached ones.
+    """
+    blocks = []
+    for total in range(2 * n_max + 1):
+        n_a = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+        hop = math.pi / 4.0 * np.sqrt((n_a[:-1] + 1.0) * (total - n_a[:-1]))
+        lam, v = np.linalg.eigh(1j * (np.diag(hop, -1) - np.diag(hop, 1)))
+        u = (v * np.exp(-1j * lam)) @ v.conj().T
+        n_a.flags.writeable = u.flags.writeable = False
+        blocks.append((n_a, u))
+    return tuple(blocks)

@@ -6,6 +6,16 @@ temporal mode interferes; the orthogonal remainder contributes independent
 Poissonian clicks.  Visibility compares coincidences for parallel (xi as
 configured) against orthogonal (xi = 0) CSP polarization:
 V = (R_perp - R_par) / R_perp.
+
+The heralded input is diagonal in photon number and the splitter conserves
+N = n_a + n_b, so the coherent phase and every off-diagonal term drop out
+of the output distribution:
+P(n_a, n_b) = sum_k |<n_a, N - n_a|U_N|k, N - k>|^2 q_k p_(N - k),
+with q the heralded distribution, p the Poissonian CSP statistics and U_N
+the splitter's photon-number blocks (``fock.splitter_blocks``).  No
+two-mode density matrix is built.  Both inputs are cut at ``N_MAX``
+photons; the form 1 - P(no click a) - P(no click b) + P(neither) counts the
+Poisson mass beyond it (2e-9 at mu = 0.2) as coincidences.
 """
 from __future__ import annotations
 
@@ -14,7 +24,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import ClickDetector, beam_splitter, coherent_amplitudes
+from .fock import ClickDetector, poisson_pmf, splitter_blocks
+
+#: photon-number cutoff of each splitter input
+N_MAX = 6
+#: largest pair number kept in the heralded signal
+HERALD_KMAX = 4
 
 
 class UndefinedVisibilityError(ZeroDivisionError):
@@ -28,8 +43,6 @@ class HomParams:
     eta_h: float = 0.19
     xi: float = 1.0
     detector: ClickDetector = field(default_factory=lambda: ClickDetector(0.5, 0.0))
-    n_max: int = 6
-    herald_kmax: int = 4
 
     def __post_init__(self):
         if self.mu_csp < 0 or not 0 <= self.p_pair < 1:
@@ -57,7 +70,7 @@ class TemporalProfiles:
             raise ValueError("widths and window must be positive")
 
 
-def heralded_signal_dist(p_pair: float, eta_h: float, kmax: int = 4) -> np.ndarray:
+def heralded_signal_dist(p_pair: float, eta_h: float) -> np.ndarray:
     """Photon-number distribution of the heralded signal mode.
 
     Pair statistics are two-mode-squeezed with tanh^2(g) = p_pair; heralding
@@ -65,11 +78,11 @@ def heralded_signal_dist(p_pair: float, eta_h: float, kmax: int = 4) -> np.ndarr
     low-efficiency limit is proportional to k.  The signal then suffers
     binomial loss 1 - eta_h down to the splitter.
     """
-    k = np.arange(kmax + 1)
+    k = np.arange(HERALD_KMAX + 1)
     w = k * p_pair**k
     w = w / w.sum()
-    q = np.zeros(kmax + 1)
-    for kk in range(kmax + 1):
+    q = np.zeros(HERALD_KMAX + 1)
+    for kk in range(HERALD_KMAX + 1):
         q[: kk + 1] += w[kk] * binomial_pmf(kk, eta_h)
     return q
 
@@ -80,19 +93,28 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
                      for k in range(n + 1)])
 
 
-def coincidence_from_joint(rho_matrix: np.ndarray, n_max: int, det: ClickDetector,
+def output_distribution(q_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
+    """P(n_a, n_b) behind the 50/50 splitter for independent photon-number
+    distributions q_a and p_b of its inputs, both of length n_max + 1."""
+    n_max = len(q_a) - 1
+    out = np.zeros((n_max + 1, n_max + 1))
+    for total, (n_a, u) in enumerate(splitter_blocks(n_max)):
+        out[n_a, total - n_a] = np.abs(u) ** 2 @ (q_a[n_a] * p_b[total - n_a])
+    return out
+
+
+def coincidence_from_joint(q_a: np.ndarray, p_b: np.ndarray, det: ClickDetector,
                            unmatched_mean: float = 0.0) -> float:
-    """P(click on both splitter outputs) for a two-mode input density matrix.
+    """P(click on both splitter outputs) for independent photon-number
+    inputs q_a and p_b (see ``output_distribution``).
 
     ``unmatched_mean`` adds an independent coherent background of that mean
     photon number split evenly over both outputs (the non-interfering CSP
     fraction); it only scales the no-click factors.
     """
-    d = n_max + 1
-    u = beam_splitter(0.5).fock_unitary(n_max)
-    rho_out = u @ rho_matrix @ u.conj().T
+    diag = output_distribution(q_a, p_b)
+    d = diag.shape[0]
     w = (1.0 - det.eta_d) ** np.arange(d)
-    diag = np.real(np.diag(rho_out)).reshape(d, d)
     s_unm = math.exp(-det.eta_d * unmatched_mean / 2.0)
     one = np.ones(d)
     pnc_a = (1.0 - det.p_dc) * float(w @ diag @ one) * s_unm
@@ -105,14 +127,10 @@ def coincidence_probability(params: HomParams, xi: float | None = None) -> float
     """Coincidence rate with the CSP mode-matched fraction xi."""
     if xi is None:
         xi = params.xi
-    d = params.n_max + 1
-    qh = np.zeros(d)
-    src = heralded_signal_dist(params.p_pair, params.eta_h, params.herald_kmax)
-    qh[: min(d, src.size)] = src[: min(d, src.size)]
-    vc = coherent_amplitudes(math.sqrt(xi * params.mu_csp), params.n_max)
-    rho_in = np.kron(np.diag(qh.astype(complex)), np.outer(vc, vc.conj()))
+    q = np.zeros(N_MAX + 1)
+    q[: HERALD_KMAX + 1] = heralded_signal_dist(params.p_pair, params.eta_h)
     return coincidence_from_joint(
-        rho_in, params.n_max, params.detector,
+        q, poisson_pmf(xi * params.mu_csp, N_MAX), params.detector,
         unmatched_mean=(1.0 - xi) * params.mu_csp,
     )
 

@@ -21,14 +21,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MemoryParams:
-    """eta_abs: absorption; eta: overall storage-retrieval efficiency;
-    tau_s: storage time in ns (bookkeeping only); phi: programmed phase on
-    the delayed pulse."""
+    """eta_abs: absorption; eta: overall storage-retrieval efficiency."""
 
     eta_abs: float = 0.55
     eta: float = 0.046
-    tau_s: float = 50.0
-    phi: float = math.pi
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= self.eta_abs <= 1.0:

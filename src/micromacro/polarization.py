@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TAU_NUM, check_density_matrix
+from .fock import check_density_matrix
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -26,7 +26,7 @@ class TwoQubitDensity:
         if self.matrix.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
         if check:
-            check_density_matrix(self.matrix, TAU_NUM)
+            check_density_matrix(self.matrix)
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,6 @@ def joint_probabilities(th_a: float, th_b: float,
 class OracleEstimate:
     joints: JointProbabilities
     errors: JointProbabilities
-    n_samples: int
 
 
 def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
@@ -232,7 +231,6 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     return OracleEstimate(
         joints=JointProbabilities(pp[0], pm[0], mp[0], mm[0]),
         errors=JointProbabilities(pp[1], pm[1], mp[1], mm[1]),
-        n_samples=n_samples,
     )
 
 

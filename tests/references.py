@@ -1,19 +1,120 @@
 """Slow references for the package's closed forms, kept only for the tests.
 
-Each one computes a production figure the long way: the loss channel as a
-Kraus sum on a truncated Fock space, the double-pair source as four-mode
-amplitudes, the phase-jitter average by Gauss-Hermite quadrature, the storage
-loop slot by slot.  The differential tests compare the closed forms with
-them.  Unlike ``oracles.py`` (standard library only), these use numpy and may
-take production parameter classes as input.
+Each one computes a production figure the long way: the splitter and the
+displacement as dense exponentials on the full truncated Fock space, the
+loss channel as a Kraus sum, the double-pair source as four-mode amplitudes,
+the phase-jitter average by Gauss-Hermite quadrature, the storage loop slot
+by slot.  The differential tests compare the closed forms with
+them.  Unlike ``oracles.py`` (standard library and mpmath only), these use
+numpy and may take production parameter classes as input.
 """
 import cmath
 import math
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from micromacro import fock, hom, memory, spdc
+
+
+# ---- fock: dense Fock-space algebra ----
+
+def annihilation(n_max: int) -> np.ndarray:
+    """Single-mode annihilation operator, a|n> = sqrt(n)|n-1>."""
+    a = np.zeros((n_max + 1, n_max + 1))
+    n = np.arange(1, n_max + 1)
+    a[n - 1, n] = np.sqrt(n)
+    return a
+
+
+def expm_skew(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) for skew-Hermitian gen: with 1j gen = V diag(lam) V^dag,
+    exp(gen) = V diag(exp(-1j lam)) V^dag, unitary to rounding."""
+    lam, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
+
+
+@dataclass(frozen=True)
+class ModeTransform:
+    """Linear-optics transform: a k x k unitary acting on mode operators."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("mode matrix must be square")
+        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+        if dev > fock.TAU_NUM:
+            raise ValueError(f"mode matrix not unitary: deviation {dev:.3g}")
+
+    def fock_unitary(self, n_max: int) -> np.ndarray:
+        """Unitary on the full truncated Fock space, mode 0 the first factor.
+
+        Built as ``exp(sum_ij G_ij a_i^dag a_j)`` with ``G = log(S)`` taken
+        from the eigendecomposition of S; the generator is skew-Hermitian
+        even after truncation, so the result is exactly unitary
+        (photon-number flow above n_max is reflected, not lost).
+        """
+        k = self.matrix.shape[0]
+        phases, vecs = np.linalg.eig(self.matrix)
+        gen_modes = (vecs * (1j * np.angle(phases))) @ np.linalg.inv(vecs)
+        a = annihilation(n_max)
+        eye = np.eye(n_max + 1)
+        gen = np.zeros(((n_max + 1) ** k, (n_max + 1) ** k), dtype=complex)
+        for i in range(k):
+            for j in range(k):
+                if gen_modes[i, j] == 0:
+                    continue
+                ops = [eye] * k
+                ops[j] = a
+                ops[i] = a.T @ ops[i]  # a_i^dag a_j; a^dag a when i == j
+                gen += gen_modes[i, j] * reduce(np.kron, ops)
+        return expm_skew(gen)
+
+
+def beam_splitter(transmittance: float) -> ModeTransform:
+    """Two-mode beam splitter with the package's sign convention."""
+    if not 0.0 <= transmittance <= 1.0:
+        raise ValueError("transmittance must be in [0, 1]")
+    t = math.sqrt(transmittance)
+    r = math.sqrt(1.0 - transmittance)
+    return ModeTransform(np.array([[t, r], [-r, t]]))
+
+
+def displacement_operator(alpha: complex, n_max: int) -> np.ndarray:
+    """Matrix of D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space.
+
+    Unitary within TAU_NUM on the low-photon-number block, so the caller
+    must leave margin between the input state's support plus ``|alpha|**2``
+    and ``n_max``.
+    """
+    tail = 1.0 - float(np.sum(fock.poisson_pmf(abs(alpha) ** 2, n_max)))
+    if tail > fock.TAU_TRUNC:
+        raise fock.TruncationError(
+            f"displacement alpha={alpha} too large for n_max={n_max} "
+            f"(vacuum-image tail mass {tail:.3g})"
+        )
+    a = annihilation(n_max)
+    return expm_skew(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+def dense_output_diagonal(rho: np.ndarray, n_max: int) -> np.ndarray:
+    """P(n_a, n_b) = diag(U rho U^dag) behind the dense 50/50 splitter."""
+    u = beam_splitter(0.5).fock_unitary(n_max)
+    return np.real(np.diag(u @ rho @ u.conj().T)).reshape(n_max + 1, n_max + 1)
+
+
+def dense_coincidence(rho: np.ndarray, n_max: int, det: fock.ClickDetector) -> float:
+    """P(click on both splitter outputs) for any two-mode density matrix."""
+    diag = dense_output_diagonal(rho, n_max)
+    w = (1.0 - det.eta_d) ** np.arange(n_max + 1)
+    one = np.ones(n_max + 1)
+    return 1.0 - (1.0 - det.p_dc) * float(w @ diag @ one + one @ diag @ w) \
+        + (1.0 - det.p_dc) ** 2 * float(w @ diag @ w)
 
 
 # ---- fock: loss channel ----
@@ -184,13 +285,11 @@ def apply_phase(train: PulseTrain, phi: float, min_slot: int = 1) -> PulseTrain:
 
 
 def three_pulse_train(alpha: complex, params: memory.MemoryParams,
-                      phi: float | None = None) -> PulseTrain:
+                      phi: float) -> PulseTrain:
     """Two memory passes with the programmed phase on the stored component.
 
     Slots: (0) twice-transmitted, (1) interference of the two single-storage
     paths with amplitude sqrt(eta_t eta)(1 + e^{i phi}) alpha, (2) twice stored.
     """
-    if phi is None:
-        phi = params.phi
     first = memory_pass(PulseTrain(((0, alpha),)), params)
     return memory_pass(apply_phase(first, phi), params)

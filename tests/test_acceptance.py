@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from micromacro import cli, hom, macro, memory, noise, polarization, spdc, tomography
-from micromacro.fock import displacement_operator
 from micromacro.noise import ExperimentParams
 from oracles import ideal_guessing_probability
-from references import overlap_ratio
+from references import displacement_operator, overlap_ratio
 
 GRID_DEG = (0.0, 22.5, 45.0, 67.5)
 

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from micromacro import cli
+from micromacro import cli, fock
 from micromacro.config import ConfigError, RunConfig, parse_config_text
 from micromacro.noise import ExperimentParams
 from micromacro.spdc import DetailedParams
@@ -311,3 +312,23 @@ def test_cli_loads_no_scipy_outside_the_solvers(tmp_path):
     lines = [line for line in proc.stdout.splitlines()
              if line.startswith(("scipy ", "pool "))]
     assert lines == ["scipy []", "pool []"] * 2
+
+
+def test_hom_and_validate_decompose_no_dense_fock_matrix(tmp_path, monkeypatch):
+    # unitaries are exponentiated through eig/eigh, and the splitter works one
+    # photon-number block at a time: the largest matrix hom or validate may
+    # decompose is validate's 13 x 13 block at n_max 12
+    sizes = []
+
+    def recording(decompose):
+        def wrapper(m, *args, **kwargs):
+            sizes.append(np.shape(m)[-1])
+            return decompose(m, *args, **kwargs)
+        return wrapper
+
+    for name in ("eig", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    fock.splitter_blocks.cache_clear()
+    assert cli.main(["hom", "--out", str(tmp_path)]) == 0
+    assert cli.main(["validate"]) == 0
+    assert max(sizes) == 13

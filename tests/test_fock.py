@@ -9,7 +9,9 @@ from scipy.special import gammaln
 from scipy.stats import binom, poisson
 
 from micromacro import fock, hom
-from references import coherent_density, loss_channel, thermal_dist
+from references import (ModeTransform, annihilation, beam_splitter, coherent_density,
+                        dense_coincidence, displacement_operator, loss_channel,
+                        thermal_dist)
 
 
 def test_coherent_state_photon_statistics():
@@ -34,8 +36,7 @@ def test_truncated_state_rejects_norm_deficit():
 
 def test_displacement_inverse_on_low_levels():
     n_max, block = 60, 30
-    prod = fock.displacement_operator(0.8, n_max) \
-        @ fock.displacement_operator(-0.8, n_max)
+    prod = displacement_operator(0.8, n_max) @ displacement_operator(-0.8, n_max)
     resid = np.abs(prod - np.eye(n_max + 1))[:block, :block]
     assert resid.max() < 1e-10
 
@@ -61,7 +62,7 @@ def test_displaced_single_photon_matches_dense_displacement(alpha):
     # reference: the column D(alpha)|1> of the dense matrix; |1> at alpha = 0
     n_max = 60
     got = fock.displaced_single_photon(alpha, n_max).amplitudes
-    ref = fock.displacement_operator(alpha, n_max)[:, 1]
+    ref = displacement_operator(alpha, n_max)[:, 1]
     assert np.max(np.abs(got - ref)) < 1e-10
 
 
@@ -72,9 +73,9 @@ def test_displaced_single_photon_matches_dense_displacement(alpha):
 @settings(max_examples=60, deadline=None)
 def test_displacement_operator_matches_expm(alpha):
     n_max = 40
-    a = fock.annihilation(n_max)
+    a = annihilation(n_max)
     ref = expm(alpha * a.T - np.conj(alpha) * a)
-    assert np.max(np.abs(fock.displacement_operator(alpha, n_max) - ref)) < 1e-12
+    assert np.max(np.abs(displacement_operator(alpha, n_max) - ref)) < 1e-12
 
 
 @given(st.floats(0.0, 1.0), st.integers(1, 10))
@@ -88,10 +89,25 @@ def test_fock_unitary_matches_expm(transmittance, n_max):
     # log S = theta [[0, 1], [-1, 0]] and the Fock-space generator is
     # theta (a^dag (x) a - a (x) a^dag)
     theta = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
-    a = fock.annihilation(n_max)
+    a = annihilation(n_max)
     ref = expm(theta * (np.kron(a.T, a) - np.kron(a, a.T)))
-    u = fock.beam_splitter(transmittance).fock_unitary(n_max)
+    u = beam_splitter(transmittance).fock_unitary(n_max)
     assert np.max(np.abs(u - ref)) < 1e-12
+
+
+@given(st.integers(1, 10))
+@example(6)
+@settings(max_examples=20, deadline=None)
+def test_splitter_blocks_match_dense_reference(n_max):
+    # the dense truncated 50/50 unitary is block diagonal in N = n_a + n_b,
+    # and its blocks are the production ones; mode a is the leading index
+    dense = beam_splitter(0.5).fock_unitary(n_max)
+    d = n_max + 1
+    blocks = np.zeros_like(dense)
+    for total, (n_a, u) in enumerate(fock.splitter_blocks(n_max)):
+        idx = n_a * d + total - n_a
+        blocks[np.ix_(idx, idx)] = u
+    assert np.max(np.abs(blocks - dense)) < 1e-13
 
 
 @given(st.floats(0.0, 200.0), st.integers(0, 300))
@@ -108,7 +124,7 @@ def test_log_factorials_match_gammaln():
 
 
 def test_beam_splitter_unitary_on_fock_space():
-    u = fock.beam_splitter(0.37).fock_unitary(10)
+    u = beam_splitter(0.37).fock_unitary(10)
     assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
 
 
@@ -118,7 +134,7 @@ def test_beam_splitter_keeps_coherent_states_coherent():
     n_max = 18
     state_in = np.kron(fock.coherent_amplitudes(a, n_max),
                        fock.coherent_amplitudes(b, n_max))
-    out = fock.beam_splitter(trans).fock_unitary(n_max) @ state_in
+    out = beam_splitter(trans).fock_unitary(n_max) @ state_in
     t, r = math.sqrt(trans), math.sqrt(1 - trans)
     expected = np.multiply.outer(
         fock.coherent_amplitudes(t * a + r * b, n_max),
@@ -129,7 +145,7 @@ def test_beam_splitter_keeps_coherent_states_coherent():
 
 def test_mode_transform_rejects_nonunitary():
     with pytest.raises(ValueError):
-        fock.ModeTransform(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        ModeTransform(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 # the loss channel is a test reference (references.py); these pin it to its
@@ -164,15 +180,23 @@ def test_click_detector_on_coherent_state():
     # (a + b)/sqrt2 and (b - a)/sqrt2, each clicking with probability
     # 1 - (1 - p_dc) exp(-eta_d |amplitude|^2), independently
     det = fock.ClickDetector(0.33, 0.01)
-    a, b, n_max = 0.8, 0.3 - 0.5j, 30
-    c = np.kron(fock.coherent_amplitudes(a, n_max), fock.coherent_amplitudes(b, n_max))
-    coinc = hom.coincidence_from_joint(np.outer(c, c.conj()), n_max, det)
-    click = [1.0 - (1.0 - det.p_dc) * math.exp(-det.eta_d * abs(x) ** 2 / 2.0)
-             for x in (a + b, b - a)]
-    assert abs(coinc - click[0] * click[1]) < 1e-10
-    vac = np.zeros((n_max + 1) ** 2)
+    n_max = 18
+
+    def click_product(a, b):
+        return math.prod(1.0 - (1.0 - det.p_dc) * math.exp(-det.eta_d * abs(x) ** 2 / 2.0)
+                         for x in (a + b, b - a))
+
+    # vacuum and a coherent state carry no relative phase: production blocks
+    b = 0.3 - 0.5j
+    vac = np.zeros(n_max + 1)
     vac[0] = 1.0
-    dark = hom.coincidence_from_joint(np.outer(vac, vac), n_max, det)
+    coinc = hom.coincidence_from_joint(vac, fock.poisson_pmf(abs(b) ** 2, n_max), det)
+    assert abs(coinc - click_product(0.0, b)) < 1e-10
+    # two coherent inputs interfere by their phase: the dense reference splitter
+    c = np.kron(fock.coherent_amplitudes(0.8, n_max), fock.coherent_amplitudes(b, n_max))
+    assert abs(dense_coincidence(np.outer(c, c.conj()), n_max, det)
+               - click_product(0.8, b)) < 1e-10
+    dark = hom.coincidence_from_joint(vac, vac, det)
     assert abs(dark - det.p_dc**2) < 1e-15
 
 

@@ -22,7 +22,7 @@ GOLDEN = {
     },
     "hom": {
         "hom_overlap.csv": "549dc8abed5ee3a9613b1f6f68f5c8abb68f8964a522c98cea9056705063a70f",
-        "hom_visibility.csv": "c74cafb0eddc2b67d342ad9705ca0bc6eb105b57ec498547ea1669c8364c25f6",
+        "hom_visibility.csv": "f989dd8402c73d7fa1310d01ad7ae1131c4bcf5309ec352a7bab73d1fd526dc4",
     },
     "detailed": {
         "detailed_grid.csv": "548bdf10afbd318a7177ad561cad8f43a9cf86383469b069b4c31fce01075a84",

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -9,8 +10,10 @@ from scipy.integrate import quad
 from scipy.stats import binom
 
 from micromacro import hom
-from micromacro.fock import ClickDetector
-from references import classical_reference_visibility, overlap_ratio
+from micromacro.fock import ClickDetector, coherent_amplitudes, poisson_pmf
+from oracles import hom_visibility_truncated
+from references import (classical_reference_visibility, dense_output_diagonal,
+                        overlap_ratio)
 
 
 def test_expected_visibility_frozen_value():
@@ -21,9 +24,35 @@ def test_expected_visibility_frozen_value():
 def test_two_single_photons_never_coincide():
     one = np.zeros(5)
     one[1] = 1.0
-    rho = np.kron(np.diag(one), np.diag(one)).astype(complex)
-    c = hom.coincidence_from_joint(rho, 4, ClickDetector(1.0, 0.0))
+    c = hom.coincidence_from_joint(one, one, ClickDetector(1.0, 0.0))
     assert abs(c) < 1e-12
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8).filter(lambda w: sum(w) > 0),
+       st.floats(0.0, 0.6), st.floats(-math.pi, math.pi))
+@example([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.012, 0.0)
+@settings(max_examples=40, deadline=None)
+def test_output_distribution_matches_dense_splitter(weights, mean, phase):
+    # diag(q) (x) |b><b| through the dense splitter: whatever the phase of b,
+    # diag(U rho U^dag) is the block sum over q and the Poisson weights of b
+    n_max = len(weights) - 1
+    q = np.array(weights) / sum(weights)
+    c = coherent_amplitudes(math.sqrt(mean) * cmath.exp(1j * phase), n_max)
+    ref = dense_output_diagonal(np.kron(np.diag(q), np.outer(c, c.conj())), n_max)
+    got = hom.output_distribution(q, poisson_pmf(mean, n_max))
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_visibility_matches_40_digit_oracle():
+    # the default mu grid and mu* = 0.012; the no-click form cancels to about
+    # 2e-12 of V at mu = 0.001, so an error of 1e-11 there fails
+    params = hom.HomParams()
+    det = params.detector
+    for mu in [*np.linspace(0.001, 0.2, 25), 0.012]:
+        v = hom.hom_visibility(replace(params, mu_csp=float(mu)))
+        ref = hom_visibility_truncated(float(mu), params.p_pair, params.eta_h, det.eta_d,
+                                       det.p_dc, params.xi, hom.N_MAX, hom.HERALD_KMAX)
+        assert abs(v / float(ref) - 1.0) < 5e-12, mu
 
 
 def test_visibility_has_interior_maximum():

@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from micromacro import fock, macro
 from oracles import ideal_guessing_probability
-from references import coherent_density, loss_channel
+from references import coherent_density, displacement_operator, loss_channel
 
 
 def reference_smoothed_difference(p, q, sigma, spacing):
@@ -167,7 +167,7 @@ def test_components_match_dense_displacement(alpha):
     # reference: the columns D(alpha)|0> and D(alpha)|1> of the dense expm
     n_max = 60
     pair = macro.macro_components(alpha, n_max)
-    d = fock.displacement_operator(alpha, n_max)
+    d = displacement_operator(alpha, n_max)
     p_plus = np.abs(d[:, 0] + d[:, 1]) ** 2 / 2.0
     p_minus = np.abs(d[:, 0] - d[:, 1]) ** 2 / 2.0
     assert np.max(np.abs(pair.p_plus - p_plus)) < 1e-10
