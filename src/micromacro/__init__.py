@@ -13,7 +13,7 @@ memory          storage-loop back-displacement residual and jitter visibility
 cli             command-line entry point producing CSV/SVG result tables
 
 Nothing is re-exported here: import the submodule (``from micromacro import
-fock``).  Only ``tomography`` imports scipy.  Every definition here is
+fock``).  No submodule imports scipy.  Every definition here is
 reachable from the CLI, ``validate`` or the benchmark; the slow references
 the closed forms replaced live in ``tests/references.py``.
 """

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, macro, noise, polarization, spdc
+from . import __version__, macro, noise, polarization, spdc, tomography
 from . import hom as hom_mod
 from . import validate as validate_mod
 from .config import ConfigError, RunConfig
@@ -234,7 +234,6 @@ def cmd_detailed(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    from . import tomography  # scipy (L-BFGS-B) loads only for the MLE
     cfg, seed, meta = _load(args)
     w = cfg["tomo.werner_w"]
     shots = cfg["tomo.shots"]

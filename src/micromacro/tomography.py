@@ -3,13 +3,20 @@
 The default scheme measures 6 analyzer states per side (H, V, D, A, R, L),
 i.e. 36 setting pairs with four +-1 x +-1 outcomes each — an overcomplete,
 informationally complete set for two qubits.
+
+The reconstruction uses numpy alone: fixed-point steps rho <- R rho R
+(Rehacek et al., PRA 75, 042108 (2007)) from I/4, then Newton steps on the
+factor T of rho = T T^dag / tr(T T^dag), each kept only if
+tr(R(rho_new) (rho_new - rho)) > 0, which by concavity proves ascent.  The
+result is certified by max(lambda_max(R) - 1, max|R rho - rho|) <= grad_tol,
+an upper bound on the per-shot log-likelihood gap to the maximum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .polarization import TwoQubitDensity
 
@@ -60,24 +67,27 @@ class TomographyRecord:
         object.__setattr__(self, "counts", c)
 
 
-def _pair_projectors(pair) -> list[np.ndarray]:
-    """Four outcome projectors for one setting pair, (+,+), (+,-), (-,+), (-,-)."""
-    out = []
-    for ka in _outcome_projectors(pair[0]):
-        for kb in _outcome_projectors(pair[1]):
-            out.append(np.kron(ka, kb))
-    return out
-
-
 def _outcome_projectors(label: str):
     ket = ANALYZER_KETS[label]
     p = np.outer(ket, ket.conj())
     return p, np.eye(2) - p
 
 
+@cache
+def _projector_stack(pairs: tuple) -> np.ndarray:
+    """Outcome projectors of the setting pairs, four per pair in the order
+    (+,+), (+,-), (-,+), (-,-); shape (4 * len(pairs), 4, 4), read-only."""
+    stack = np.stack([np.kron(ka, kb) for a, b in pairs
+                      for ka in _outcome_projectors(a)
+                      for kb in _outcome_projectors(b)])
+    stack.flags.writeable = False
+    return stack
+
+
 def born_probabilities(rho: TwoQubitDensity, pair) -> np.ndarray:
     """2x2 outcome probabilities for one setting pair."""
-    q = np.array([np.real(np.trace(rho.matrix @ pi)) for pi in _pair_projectors(pair)])
+    q = np.array([np.real(np.trace(rho.matrix @ pi))
+                  for pi in _projector_stack((tuple(pair),))])
     q = np.clip(q, 0.0, None)
     return (q / q.sum()).reshape(2, 2)
 
@@ -100,108 +110,95 @@ def simulate_tomography(rho: TwoQubitDensity, setting_pairs=DEFAULT_SETTING_PAIR
     return TomographyRecord(tuple(setting_pairs), counts, shots)
 
 
-def _lower_triangular(x: np.ndarray) -> np.ndarray:
-    """Map 16 real parameters to a 4x4 lower-triangular complex factor."""
-    t = np.zeros((4, 4), dtype=complex)
-    t[np.diag_indices(4)] = x[:4]
-    lo = np.tril_indices(4, -1)
-    t[lo] = x[4:10] + 1j * x[10:16]
-    return t
+#: plain R rho R steps from I/4 before the first Newton step
+WARMUP_STEPS = 30
+#: halvings of a Newton step before an R rho R step replaces it
+MAX_HALVINGS = 10
 
 
-def _pack(t: np.ndarray) -> np.ndarray:
-    lo = np.tril_indices(4, -1)
-    return np.concatenate([np.real(np.diag(t)), np.real(t[lo]), np.imag(t[lo])])
+def _real(m: np.ndarray) -> np.ndarray:
+    """Complex (..., 4, 4) -> real (..., 32): real parts, then imaginary parts."""
+    flat = m.reshape(*m.shape[:-2], 16)
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def reconstruct_mle(record: TomographyRecord, max_iter: int = 4000,
                     grad_tol: float = 1e-9) -> TwoQubitDensity:
     """Maximum-likelihood state estimate, constrained PSD/unit-trace.
 
-    The state is parameterized as rho = T T^dag / tr(T T^dag) with T lower
-    triangular, so the constraints hold by construction.  Convergence is
-    certified by the optimality residual max(lambda_max(R) - 1, sup|R rho -
-    rho|) with R = sum_k (c_k / q_k) Pi_k / N, which upper-bounds the
-    per-shot log-likelihood gap to the maximum; failing to bring it below
-    ``grad_tol`` raises ConvergenceError.
+    rho = T T^dag / tr(T T^dag) with T a full complex 4x4 factor, so the
+    constraints hold by construction and the support is free to rotate.
+    After WARMUP_STEPS steps rho <- R rho R / tr from I/4, each step is a
+    Newton step on the 32 real entries of T, restricted to the Hessian's
+    eigen-directions of curvature below -1e-10 max|eig|, where the quadratic
+    model has a maximum (the scale T -> c T is flat).  The step is kept only
+    if every observed outcome keeps q > 0 and tr(R(rho_new) (rho_new - rho))
+    > 0: the log-likelihood is concave on the segment from rho to rho_new,
+    so the step ascends, and no two likelihood values, which sit below float
+    resolution near the optimum, are compared.  Otherwise it is halved, up
+    to MAX_HALVINGS times, and then replaced by an R rho R step.  Every
+    second step checks the certificate max(lambda_max(R) - 1, max|R rho -
+    rho|), with R = sum_k (c_k / q_k) Pi_k / N, which bounds the per-shot
+    log-likelihood gap to the maximum; ConvergenceError is raised if it is
+    still above ``grad_tol`` after ``max_iter`` steps in all.
     """
     if np.any(record.counts.sum(axis=(1, 2)) == 0):
         raise RankDeficiencyError("a setting pair has no counts at all")
-    projectors = []
-    for pair in record.pairs:
-        projectors.extend(_pair_projectors(pair))
-    pis = np.stack(projectors)                      # (4*n_pairs, 4, 4)
-    freqs = record.counts.reshape(-1).astype(float)
-    n_total = freqs.sum()
-
+    pis = _projector_stack(tuple(map(tuple, record.pairs)))
     # informational completeness: the projectors must span all 16 operator dims
-    span = pis.reshape(len(pis), 16)
-    if np.linalg.matrix_rank(span, tol=1e-9) < 16:
-        raise RankDeficiencyError(
-            f"projector set spans {np.linalg.matrix_rank(span, tol=1e-9)} < 16 dims"
-        )
+    rank = np.linalg.matrix_rank(pis.reshape(len(pis), 16), tol=1e-9)
+    if rank < 16:
+        raise RankDeficiencyError(f"projector set spans {rank} < 16 dims")
+    counts = record.counts.reshape(-1)
+    seen = counts > 0                    # unobserved outcomes add nothing to the likelihood
+    pis = pis[seen]
+    freqs = counts[seen] / counts.sum()
+    rows = pis.reshape(len(pis), 16).conj()
+    eye = np.eye(4)
 
-    # linear-inversion warm start, projected onto the state set
-    rho_lin, *_ = np.linalg.lstsq(span, freqs / record.shots_per_pair, rcond=None)
-    rho_lin = rho_lin.reshape(4, 4)
-    rho_lin = (rho_lin + rho_lin.conj().T) / 2
-    w, v = np.linalg.eigh(rho_lin)
-    w = np.clip(w, 0.0, None)
-    rho0 = (v * w) @ v.conj().T
-    rho0 = rho0 / np.trace(rho0) + 1e-12 * np.eye(4)
-    t0 = np.linalg.cholesky(rho0)
+    def born(t):                         # q_k = tr(Pi_k T T^dag) for tr(T T^dag) = 1
+        return np.real(rows @ (t @ t.conj().T).ravel())
 
-    def neg_ll_and_grad(x):
-        t = _lower_triangular(x)
-        m = t @ t.conj().T
-        trm = np.real(np.trace(m))
-        rho = m / trm
-        q = np.clip(np.real(np.einsum("kij,ji->k", pis, rho)), 1e-300, None)
-        ll = float(freqs @ np.log(q))
-        r_op = np.einsum("k,kij->ij", freqs / q, pis)
-        grad_m = (r_op - n_total * np.eye(4)) / trm
-        grad_t = 2.0 * grad_m @ t          # d/dT* of LL, doubled for real params
-        g = -_pack(np.tril(grad_t)) / n_total
-        return -ll / n_total, g
+    def unit(t):
+        return t / np.linalg.norm(t)
 
-    res = minimize(neg_ll_and_grad, _pack(t0), jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "gtol": 1e-13, "ftol": 1e-16})
-    t = _lower_triangular(res.x)
-    m = t @ t.conj().T
-    rho = m / np.real(np.trace(m))
-
-    def r_operator(rho):
-        q = np.clip(np.real(np.einsum("kij,ji->k", pis, rho)), 1e-300, None)
-        return np.einsum("k,kij->ij", freqs / q, pis) / n_total
-
-    def residual(rho, r_op):
-        # measuring the T-space gradient instead would drown in cancellation
-        # noise near a rank-deficient optimum; this bound does not
-        lam = float(np.linalg.eigvalsh((r_op + r_op.conj().T) / 2)[-1])
-        return max(lam - 1.0, float(np.max(np.abs(r_op @ rho - rho))))
-
-    # L-BFGS-B stops once likelihood changes fall below float resolution,
-    # which can leave the residual above the contract.  The multiplicative
-    # fixed-point update rho <- R rho R / tr keeps ascending without needing
-    # to resolve those changes, so use it to polish.
-    r_op = r_operator(rho)
-    gnorm = residual(rho, r_op)
-    if gnorm > grad_tol:
-        for it in range(20_000):
-            rho = r_op @ rho @ r_op
-            rho = (rho + rho.conj().T) / 2
-            rho = rho / np.real(np.trace(rho))
-            r_op = r_operator(rho)
-            if it % 25 == 24:
-                gnorm = residual(rho, r_op)
-                if gnorm <= grad_tol:
+    t = eye / 2
+    q = born(t)
+    gap = np.inf
+    for step in range(max_iter):
+        r_op = np.tensordot(freqs / q, pis, 1)
+        if step >= WARMUP_STEPS and step % 2 == 0:
+            rho = t @ t.conj().T
+            gap = max(np.linalg.eigvalsh(r_op)[-1] - 1.0, np.max(np.abs(r_op @ rho - rho)))
+            if gap <= grad_tol:
+                break
+        t_next = unit(r_op @ t)
+        if step >= WARMUP_STEPS:
+            # gradient and Hessian of the per-shot log-likelihood in T
+            a = r_op - eye
+            hess = 2 * np.block([[np.kron(a.real, eye), -np.kron(a.imag, eye)],
+                                 [np.kron(a.imag, eye), np.kron(a.real, eye)]])
+            jac = 2 * _real(pis @ t)     # d q_k / d T
+            hess -= jac.T @ (jac * (freqs / q ** 2)[:, None])
+            hess += 4 * np.outer(_real(t), _real(t))
+            lam, vec = np.linalg.eigh(hess)
+            up = lam < -1e-10 * np.max(np.abs(lam))
+            x = -vec[:, up] @ ((vec[:, up].T @ _real(2 * a @ t)) / lam[up])
+            dt = (x[:16] + 1j * x[16:]).reshape(4, 4)
+            for _ in range(MAX_HALVINGS):
+                t_new = unit(t + dt)
+                q_new = born(t_new)
+                # freqs @ (dq / q_new) = tr(R(rho_new) (rho_new - rho)); strict,
+                # so that a zero step (no direction to ascend) is not taken
+                if np.all(q_new > 0) and freqs @ ((q_new - q) / q_new) > 0:
+                    t_next = t_new
                     break
-    if gnorm > grad_tol:
+                dt = dt / 2
+        t = t_next
+        q = born(t)
+    else:
         raise ConvergenceError(
-            f"optimality residual {gnorm:.3g} > {grad_tol} "
-            f"(optimizer status: {res.message})"
-        )
-    w, v = np.linalg.eigh(rho)
-    rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            f"optimality residual {gap:.3g} > {grad_tol} after {max_iter} steps")
+    rho = t @ t.conj().T
     rho = (rho + rho.conj().T) / 2
     return TwoQubitDensity(rho / np.real(np.trace(rho)))

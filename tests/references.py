@@ -4,8 +4,8 @@ Each one computes a production figure the long way: the splitter and the
 displacement as dense exponentials on the full truncated Fock space, the
 loss channel as a Kraus sum, the double-pair source as four-mode amplitudes,
 the phase-jitter average by Gauss-Hermite quadrature, the storage loop slot
-by slot.  The differential tests compare the closed forms with
-them.  Unlike ``oracles.py`` (standard library and mpmath only), these use
+by slot, the tomography likelihood fit by scipy's L-BFGS-B.  The
+differential tests compare the closed forms with them.  Unlike ``oracles.py`` (standard library and mpmath only), these use
 numpy and may take production parameter classes as input.
 """
 import cmath
@@ -15,8 +15,10 @@ from functools import reduce
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from scipy.optimize import minimize
 
-from micromacro import fock, hom, memory, spdc
+from micromacro import fock, hom, memory, spdc, tomography
+from micromacro.polarization import TwoQubitDensity
 
 
 # ---- fock: dense Fock-space algebra ----
@@ -293,3 +295,120 @@ def three_pulse_train(alpha: complex, params: memory.MemoryParams,
     """
     first = memory_pass(PulseTrain(((0, alpha),)), params)
     return memory_pass(apply_phase(first, phi), params)
+
+
+# ---- tomography: the L-BFGS-B maximum-likelihood fit ----
+
+def tomography_projectors(pairs) -> np.ndarray:
+    """Outcome projectors, four per setting pair: (+,+), (+,-), (-,+), (-,-)."""
+    out = []
+    for pair in pairs:
+        sides = []
+        for label in pair:
+            ket = tomography.ANALYZER_KETS[label]
+            p = np.outer(ket, ket.conj())
+            sides.append((p, np.eye(2) - p))
+        out.extend(np.kron(ka, kb) for ka in sides[0] for kb in sides[1])
+    return np.stack(out)
+
+
+def _lower_triangular(x: np.ndarray) -> np.ndarray:
+    """Map 16 real parameters to a 4x4 lower-triangular complex factor."""
+    t = np.zeros((4, 4), dtype=complex)
+    t[np.diag_indices(4)] = x[:4]
+    lo = np.tril_indices(4, -1)
+    t[lo] = x[4:10] + 1j * x[10:16]
+    return t
+
+
+def _pack(t: np.ndarray) -> np.ndarray:
+    lo = np.tril_indices(4, -1)
+    return np.concatenate([np.real(np.diag(t)), np.real(t[lo]), np.imag(t[lo])])
+
+
+def reference_mle(record, max_iter: int = 4000, grad_tol: float = 1e-9):
+    """The scipy maximum-likelihood fit ``tomography.reconstruct_mle`` replaced.
+
+    rho = T T^dag / tr with T lower triangular, started from the projected
+    linear inversion and fitted by L-BFGS-B, then polished by rho <- R rho R
+    until the certificate max(lambda_max(R) - 1, max|R rho - rho|) is below
+    ``grad_tol`` (ConvergenceError otherwise, as in production).
+    """
+    if np.any(record.counts.sum(axis=(1, 2)) == 0):
+        raise tomography.RankDeficiencyError("a setting pair has no counts at all")
+    pis = tomography_projectors(record.pairs)
+    freqs = record.counts.reshape(-1).astype(float)
+    n_total = freqs.sum()
+    span = pis.reshape(len(pis), 16)
+    if np.linalg.matrix_rank(span, tol=1e-9) < 16:
+        raise tomography.RankDeficiencyError("projector set spans < 16 dims")
+
+    # linear-inversion warm start, projected onto the state set
+    rho_lin, *_ = np.linalg.lstsq(span, freqs / record.shots_per_pair, rcond=None)
+    rho_lin = rho_lin.reshape(4, 4)
+    rho_lin = (rho_lin + rho_lin.conj().T) / 2
+    w, v = np.linalg.eigh(rho_lin)
+    rho0 = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    rho0 = rho0 / np.trace(rho0) + 1e-12 * np.eye(4)
+    t0 = np.linalg.cholesky(rho0)
+
+    def neg_ll_and_grad(x):
+        t = _lower_triangular(x)
+        m = t @ t.conj().T
+        trm = np.real(np.trace(m))
+        q = np.clip(np.real(np.einsum("kij,ji->k", pis, m / trm)), 1e-300, None)
+        r_op = np.einsum("k,kij->ij", freqs / q, pis)
+        grad_m = (r_op - n_total * np.eye(4)) / trm
+        grad_t = 2.0 * grad_m @ t          # d/dT* of LL, doubled for real params
+        return -float(freqs @ np.log(q)) / n_total, -_pack(np.tril(grad_t)) / n_total
+
+    res = minimize(neg_ll_and_grad, _pack(t0), jac=True, method="L-BFGS-B",
+                   options={"maxiter": max_iter, "gtol": 1e-13, "ftol": 1e-16})
+    t = _lower_triangular(res.x)
+    rho = t @ t.conj().T / np.real(np.trace(t @ t.conj().T))
+
+    def r_operator(rho):
+        q = np.clip(np.real(np.einsum("kij,ji->k", pis, rho)), 1e-300, None)
+        return np.einsum("k,kij->ij", freqs / q, pis) / n_total
+
+    def residual(rho, r_op):
+        lam = float(np.linalg.eigvalsh((r_op + r_op.conj().T) / 2)[-1])
+        return max(lam - 1.0, float(np.max(np.abs(r_op @ rho - rho))))
+
+    r_op = r_operator(rho)
+    gnorm = residual(rho, r_op)
+    if gnorm > grad_tol:
+        for it in range(20_000):
+            rho = r_op @ rho @ r_op
+            rho = (rho + rho.conj().T) / 2
+            rho = rho / np.real(np.trace(rho))
+            r_op = r_operator(rho)
+            if it % 25 == 24:
+                gnorm = residual(rho, r_op)
+                if gnorm <= grad_tol:
+                    break
+    if gnorm > grad_tol:
+        raise tomography.ConvergenceError(
+            f"optimality residual {gnorm:.3g} > {grad_tol} "
+            f"(optimizer status: {res.message})")
+    w, v = np.linalg.eigh(rho)
+    rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    rho = (rho + rho.conj().T) / 2
+    return TwoQubitDensity(rho / np.real(np.trace(rho)))
+
+
+def tomography_fit(record, rho: np.ndarray) -> tuple[float, float]:
+    """(certificate, per-shot log-likelihood) of a state for a record.
+
+    The certificate is max(lambda_max(R) - 1, max|R rho - rho|) with
+    R = sum_k (c_k / q_k) Pi_k / N over the observed outcomes; it bounds
+    how far the log-likelihood is below its maximum.
+    """
+    pis = tomography_projectors(record.pairs)
+    counts = record.counts.reshape(-1)
+    seen = counts > 0
+    pis, freqs = pis[seen], counts[seen] / counts.sum()
+    q = np.real(np.einsum("kij,ji->k", pis, rho))
+    r_op = np.einsum("k,kij->ij", freqs / q, pis)
+    cert = max(np.linalg.eigvalsh(r_op)[-1] - 1.0, np.max(np.abs(r_op @ rho - rho)))
+    return float(cert), float(freqs @ np.log(q))

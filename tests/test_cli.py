@@ -287,10 +287,10 @@ def test_add_row_checks_arity():
         table.add_row(1.0)
 
 
-def test_cli_loads_no_scipy_outside_the_solvers(tmp_path):
-    # only the MLE of tomo (L-BFGS-B) needs scipy; importing the CLI and
-    # running curves, size, hom, detailed and validate must not load it.
-    # No subcommand starts worker processes, so no process-pool module loads
+def test_no_subcommand_loads_scipy(tmp_path):
+    # the package is numpy-only: importing the CLI and running every
+    # subcommand must not load scipy.  No subcommand starts worker
+    # processes, so no process-pool module loads either
     script = (
         "import sys\n"
         "from micromacro import cli\n"
@@ -300,7 +300,7 @@ def test_cli_loads_no_scipy_outside_the_solvers(tmp_path):
         "    print('scipy', loaded('scipy'))\n"
         "    print('pool', loaded('multiprocessing', 'concurrent'))\n"
         "report()\n"
-        "for cmd in ('curves', 'size', 'hom', 'detailed', 'validate'):\n"
+        "for cmd in ('curves', 'size', 'hom', 'detailed', 'tomo', 'validate'):\n"
         f"    cli.main([cmd, '--out', {str(tmp_path)!r}])\n"
         "report()\n"
     )

@@ -29,8 +29,8 @@ GOLDEN = {
         "detailed_summary.csv": "602ddd4fa28bb7962a499eaa7eceaecd976fb8e443b8a942ca19b6e08f2419b4",
     },
     "tomo": {
-        "tomo_matrix.csv": "787ab8dd19a3775286cf974f0aa009aa4a777b8809340583c83b6a4d502cdce5",
-        "tomo_summary.csv": "33ca371dcc18d6c6bdf5d3b115db4667dbffffd4fc11f9ebe742bf2b9e933f70",
+        "tomo_matrix.csv": "edcd8dd1d10c6020b6508ac0ea143770dedbcec92902ed129317a7ddffeea6c0",
+        "tomo_summary.csv": "540b4c82cb43435ffd8c0685ef2e9e2e2a29f96b4a492dd6ab0c916dea9f3156",
     },
 }
 

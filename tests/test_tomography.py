@@ -1,8 +1,13 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micromacro import polarization as pol
 from micromacro import tomography as tomo
+from references import reference_mle, tomography_fit
 
 
 def test_born_probabilities_normalized():
@@ -56,3 +61,33 @@ def test_incomplete_setting_set_rejected():
                                       shots=1_000, rng_seed=0)
     with pytest.raises(tomo.RankDeficiencyError):
         tomo.reconstruct_mle(record)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.floats(0.0, 0.99), shots=st.sampled_from([100, 1000, 20_000]),
+       rng_seed=st.integers(0, 2**32 - 1))
+def test_mle_matches_the_scipy_reference(w, shots, rng_seed):
+    # the Newton ascent certifies on every record, and wherever the L-BFGS-B
+    # fit certifies too, its likelihood is no lower than the fit's beyond
+    # the certificate bound
+    record = tomo.simulate_tomography(pol.werner_state(w), shots=shots, rng_seed=rng_seed)
+    cert, ll = tomography_fit(record, tomo.reconstruct_mle(record).matrix)
+    assert cert <= 1e-9
+    try:
+        ref = reference_mle(record)
+    except tomo.ConvergenceError:
+        return
+    assert ll >= tomography_fit(record, ref.matrix)[1] - 1e-9
+
+
+@pytest.mark.parametrize("rng_seed", [12, 13, 15, 20, 40, 52])
+def test_near_pure_state_certifies(rng_seed):
+    # the L-BFGS-B fit and its R rho R polish (references.reference_mle)
+    # raise ConvergenceError on these records
+    record = tomo.simulate_tomography(pol.werner_state(0.999), shots=100_000,
+                                      rng_seed=rng_seed)
+    start = time.perf_counter()
+    est = tomo.reconstruct_mle(record)
+    elapsed = time.perf_counter() - start
+    assert tomography_fit(record, est.matrix)[0] <= 1e-9
+    assert elapsed < 0.25
