@@ -183,7 +183,7 @@ def cmd_detailed(args) -> int:
         "detailed_grid",
         ["theta_a_deg", "theta_b_deg", "p_pp", "p_pm", "p_mp", "p_mm",
          "correlator"],
-        meta=dict(meta, command="detailed", g_reading=params.g_reading),
+        meta=dict(meta, command="detailed"),
     )
     for (ta, tb), j in zip(grid, joints):
         table.add_row(ta, tb, j.p_pp, j.p_pm, j.p_mp, j.p_mm, j.correlator())
@@ -192,8 +192,7 @@ def cmd_detailed(args) -> int:
     summary = ResultTable(
         "detailed_summary", ["key", "value"],
         meta=dict(meta, command="detailed",
-                  settings_deg=",".join(f"{d:g}" for d in spdc.CHSH_SETTINGS_DEG),
-                  g_reading=params.g_reading),
+                  settings_deg=",".join(f"{d:g}" for d in spdc.CHSH_SETTINGS_DEG)),
     )
     summary.add_row("chsh_s", spdc.chsh_from_detailed(spdc.CHSH_SETTINGS, params))
     summary.add_row("herald_probability",
@@ -206,8 +205,7 @@ def cmd_detailed(args) -> int:
             "detailed_oracle",
             ["theta_a_deg", "theta_b_deg", "outcome", "analytic", "mc_value",
              "mc_se", "deviation_se"],
-            meta=dict(meta, command="detailed", mc_samples=samples,
-                      g_reading=params.g_reading),
+            meta=dict(meta, command="detailed", mc_samples=samples),
         )
         for i, ((ta, tb), joint) in enumerate(zip(grid, joints)):
             est = spdc.monte_carlo_oracle(math.radians(ta), math.radians(tb), params,

@@ -2,10 +2,10 @@
 
 ``#`` starts a comment, blank lines are ignored, and any key outside the
 schema is rejected, as is any value outside its range: floats must be
-finite, sizes (alpha^2, beta^2) and pulse means at least 0, windows above
-0, grid sizes and shot counts at least 1, seeds and band sample counts at
-least 0, and oracle sample counts 0 (off) or at least 2.  Every grid's
-``*_min`` must lie below its ``*_max``.  Defaults
+finite, sizes (alpha^2, beta^2) and pulse means at least 0, windows and
+the pair probability above 0, grid sizes and shot counts at least 1, seeds
+and band sample counts at least 0, and oracle sample counts 0 (off) or at
+least 2.  Every grid's ``*_min`` must lie below its ``*_max``.  Defaults
 reproduce the reference experiment, so an empty config is a valid complete
 run.  The resolved key/value map has a canonical text form whose SHA-256 is
 stamped into every output table.
@@ -65,12 +65,6 @@ def _mc_samples(s: str) -> int:
     return value
 
 
-def _reading(s: str) -> str:
-    if s not in ("per_mode", "projected"):
-        raise ValueError(f"bad g_reading {s!r}")
-    return s
-
-
 _NOISE_KEYS = ("eta_h", "bs_t", "eta", "vis", "v_mm", "eta_abs", "r_overlap",
                "kappa", "sd_eta_h", "sd_eta", "sd_vis")
 _DETAILED_KEYS = ("g", "r", "eta_d", "p_dc", "t1", "t2", "eta_c", "gamma",
@@ -87,7 +81,7 @@ SCHEMA: dict[str, tuple] = {
     "size.points": (_count, 15),
     "size.beta_sq_star": (_nonnegative_float, 47.0),
     "size.target_p_g": (_float, 2.0 / 3.0),
-    "hom.p_pair": (_float, 0.005),
+    "hom.p_pair": (_positive_float, 0.005),
     "hom.eta_h": (_float, 0.19),
     "hom.xi": (_float, 1.0),
     "hom.eta_d": (_float, 0.5),
@@ -101,7 +95,6 @@ SCHEMA: dict[str, tuple] = {
     "hom.window_min": (_positive_float, 0.5),
     "hom.window_max": (_positive_float, 6.0),
     "hom.window_points": (_count, 23),
-    "detailed.g_reading": (_reading, "per_mode"),
     "detailed.mc_samples": (_mc_samples, 0),
     "tomo.shots": (_count, 100_000),
     "tomo.werner_w": (_float, 0.94),
@@ -182,6 +175,4 @@ class RunConfig:
         return ExperimentParams(**{k: self[f"noise.{k}"] for k in _NOISE_KEYS})
 
     def detailed_params(self) -> DetailedParams:
-        kw = {k: self[f"detailed.{k}"] for k in _DETAILED_KEYS}
-        kw["g_reading"] = self["detailed.g_reading"]
-        return DetailedParams(**kw)
+        return DetailedParams(**{k: self[f"detailed.{k}"] for k in _DETAILED_KEYS})

@@ -63,11 +63,10 @@ class TemporalProfiles:
 
     csp_fwhm: float = 1.0
     hsp_tau_c: float = 1.9
-    window: float = 3.0
 
     def __post_init__(self):
-        if self.csp_fwhm <= 0 or self.hsp_tau_c <= 0 or self.window <= 0:
-            raise ValueError("widths and window must be positive")
+        if self.csp_fwhm <= 0 or self.hsp_tau_c <= 0:
+            raise ValueError("widths must be positive")
 
 
 def heralded_signal_dist(p_pair: float, eta_h: float) -> np.ndarray:
@@ -123,10 +122,8 @@ def coincidence_from_joint(q_a: np.ndarray, p_b: np.ndarray, det: ClickDetector,
     return 1.0 - pnc_a - pnc_b + pnc_ab
 
 
-def coincidence_probability(params: HomParams, xi: float | None = None) -> float:
+def coincidence_probability(params: HomParams, xi: float) -> float:
     """Coincidence rate with the CSP mode-matched fraction xi."""
-    if xi is None:
-        xi = params.xi
     q = np.zeros(N_MAX + 1)
     q[: HERALD_KMAX + 1] = heralded_signal_dist(params.p_pair, params.eta_h)
     return coincidence_from_joint(
@@ -137,7 +134,7 @@ def coincidence_probability(params: HomParams, xi: float | None = None) -> float
 
 def hom_visibility(params: HomParams) -> float:
     """V = (R_perp - R_par) / R_perp."""
-    r_par = coincidence_probability(params)
+    r_par = coincidence_probability(params, params.xi)
     r_perp = coincidence_probability(params, xi=0.0)
     # below ~100 eps the subtractions above are pure cancellation noise
     if r_perp <= 1e-14:
@@ -162,7 +159,7 @@ def _erfcx(x: float) -> float:
     return series / (x * math.sqrt(math.pi))
 
 
-def temporal_overlap(profiles: TemporalProfiles, window: float | None = None) -> float:
+def temporal_overlap(profiles: TemporalProfiles, window: float) -> float:
     """Squared normalized overlap of the window-restricted amplitude profiles.
 
     With the CSP amplitude g(t) = exp(-t^2 / 2s^2) and the heralded amplitude
@@ -171,8 +168,8 @@ def temporal_overlap(profiles: TemporalProfiles, window: float | None = None) ->
     int g h = s sqrt(2 pi) e^(a^2) [erfc(a) - erfc(a + w / (2 sqrt2 s))]
     with a = s / (sqrt2 tau), written through erfcx(x) = e^(x^2) erfc(x).
     """
-    if window is None:
-        window = profiles.window
+    if window <= 0:
+        raise ValueError("window must be positive")
     s = profiles.csp_fwhm / (2.0 * math.sqrt(math.log(2.0)))
     tau = profiles.hsp_tau_c
     half = window / 2.0

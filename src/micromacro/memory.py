@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class MemoryParams:
@@ -49,19 +47,13 @@ def mean_residual_photons(alpha: complex, sigma_phi: float,
         * (1.0 - math.exp(-sigma_phi**2 / 2.0))
 
 
-def visibility_from_errors(delta_a: float, sigma_phi: float,
-                           nodes: int = 61) -> float:
+def visibility_from_errors(delta_a: float, sigma_phi: float) -> float:
     """Interference visibility under amplitude mismatch and phase jitter.
 
-    V = 1 - <I(pi + x)> / I(0) with I(phi) = |1 + (1 + delta_a) e^{i phi}|^2
-    and x ~ N(0, sigma_phi^2): the jitter-averaged dark-port power relative
-    to the bright fringe.  The average is a Gauss-Hermite quadrature.
+    V = 1 - <I(pi + x)> / I(0) with I(phi) = |1 + r e^{i phi}|^2, r = 1 + delta_a
+    and x ~ N(0, sigma_phi^2), the jitter-averaged dark-port power relative to
+    the bright fringe; <cos x> = e^(-sigma_phi^2 / 2) gives the closed form
+    V = 1 - (1 + r^2 - 2 r e^(-sigma_phi^2 / 2)) / (1 + r)^2.
     """
-    if sigma_phi < 0:
-        raise ValueError("sigma_phi must be >= 0")
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    x = math.sqrt(2.0) * sigma_phi * t
     r = 1.0 + delta_a
-    dark = np.abs(1.0 + r * np.exp(1j * (math.pi + x))) ** 2
-    mean_dark = float(np.dot(w, dark) / math.sqrt(math.pi))
-    return 1.0 - mean_dark / (1.0 + r) ** 2
+    return 1.0 - (1.0 + r * r - 2.0 * r * math.exp(-sigma_phi**2 / 2.0)) / (1.0 + r) ** 2

@@ -21,12 +21,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 class TwoQubitDensity:
     """4x4 polarization density matrix (Hermitian, unit trace, PSD)."""
 
-    def __init__(self, matrix, check: bool = True):
+    def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=complex)
         if self.matrix.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
-        if check:
-            check_density_matrix(self.matrix)
+        check_density_matrix(self.matrix)
 
 
 @dataclass(frozen=True)

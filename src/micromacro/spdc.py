@@ -35,9 +35,7 @@ class DetailedParams:
     """Source, propagation and detection parameters of the detailed model.
 
     ``r`` is the amplitude remainder of the herald tap: a herald efficiency
-    eta_A corresponds to r = sqrt(1 - eta_A).  ``g_reading`` selects which
-    exponent-damping coefficient the double-click factor uses; the printed
-    forms disagree and ``per_mode`` is the one the sampling oracle confirms.
+    eta_A corresponds to r = sqrt(1 - eta_A).
     """
 
     g: float = 0.2
@@ -49,7 +47,6 @@ class DetailedParams:
     eta_c: float = 0.5
     gamma: float = 2.0
     sigma_phi: float = math.sqrt(2.0 * 0.0015)
-    g_reading: str = "per_mode"
 
     def __post_init__(self):
         if self.g < 0 or not 0.0 <= self.r <= 1.0:
@@ -59,8 +56,6 @@ class DetailedParams:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.sigma_phi < 0:
             raise ValueError("sigma_phi must be nonnegative")
-        if self.g_reading not in ("per_mode", "projected"):
-            raise ValueError("g_reading must be 'per_mode' or 'projected'")
 
 
 @dataclass(frozen=True)
@@ -134,16 +129,13 @@ def _f_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams, eta: float,
 
 def _g_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams, eta: float,
               eps: float) -> float:
-    """E[no click on either detector]; arguments as for ``_f_factor``."""
+    """E[no click on either detector]; arguments as for ``_f_factor``.  Each
+    thermal mode damps the leak exponent on its own axis, as sampling confirms."""
     gg = 1.0 / ((1.0 + nu_b * eta) * (1.0 + nu_p * eta))
-    if p.g_reading == "per_mode":
-        z = p.t2**2 * p.gamma**2 * p.eta_d * (
-            math.cos(th_a) ** 2 / (1.0 + nu_b * eta)
-            + math.sin(th_a) ** 2 / (1.0 + nu_p * eta)
-        )
-    else:
-        d = 1.0 + (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
-        z = p.t2**2 * p.gamma**2 * p.eta_d * math.cos(th_a - th_b) ** 2 / d
+    z = p.t2**2 * p.gamma**2 * p.eta_d * (
+        math.cos(th_a) ** 2 / (1.0 + nu_b * eta)
+        + math.sin(th_a) ** 2 / (1.0 + nu_p * eta)
+    )
     return gg / math.sqrt(1.0 + 4.0 * z * eps)
 
 

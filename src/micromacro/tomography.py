@@ -8,7 +8,7 @@ The reconstruction uses numpy alone: fixed-point steps rho <- R rho R
 (Rehacek et al., PRA 75, 042108 (2007)) from I/4, then Newton steps on the
 factor T of rho = T T^dag / tr(T T^dag), each kept only if
 tr(R(rho_new) (rho_new - rho)) > 0, which by concavity proves ascent.  The
-result is certified by max(lambda_max(R) - 1, max|R rho - rho|) <= grad_tol,
+result is certified by max(lambda_max(R) - 1, max|R rho - rho|) <= GRAD_TOL,
 an upper bound on the per-shot log-likelihood gap to the maximum.
 """
 from __future__ import annotations
@@ -114,6 +114,10 @@ def simulate_tomography(rho: TwoQubitDensity, setting_pairs=DEFAULT_SETTING_PAIR
 WARMUP_STEPS = 30
 #: halvings of a Newton step before an R rho R step replaces it
 MAX_HALVINGS = 10
+#: steps in all before ConvergenceError
+MAX_STEPS = 4000
+#: certificate bound on the per-shot log-likelihood gap to the maximum
+GRAD_TOL = 1e-9
 
 
 def _real(m: np.ndarray) -> np.ndarray:
@@ -122,8 +126,7 @@ def _real(m: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
-def reconstruct_mle(record: TomographyRecord, max_iter: int = 4000,
-                    grad_tol: float = 1e-9) -> TwoQubitDensity:
+def reconstruct_mle(record: TomographyRecord) -> TwoQubitDensity:
     """Maximum-likelihood state estimate, constrained PSD/unit-trace.
 
     rho = T T^dag / tr(T T^dag) with T a full complex 4x4 factor, so the
@@ -140,7 +143,7 @@ def reconstruct_mle(record: TomographyRecord, max_iter: int = 4000,
     second step checks the certificate max(lambda_max(R) - 1, max|R rho -
     rho|), with R = sum_k (c_k / q_k) Pi_k / N, which bounds the per-shot
     log-likelihood gap to the maximum; ConvergenceError is raised if it is
-    still above ``grad_tol`` after ``max_iter`` steps in all.
+    still above GRAD_TOL after MAX_STEPS steps in all.
     """
     if np.any(record.counts.sum(axis=(1, 2)) == 0):
         raise RankDeficiencyError("a setting pair has no counts at all")
@@ -165,12 +168,12 @@ def reconstruct_mle(record: TomographyRecord, max_iter: int = 4000,
     t = eye / 2
     q = born(t)
     gap = np.inf
-    for step in range(max_iter):
+    for step in range(MAX_STEPS):
         r_op = np.tensordot(freqs / q, pis, 1)
         if step >= WARMUP_STEPS and step % 2 == 0:
             rho = t @ t.conj().T
             gap = max(np.linalg.eigvalsh(r_op)[-1] - 1.0, np.max(np.abs(r_op @ rho - rho)))
-            if gap <= grad_tol:
+            if gap <= GRAD_TOL:
                 break
         t_next = unit(r_op @ t)
         if step >= WARMUP_STEPS:
@@ -198,7 +201,7 @@ def reconstruct_mle(record: TomographyRecord, max_iter: int = 4000,
         q = born(t)
     else:
         raise ConvergenceError(
-            f"optimality residual {gap:.3g} > {grad_tol} after {max_iter} steps")
+            f"optimality residual {gap:.3g} > {GRAD_TOL} after {MAX_STEPS} steps")
     rho = t @ t.conj().T
     rho = (rho + rho.conj().T) / 2
     return TwoQubitDensity(rho / np.real(np.trace(rho)))

@@ -2,11 +2,12 @@
 
 Each one computes a production figure the long way: the splitter and the
 displacement as dense exponentials on the full truncated Fock space, the
-loss channel as a Kraus sum, the double-pair source as four-mode amplitudes,
-the phase-jitter average by Gauss-Hermite quadrature, the storage loop slot
-by slot, the tomography likelihood fit by scipy's L-BFGS-B.  The
-differential tests compare the closed forms with them.  Unlike ``oracles.py`` (standard library and mpmath only), these use
-numpy and may take production parameter classes as input.
+loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
+(and its rejected double-click reading), the phase-jitter average by
+Gauss-Hermite quadrature, the storage loop slot by slot, the tomography
+likelihood fit by scipy's L-BFGS-B.  The differential tests compare the
+closed forms with them.  Unlike ``oracles.py`` (standard library and mpmath
+only), these use numpy and may take production parameter classes as input.
 """
 import cmath
 import math
@@ -236,6 +237,16 @@ def conditional_state_coeffs(g: float, r: float, p_dc: float,
     pn = thermal_dist(nbar, n_max)
     pm = thermal_dist(mbar, n_max)
     return w1 * np.outer(pn, pm) - w2 * np.outer(pm, pm)
+
+
+def projected_g_factor(nu_b, nu_p, th_a, th_b, p, eta, eps) -> float:
+    """The rejected reading of ``spdc._g_factor``: the leak exponent damped
+    by the analyzer-projected thermal mean, as in ``spdc._f_factor``, not
+    mode by mode.  Same arguments; the sampling test shows it wrong."""
+    gg = 1.0 / ((1.0 + nu_b * eta) * (1.0 + nu_p * eta))
+    d = 1.0 + (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
+    z = p.t2**2 * p.gamma**2 * p.eta_d * math.cos(th_a - th_b) ** 2 / d
+    return gg / math.sqrt(1.0 + 4.0 * z * eps)
 
 
 def gauss_hermite_phase_average(fn, sigma: float, n_nodes: int = 61) -> float:

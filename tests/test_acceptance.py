@@ -89,21 +89,14 @@ def test_criterion_5_detailed_model_against_sampling_oracle():
                                       spdc.DetailedParams(), n_samples, seed)
         estimates.append((ta, tb, est))
 
-    passing = []
-    worst = {}
-    for reading in ("per_mode", "projected"):
-        params = spdc.DetailedParams(g_reading=reading)
-        devs = []
-        for ta, tb, est in estimates:
-            ana = spdc.joint_probabilities(math.radians(ta), math.radians(tb),
-                                           params).as_array()
-            se = np.maximum(est.errors.as_array(), 1e-12)
-            devs.append(np.max(np.abs(est.joints.as_array() - ana) / se))
-        worst[reading] = max(devs)
-        if worst[reading] <= 3.0:
-            passing.append(reading)
-    print(f"readings within 3 SE everywhere: {passing} (worst dev: {worst})")
-    assert passing, f"no reading fits the oracle, worst deviations: {worst}"
+    devs = []
+    for ta, tb, est in estimates:
+        ana = spdc.joint_probabilities(math.radians(ta), math.radians(tb),
+                                       spdc.DetailedParams()).as_array()
+        se = np.maximum(est.errors.as_array(), 1e-12)
+        devs.append(np.max(np.abs(est.joints.as_array() - ana) / se))
+    print(f"worst deviation of the per-mode reading: {max(devs):.3f} SE")
+    assert max(devs) <= 3.0, f"the model misses the oracle by {max(devs):.3f} SE"
 
 
 def test_criterion_6a_poisson_series_identity():

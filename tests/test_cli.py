@@ -79,8 +79,9 @@ def test_config_rejects_bad_input():
         parse_config_text("run.seed = 1\ncurves.points = three\n")
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("just some words")
-    with pytest.raises(ConfigError):
-        parse_config_text("detailed.g_reading = averaged")
+    # the double-click factor has one reading; the old selector is no key
+    with pytest.raises(ConfigError, match="line 1.*unknown key"):
+        parse_config_text("detailed.g_reading = per_mode")
 
 
 @pytest.mark.parametrize("command, line", [
@@ -104,6 +105,8 @@ def test_config_rejects_bad_input():
     ("hom", "hom.mu_min = -0.5"),
     ("hom", "hom.mu_max = 0.001"),
     ("hom", "hom.mu_star = -1"),
+    ("hom", "hom.p_pair = 0"),
+    ("hom", "hom.p_pair = -0.1"),
     ("hom", "hom.window_min = 0"),
     ("hom", "hom.window_max = -1"),
     ("hom", "hom.window_min = 6"),
@@ -124,6 +127,17 @@ def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
         err = capsys.readouterr().err
         assert "line 2: bad value" in err and line.split()[0] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["hom.hsp_tau_c = 1e-300", "hom.csp_fwhm = 1e300"])
+def test_non_finite_cell_exits_with_a_message(tmp_path, capsys, line):
+    # the window overlap evaluates exp(inf - inf) at these extreme widths;
+    # the table refuses the NaN instead of writing it
+    cfg = write_config(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert run(["hom", "--config", cfg, "--out", out]) == 1
+    assert "error: hom_overlap: non-finite xi = nan" in capsys.readouterr().err
+    assert not (out / "hom_overlap.csv").exists()
 
 
 def test_removed_jobs_flag_is_a_usage_error(tmp_path, capsys):
@@ -285,6 +299,14 @@ def test_add_row_checks_arity():
     table = ResultTable("demo", ["x", "y"])
     with pytest.raises(ValueError):
         table.add_row(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_add_row_refuses_non_finite_floats(bad):
+    table = ResultTable("demo", ["x", "y"])
+    with pytest.raises(ValueError, match="demo: non-finite y"):
+        table.add_row(1.0, bad)
+    assert table.rows == []
 
 
 def test_no_subcommand_loads_scipy(tmp_path):

@@ -13,32 +13,32 @@ from micromacro import cli
 
 GOLDEN = {
     "curves": {
-        "reference_points.csv": "6cac7d0537f63dccbe4bfb3155a4dcf9b8d4f547cc21b4c6e7e52bd9434602cc",
-        "witness_curves.csv": "fef4b9319fdd8b7e60987d755ecb58a06fa3893b442627b4264825a47b700bdc",
+        "reference_points.csv": "7de27e404f72fddce573f312525a2b7b55244b4d6028d4d1bc749ad499c8b95e",
+        "witness_curves.csv": "4515ebf2cfd70b758df2641197df3099b0765b58ef1033b39769c21eca9a2c54",
     },
     "size": {
-        "size_curve.csv": "d81ca020bc6781cef583875ab3f391ad356bc421593028cc7f9c5c9268d057d6",
-        "size_summary.csv": "8d98593a07a133e4d25bc9d427a64ed0972e8c7e51242578efc74821dc649b14",
+        "size_curve.csv": "86deae1cfc8780b0c2537b0cb987688822354f1ffe1255d8171addf998fda293",
+        "size_summary.csv": "ba4a867461c5742e535dcd9a71d53f890810fd4b491ebb5fb7252798ed5d1f6f",
     },
     "hom": {
-        "hom_overlap.csv": "549dc8abed5ee3a9613b1f6f68f5c8abb68f8964a522c98cea9056705063a70f",
-        "hom_visibility.csv": "f989dd8402c73d7fa1310d01ad7ae1131c4bcf5309ec352a7bab73d1fd526dc4",
+        "hom_overlap.csv": "2df43da122c040d4fb9146f7410d0626d0182c9baaf351697c63030c786b5e1c",
+        "hom_visibility.csv": "afad72ff1a125d4699dbb5ecf138e8db31fd97dd4cfe14f466c4dce778541b7b",
     },
     "detailed": {
-        "detailed_grid.csv": "548bdf10afbd318a7177ad561cad8f43a9cf86383469b069b4c31fce01075a84",
-        "detailed_summary.csv": "602ddd4fa28bb7962a499eaa7eceaecd976fb8e443b8a942ca19b6e08f2419b4",
+        "detailed_grid.csv": "57b7147ad2223fd365da2178e427557c498fdf880cc64f2c19f8b53c66940400",
+        "detailed_summary.csv": "717bfb9a1c4b7d63c467c3d23880873eb836d47e4d36ba1bdd5ff412de0190ed",
     },
     "tomo": {
-        "tomo_matrix.csv": "edcd8dd1d10c6020b6508ac0ea143770dedbcec92902ed129317a7ddffeea6c0",
-        "tomo_summary.csv": "540b4c82cb43435ffd8c0685ef2e9e2e2a29f96b4a492dd6ab0c916dea9f3156",
+        "tomo_matrix.csv": "534e1eddcef7e72ca1148c90955fbf84f121b6f35c4668b1b947a8a5566c413e",
+        "tomo_summary.csv": "da4bff8297e0aab7cff8664fdab3d9f09be7941a44992f2bc4fb9a80e09b911a",
     },
 }
 
 #: ``detailed`` with ``detailed.mc_samples = 2000``
 GOLDEN_ORACLE = {
-    "detailed_grid.csv": "f4e3085754ba7e8d43bfebcdb90b0a36286ef9ccf8ebffd5855748413d1aa34a",
-    "detailed_oracle.csv": "91f26cadd69da7448a33934e145a0e8b65d4edd40eb74709bf20cb889e240987",
-    "detailed_summary.csv": "0a65e60cd405adf817496c06d3ed8ccbd527e29ced22e33e0268b99069156862",
+    "detailed_grid.csv": "efd1b292e2c0ac130a357d6b36f0997651e98936f871caf591afdb4ec841feeb",
+    "detailed_oracle.csv": "36bc8b5dbee8f35d67bdeee0ad43a6b92904a8fa3bb1b9fca9f2e8b7ee4ba10c",
+    "detailed_summary.csv": "fcdb8441376cd1d9cffc13d129fb6fe16b5786394f453903dec5a2e65a300052",
 }
 
 

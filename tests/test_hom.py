@@ -176,3 +176,5 @@ def test_parameter_validation():
         hom.HomParams(xi=1.5)
     with pytest.raises(ValueError):
         hom.TemporalProfiles(csp_fwhm=-1.0)
+    with pytest.raises(ValueError):
+        hom.temporal_overlap(hom.TemporalProfiles(), 0.0)

@@ -15,11 +15,16 @@ from references import coherent_density, displacement_operator, loss_channel
 
 def reference_smoothed_difference(p, q, sigma, spacing):
     """The sigma-smoothed p - q on the grid of the per-photon loop: one
-    Gaussian per outcome n, evaluated at every grid point."""
+    Gaussian per outcome n, evaluated at every grid point.  The grid spans
+    mean +- 8 sigma +- 8 sqrt(mean), widened by whole steps to cover the
+    whole support +- 8 sigma, whatever mass lies outside."""
     means = [macro.mean_photon(p), macro.mean_photon(q)]
     lo_mean, hi_mean = min(means), max(means)
     margin = 8.0 * sigma + 8.0 * math.sqrt(hi_mean + 1.0)
-    x = np.arange(lo_mean - margin, hi_mean + margin + spacing, spacing)
+    start = lo_mean - margin
+    start -= spacing * max(0, math.ceil((start + 8.0 * sigma) / spacing))
+    stop = max(hi_mean + margin, max(p.size, q.size) - 1 + 8.0 * sigma)
+    x = np.arange(start, stop + spacing, spacing)
     norm_ = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     dp = np.zeros_like(x)
     dq = np.zeros_like(x)
@@ -148,6 +153,20 @@ def test_fine_lattice_error_within_kink_bound(data, sigma):
     assert h <= reference_spacing(sigma) * (1.0 + 1e-12)
     bound = 1.25 * (h**2 + h_ref**2) / 6.0 * slopes + 1e-9 * fine
     assert abs(macro._l1_smoothed(p, q, sigma) - fine) <= bound
+
+
+def test_wide_distribution_keeps_its_mass_under_blur():
+    # uniform on 0..299 against a point mass at 150: most of the uniform mass
+    # lies beyond mean +- 8 sqrt(mean + 1), where the window used to end, and
+    # P_g fell from 0.998 at sigma = 0 to 0.914 at 0.1, then rose with blur
+    p = np.full(300, 1.0 / 300.0)
+    q = np.eye(300)[150]
+    sigmas = (0.0, 0.1, 0.5, 2.0, 5.0, 20.0)
+    values = [macro.guessing_probability_dists(p, q, s) for s in sigmas]
+    assert np.all(np.diff(values) <= 1e-12), values
+    for s, got in zip(sigmas[1:], values[1:]):
+        want = 0.5 + 0.25 * reference_l1_smoothed(p, q, s)
+        assert abs(got - want) <= 1e-12 * want, (s, got, want)
 
 
 def test_guessing_probability_monotone_in_blur():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from micromacro import memory
-from references import PulseTrain, apply_phase, memory_pass, three_pulse_train
+from references import (PulseTrain, apply_phase, gauss_hermite_phase_average,
+                        memory_pass, three_pulse_train)
 
 PARAMS = memory.MemoryParams()
 
@@ -66,10 +67,12 @@ def test_mean_residual_matches_quadrature():
 @given(st.floats(-0.5, 0.5), st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_visibility_closed_form(delta_a, sigma):
+    # the jitter-averaged dark-port power by 61-node Gauss-Hermite quadrature
     r = 1.0 + delta_a
-    expected = 1.0 - (1.0 + r**2 - 2.0 * r * math.exp(-sigma**2 / 2.0)) \
-        / (2.0 + delta_a) ** 2
-    assert abs(memory.visibility_from_errors(delta_a, sigma) - expected) < 1e-10
+    dark = gauss_hermite_phase_average(
+        lambda x: abs(1.0 + r * cmath.exp(1j * (math.pi + x))) ** 2, sigma)
+    expected = 1.0 - dark / (1.0 + r) ** 2
+    assert abs(memory.visibility_from_errors(delta_a, sigma) - expected) < 1e-12
 
 
 def test_sigma_for_visibility_round_trip():

@@ -6,7 +6,7 @@ import pytest
 
 from micromacro import spdc
 from references import (conditional_state_coeffs, gauss_hermite_phase_average,
-                        spdc_amplitudes, thermal_dist)
+                        projected_g_factor, spdc_amplitudes, thermal_dist)
 
 
 def brute_force_conditional(g, r, p_dc, n_max, herald=+1):
@@ -138,22 +138,21 @@ def test_monte_carlo_error_scaling():
     assert np.all(ratio > 0.3) and np.all(ratio < 0.7)
 
 
-def test_sampling_arbitrates_double_click_reading():
+def test_sampling_arbitrates_double_click_reading(monkeypatch):
     """The two printed no-click-damping coefficients disagree; only the
-    per-mode one survives a direct sampling check in a regime that
-    amplifies the difference (asymmetric thermal means, strong leak)."""
-    per_mode = spdc.DetailedParams(g=0.8, r=0.1, eta_d=0.9, p_dc=0.0,
-                                   t1=1.0, t2=1.0, eta_c=1.0, gamma=2.0,
-                                   sigma_phi=0.4, g_reading="per_mode")
-    projected = replace(per_mode, g_reading="projected")
+    per-mode one, the package's, survives a direct sampling check in a
+    regime that amplifies the difference (asymmetric thermal means, strong
+    leak).  The projected one is the reference ``projected_g_factor``."""
+    p = spdc.DetailedParams(g=0.8, r=0.1, eta_d=0.9, p_dc=0.0, t1=1.0, t2=1.0,
+                            eta_c=1.0, gamma=2.0, sigma_phi=0.4)
     th_a, th_b = 0.0, math.pi / 3
-    est = spdc.monte_carlo_oracle(th_a, th_b, per_mode,
-                                  n_samples=100_000, seed=11)
+    est = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=100_000, seed=11)
     se = np.maximum(est.errors.as_array(), 1e-12)
     dev_pm = np.abs(est.joints.as_array()
-                    - spdc.joint_probabilities(th_a, th_b, per_mode).as_array())
+                    - spdc.joint_probabilities(th_a, th_b, p).as_array())
+    monkeypatch.setattr(spdc, "_g_factor", projected_g_factor)
     dev_pr = np.abs(est.joints.as_array()
-                    - spdc.joint_probabilities(th_a, th_b, projected).as_array())
+                    - spdc.joint_probabilities(th_a, th_b, p).as_array())
     assert np.all(dev_pm <= 4.0 * se)
     assert np.max(dev_pr / se) > 20.0
 
@@ -176,8 +175,6 @@ def test_parameter_validation():
         spdc.DetailedParams(eta_d=1.5)
     with pytest.raises(ValueError):
         spdc.DetailedParams(sigma_phi=-1.0)
-    with pytest.raises(ValueError):
-        spdc.DetailedParams(g_reading="averaged")
 
 
 def test_thermal_dist_edges():
