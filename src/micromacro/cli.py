@@ -46,12 +46,13 @@ def _load(args) -> tuple[RunConfig, int, dict]:
     return cfg, seed, meta
 
 
-def _emit(args, table: ResultTable) -> str:
+def _emit(args, *tables: ResultTable) -> None:
+    """Write a run's tables once all are built: a failed run writes none."""
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{table.name}.csv")
-    table.write_csv(path)
-    print(f"wrote {path}")
-    return path
+    for table in tables:
+        path = os.path.join(args.out, f"{table.name}.csv")
+        table.write_csv(path)
+        print(f"wrote {path}")
 
 
 def _emit_chart(args, name, x, series, title, xlabel, ylabel) -> None:
@@ -78,7 +79,6 @@ def cmd_curves(args) -> int:
     for row in zip(grid, curve.excitations, curve.s, curve.band_s, curve.ppt,
                    curve.band_ppt, curve.concurrence, curve.band_concurrence):
         table.add_row(*map(float, row))
-    _emit(args, table)
 
     ref = ResultTable(
         "reference_points",
@@ -88,7 +88,7 @@ def cmd_curves(args) -> int:
     )
     for row in REFERENCE_POINTS:
         ref.add_row(*row)
-    _emit(args, ref)
+    _emit(args, table, ref)
 
     _emit_chart(args, "witness_curves", grid,
                 {"S": curve.s,
@@ -111,7 +111,6 @@ def cmd_size(args) -> int:
                         meta=dict(meta, command="size"))
     for b, p in zip(grid, pg):
         table.add_row(float(b), p)
-    _emit(args, table)
 
     star = cfg["size.beta_sq_star"]
     target = cfg["size.target_p_g"]
@@ -128,7 +127,7 @@ def cmd_size(args) -> int:
     summary.add_row("sigma_max", result.sigma_max)
     summary.add_row("n_eff", result.n_eff)
     summary.add_row("p_g_mixture_sigma0", float(pg_mix))
-    _emit(args, summary)
+    _emit(args, table, summary)
 
     _emit_chart(args, "size_curve", grid, {"P_g": pg},
                 "Ideal guessing probability vs stored size", "beta_sq", "P_g")
@@ -154,7 +153,6 @@ def cmd_hom(args) -> int:
                         meta=dict(meta, command="hom"))
     for m, v in zip(mu_grid, vis):
         table.add_row(float(m), float(v))
-    _emit(args, table)
 
     profiles = hom_mod.TemporalProfiles(cfg["hom.csp_fwhm"], cfg["hom.hsp_tau_c"])
     windows = np.linspace(cfg["hom.window_min"], cfg["hom.window_max"],
@@ -166,7 +164,7 @@ def cmd_hom(args) -> int:
     )
     for w, x, v in zip(windows, xi, v_m):
         overlap.add_row(float(w), float(x), float(v))
-    _emit(args, overlap)
+    _emit(args, table, overlap)
 
     _emit_chart(args, "hom_visibility", mu_grid, {"V": vis},
                 "Interference visibility vs coherent pulse size", "mu", "V")
@@ -187,7 +185,6 @@ def cmd_detailed(args) -> int:
     )
     for (ta, tb), j in zip(grid, joints):
         table.add_row(ta, tb, j.p_pp, j.p_pm, j.p_mp, j.p_mm, j.correlator())
-    _emit(args, table)
 
     summary = ResultTable(
         "detailed_summary", ["key", "value"],
@@ -197,8 +194,8 @@ def cmd_detailed(args) -> int:
     summary.add_row("chsh_s", spdc.chsh_from_detailed(spdc.CHSH_SETTINGS, params))
     summary.add_row("herald_probability",
                     spdc.herald_probability(params.g, params.r, params.p_dc))
-    _emit(args, summary)
 
+    tables = [table, summary]
     samples = cfg["detailed.mc_samples"]
     if samples > 0:
         oracle = ResultTable(
@@ -217,7 +214,8 @@ def cmd_detailed(args) -> int:
                 dev = abs(ana[k] - val) / se if se > 0 else 0.0
                 oracle.add_row(ta, tb, name, float(ana[k]), float(val),
                                float(se), float(dev))
-        _emit(args, oracle)
+        tables.append(oracle)
+    _emit(args, *tables)
 
     if args.svg:
         x = np.array(GRID_DEG)
@@ -247,7 +245,6 @@ def cmd_tomo(args) -> int:
     summary.add_row("chsh_max", polarization.chsh_maximum(est))
     summary.add_row("ppt_min_eig", polarization.ppt_min_eigenvalue(est))
     summary.add_row("concurrence", polarization.concurrence(est))
-    _emit(args, summary)
 
     matrix = ResultTable("tomo_matrix", ["row", "col", "re", "im"],
                          meta=dict(meta, command="tomo"))
@@ -255,7 +252,7 @@ def cmd_tomo(args) -> int:
         for j in range(4):
             matrix.add_row(i, j, float(est.matrix[i, j].real),
                            float(est.matrix[i, j].imag))
-    _emit(args, matrix)
+    _emit(args, summary, matrix)
     return 0
 
 

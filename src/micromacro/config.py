@@ -2,10 +2,10 @@
 
 ``#`` starts a comment, blank lines are ignored, and any key outside the
 schema is rejected, as is any value outside its range: floats must be
-finite, sizes (alpha^2, beta^2) and pulse means at least 0, windows and
-the pair probability above 0, grid sizes and shot counts at least 1, seeds
-and band sample counts at least 0, and oracle sample counts 0 (off) or at
-least 2.  Every grid's ``*_min`` must lie below its ``*_max``.  Defaults
+finite, sizes (alpha^2, beta^2) and pulse means at least 0, windows above
+0, the pair probability in (0, 1), grid sizes and shot counts at least 1,
+seeds and band sample counts at least 0, and oracle sample counts 0 (off) or
+at least 2.  Every grid's ``*_min`` must lie below its ``*_max``.  Defaults
 reproduce the reference experiment, so an empty config is a valid complete
 run.  The resolved key/value map has a canonical text form whose SHA-256 is
 stamped into every output table.
@@ -45,6 +45,13 @@ def _positive_float(s: str) -> float:
     return value
 
 
+def _open_unit_float(s: str) -> float:
+    value = _float(s)
+    if not 0 < value < 1:
+        raise ValueError("must be in (0, 1)")
+    return value
+
+
 def _int_from(lo: int):
     def cast(s: str) -> int:
         value = int(s)
@@ -81,7 +88,7 @@ SCHEMA: dict[str, tuple] = {
     "size.points": (_count, 15),
     "size.beta_sq_star": (_nonnegative_float, 47.0),
     "size.target_p_g": (_float, 2.0 / 3.0),
-    "hom.p_pair": (_positive_float, 0.005),
+    "hom.p_pair": (_open_unit_float, 0.005),
     "hom.eta_h": (_float, 0.19),
     "hom.xi": (_float, 1.0),
     "hom.eta_d": (_float, 0.5),

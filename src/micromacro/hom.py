@@ -45,7 +45,7 @@ class HomParams:
     detector: ClickDetector = field(default_factory=lambda: ClickDetector(0.5, 0.0))
 
     def __post_init__(self):
-        if self.mu_csp < 0 or not 0 <= self.p_pair < 1:
+        if self.mu_csp < 0 or not 0 < self.p_pair < 1:
             raise ValueError("bad source parameters")
         if not 0.0 <= self.eta_h <= 1.0 or not 0.0 <= self.xi <= 1.0:
             raise ValueError("eta_h and xi must be in [0, 1]")

@@ -79,10 +79,9 @@ def _l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     """L1 distance between the sigma-smoothed distributions.
 
     sigma = 0 compares the raw distributions.  Smoothing places a Gaussian at
-    every outcome n and sums |difference| * h over mean +- 8 sigma +- 8 sqrt(mean),
-    a side widened by whole lattice steps to the support +- 8 sigma where p or
-    q puts more than TAU_TRUNC beyond mean +- 8 sqrt(mean) (Poisson-like inputs
-    never do), on a lattice of m = ceil(6 / sigma) points per photon clipped to
+    every outcome n and sums |difference| * h over mean +- 8 sigma +- 8 sqrt(mean)
+    widened to the support +- 8 sigma (no mass of a wide input is dropped), on
+    a lattice of m = ceil(6 / sigma) points per photon clipped to
     [GRID_POINTS, 10000] (h = 1/20 for sigma >= 0.3).  Grid point k sees n
     through entry k - m n of one sampled kernel, so m residue-class
     correlations replace an exp per (n, k).  The error sits at the sign
@@ -100,13 +99,10 @@ def _l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     # 1e-12 shave: sigma = 6/k keeps m = k despite rounding in 6/sigma
     m = min(10_000, max(GRID_POINTS, math.ceil(6.0 / sigma * (1.0 - 1e-12))))
     spacing = 1.0 / m
-    start, stop = lo_mean - margin, hi_mean + margin
-    lo_n = math.ceil(start + 8.0 * sigma)
-    if lo_n > 0 and max(p[:lo_n].sum(), q[:lo_n].sum()) > TAU_TRUNC:
-        start -= spacing * math.ceil((start + 8.0 * sigma) / spacing)
-    hi_n = math.floor(stop - 8.0 * sigma) + 1
-    if hi_n < diff.size and max(p[hi_n:].sum(), q[hi_n:].sum()) > TAU_TRUNC:
-        stop = max(stop, diff.size - 1 + 8.0 * sigma)
+    # reach the support +- 8 sigma in whole lattice steps: the points stay put
+    start = lo_mean - margin
+    start -= spacing * max(0, math.ceil((start + 8.0 * sigma) / spacing))
+    stop = max(hi_mean + margin, diff.size - 1 + 8.0 * sigma)
     n_x = math.ceil((stop + spacing - start) / spacing)
     kernel = spacing * np.arange(-m * (diff.size - 1), n_x)  # the largest array: in place
     kernel += start; kernel /= sigma; kernel *= -0.5 * kernel

@@ -107,6 +107,7 @@ def test_config_rejects_bad_input():
     ("hom", "hom.mu_star = -1"),
     ("hom", "hom.p_pair = 0"),
     ("hom", "hom.p_pair = -0.1"),
+    ("hom", "hom.p_pair = 1"),
     ("hom", "hom.window_min = 0"),
     ("hom", "hom.window_max = -1"),
     ("hom", "hom.window_min = 6"),
@@ -129,15 +130,20 @@ def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["hom.hsp_tau_c = 1e-300", "hom.csp_fwhm = 1e300"])
-def test_non_finite_cell_exits_with_a_message(tmp_path, capsys, line):
+@pytest.mark.parametrize("command, line, message", [
     # the window overlap evaluates exp(inf - inf) at these extreme widths;
-    # the table refuses the NaN instead of writing it
+    # the table refuses the NaN
+    ("hom", "hom.hsp_tau_c = 1e-300", "hom_overlap: non-finite xi = nan"),
+    ("hom", "hom.csp_fwhm = 1e300", "hom_overlap: non-finite xi = nan"),
+    ("size", "size.target_p_g = 0.99", "target 0.99 outside"),
+])
+def test_failed_run_writes_no_table(tmp_path, capsys, command, line, message):
+    # each run fails on its second table, after the first was built
     cfg = write_config(tmp_path, line + "\n")
     out = tmp_path / "out"
-    assert run(["hom", "--config", cfg, "--out", out]) == 1
-    assert "error: hom_overlap: non-finite xi = nan" in capsys.readouterr().err
-    assert not (out / "hom_overlap.csv").exists()
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_removed_jobs_flag_is_a_usage_error(tmp_path, capsys):

@@ -174,6 +174,9 @@ def test_partial_mode_match_interpolates():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         hom.HomParams(xi=1.5)
+    for p_pair in (0.0, 1.0):  # at 0 no pair is heralded: 0/0 in the weights
+        with pytest.raises(ValueError):
+            hom.HomParams(p_pair=p_pair)
     with pytest.raises(ValueError):
         hom.TemporalProfiles(csp_fwhm=-1.0)
     with pytest.raises(ValueError):
