@@ -72,7 +72,7 @@ def _mc_samples(s: str) -> int:
     return value
 
 
-_NOISE_KEYS = ("eta_h", "bs_t", "eta", "vis", "v_mm", "eta_abs", "r_overlap",
+_NOISE_KEYS = ("eta_h", "bs_t", "eta", "vis", "v_mm", "eta_abs",
                "kappa", "sd_eta_h", "sd_eta", "sd_vis")
 _DETAILED_KEYS = ("g", "r", "eta_d", "p_dc", "t1", "t2", "eta_c", "gamma",
                   "sigma_phi")

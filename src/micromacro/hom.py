@@ -174,9 +174,10 @@ def temporal_overlap(profiles: TemporalProfiles, window: float) -> float:
     tau = profiles.hsp_tau_c
     half = window / 2.0
     a = s / (math.sqrt(2.0) * tau)
-    b = a + half / (math.sqrt(2.0) * s)
+    d = half / (math.sqrt(2.0) * s)
+    # a^2 - b^2 = -d (2a + d) for b = a + d: no cancellation when s >> w
     gh = s * math.sqrt(2.0 * math.pi) \
-        * (_erfcx(a) - math.exp(a * a - b * b) * _erfcx(b))
+        * (_erfcx(a) - math.exp(-d * (2.0 * a + d)) * _erfcx(a + d))
     gg = s * math.sqrt(math.pi) * math.erf(half / s)
     hh = -tau * math.expm1(-window / tau)
     return gh**2 / (gg * hh)

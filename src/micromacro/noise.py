@@ -24,7 +24,6 @@ class ExperimentParams:
     vis        back-displacement interference visibility
     v_mm       entanglement visibility without displacement
     eta_abs    memory absorption probability
-    r_overlap  mode-overlap ratio from the two-photon interference measurement
     kappa      mapping mu = kappa * |alpha|^2 from displacement size to the
                mean photon number used by the noise formulas
     """
@@ -35,14 +34,13 @@ class ExperimentParams:
     vis: float = 0.9985
     v_mm: float = 0.94
     eta_abs: float = 0.55
-    r_overlap: float = 0.87
     kappa: float = 1.0
     sd_eta_h: float = 0.02
     sd_eta: float = 0.002
     sd_vis: float = 0.0002
 
     def __post_init__(self):
-        for name in ("eta_h", "bs_t", "eta", "vis", "v_mm", "eta_abs", "r_overlap"):
+        for name in ("eta_h", "bs_t", "eta", "vis", "v_mm", "eta_abs"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name}={val} outside [0, 1]")

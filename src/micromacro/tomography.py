@@ -1,7 +1,7 @@
 """Tomography simulation and maximum-likelihood reconstruction.
 
-The default scheme measures 6 analyzer states per side (H, V, D, A, R, L),
-i.e. 36 setting pairs with four +-1 x +-1 outcomes each — an overcomplete,
+The scheme measures 6 analyzer states per side (H, V, D, A, R, L), i.e.
+36 setting pairs with four +-1 x +-1 outcomes each — an overcomplete,
 informationally complete set for two qubits.
 
 The reconstruction uses numpy alone: fixed-point steps rho <- R rho R
@@ -13,7 +13,6 @@ an upper bound on the per-shot log-likelihood gap to the maximum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -30,41 +29,11 @@ ANALYZER_KETS = {
     "L": np.array([_S2, -1j * _S2], dtype=complex),
 }
 
-DEFAULT_SETTING_PAIRS = tuple(
-    (a, b) for a in "HVDARL" for b in "HVDARL"
-)
-
-
-class RankDeficiencyError(ValueError):
-    """The record does not determine the state (under-complete settings)."""
+SETTING_PAIRS = tuple((a, b) for a in "HVDARL" for b in "HVDARL")
 
 
 class ConvergenceError(RuntimeError):
     """Likelihood ascent hit the iteration cap before reaching the gradient target."""
-
-
-@dataclass(frozen=True)
-class TomographyRecord:
-    """Counts for each setting pair.
-
-    ``counts[k]`` is a 2x2 array for setting pair ``pairs[k]``, indexed by
-    (outcome on side A, outcome on side B) with 0 = +1 (projection onto the
-    analyzer ket) and 1 = -1 (orthogonal port).
-    """
-
-    pairs: tuple
-    counts: np.ndarray
-    shots_per_pair: int
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if c.shape != (len(self.pairs), 2, 2):
-            raise ValueError("counts must have shape (n_pairs, 2, 2)")
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
-        if np.any(c.sum(axis=(1, 2)) != self.shots_per_pair):
-            raise ValueError("each pair's counts must sum to shots_per_pair")
-        object.__setattr__(self, "counts", c)
 
 
 def _outcome_projectors(label: str):
@@ -74,40 +43,36 @@ def _outcome_projectors(label: str):
 
 
 @cache
-def _projector_stack(pairs: tuple) -> np.ndarray:
-    """Outcome projectors of the setting pairs, four per pair in the order
-    (+,+), (+,-), (-,+), (-,-); shape (4 * len(pairs), 4, 4), read-only."""
-    stack = np.stack([np.kron(ka, kb) for a, b in pairs
+def _projector_stack() -> np.ndarray:
+    """Outcome projectors of SETTING_PAIRS, four per pair in the order
+    (+,+), (+,-), (-,+), (-,-); shape (144, 4, 4), read-only, built on first use."""
+    stack = np.stack([np.kron(ka, kb) for a, b in SETTING_PAIRS
                       for ka in _outcome_projectors(a)
                       for kb in _outcome_projectors(b)])
     stack.flags.writeable = False
     return stack
 
 
-def born_probabilities(rho: TwoQubitDensity, pair) -> np.ndarray:
-    """2x2 outcome probabilities for one setting pair."""
-    q = np.array([np.real(np.trace(rho.matrix @ pi))
-                  for pi in _projector_stack((tuple(pair),))])
-    q = np.clip(q, 0.0, None)
-    return (q / q.sum()).reshape(2, 2)
-
-
-def simulate_tomography(rho: TwoQubitDensity, setting_pairs=DEFAULT_SETTING_PAIRS,
-                        shots: int = 10_000, rng_seed: int = 0) -> TomographyRecord:
+def simulate_tomography(rho: TwoQubitDensity, shots: int = 10_000,
+                        rng_seed: int = 0) -> np.ndarray:
     """Multinomial outcome counts per setting pair, reproducible for a seed.
 
+    ``counts[k]`` is the 2x2 array of setting pair ``SETTING_PAIRS[k]``,
+    indexed by (outcome on side A, outcome on side B) with 0 = +1 (projection
+    onto the analyzer ket) and 1 = -1 (orthogonal port); shape (36, 2, 2).
     Each pair draws from its own generator spawned off the master seed, so
     results do not depend on evaluation order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    streams = np.random.SeedSequence(rng_seed).spawn(len(setting_pairs))
-    counts = np.empty((len(setting_pairs), 2, 2), dtype=np.int64)
-    for k, (pair, ss) in enumerate(zip(setting_pairs, streams)):
-        q = born_probabilities(rho, pair).reshape(-1)
+    streams = np.random.SeedSequence(rng_seed).spawn(len(SETTING_PAIRS))
+    pis = _projector_stack().reshape(len(SETTING_PAIRS), 4, 4, 4)
+    counts = np.empty((len(SETTING_PAIRS), 2, 2), dtype=np.int64)
+    for k, ss in enumerate(streams):
+        q = np.clip([np.real(np.trace(rho.matrix @ pi)) for pi in pis[k]], 0.0, None)
         rng = np.random.default_rng(ss)
-        counts[k] = rng.multinomial(shots, q).reshape(2, 2)
-    return TomographyRecord(tuple(setting_pairs), counts, shots)
+        counts[k] = rng.multinomial(shots, q / q.sum()).reshape(2, 2)
+    return counts
 
 
 #: plain R rho R steps from I/4 before the first Newton step
@@ -126,8 +91,9 @@ def _real(m: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
-def reconstruct_mle(record: TomographyRecord) -> TwoQubitDensity:
-    """Maximum-likelihood state estimate, constrained PSD/unit-trace.
+def reconstruct_mle(counts: np.ndarray) -> TwoQubitDensity:
+    """Maximum-likelihood state estimate from the (36, 2, 2) counts of
+    ``simulate_tomography``, constrained PSD/unit-trace.
 
     rho = T T^dag / tr(T T^dag) with T a full complex 4x4 factor, so the
     constraints hold by construction and the support is free to rotate.
@@ -145,16 +111,11 @@ def reconstruct_mle(record: TomographyRecord) -> TwoQubitDensity:
     log-likelihood gap to the maximum; ConvergenceError is raised if it is
     still above GRAD_TOL after MAX_STEPS steps in all.
     """
-    if np.any(record.counts.sum(axis=(1, 2)) == 0):
-        raise RankDeficiencyError("a setting pair has no counts at all")
-    pis = _projector_stack(tuple(map(tuple, record.pairs)))
-    # informational completeness: the projectors must span all 16 operator dims
-    rank = np.linalg.matrix_rank(pis.reshape(len(pis), 16), tol=1e-9)
-    if rank < 16:
-        raise RankDeficiencyError(f"projector set spans {rank} < 16 dims")
-    counts = record.counts.reshape(-1)
+    if np.shape(counts) != (len(SETTING_PAIRS), 2, 2):
+        raise ValueError(f"counts must have shape ({len(SETTING_PAIRS)}, 2, 2)")
+    counts = np.reshape(counts, -1)
     seen = counts > 0                    # unobserved outcomes add nothing to the likelihood
-    pis = pis[seen]
+    pis = _projector_stack()[seen]
     freqs = counts[seen] / counts.sum()
     rows = pis.reshape(len(pis), 16).conj()
     eye = np.eye(4)

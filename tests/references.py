@@ -4,10 +4,11 @@ Each one computes a production figure the long way: the splitter and the
 displacement as dense exponentials on the full truncated Fock space, the
 loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
 (and its rejected double-click reading), the phase-jitter average by
-Gauss-Hermite quadrature, the storage loop slot by slot, the tomography
-likelihood fit by scipy's L-BFGS-B.  The differential tests compare the
-closed forms with them.  Unlike ``oracles.py`` (standard library and mpmath
-only), these use numpy and may take production parameter classes as input.
+Gauss-Hermite quadrature, the storage loop slot by slot, the effective size
+by a search over smoothed point masses, the tomography likelihood fit by
+scipy's L-BFGS-B.  The differential tests compare the closed forms with
+them.  Unlike ``oracles.py`` (standard library and mpmath only), these use
+numpy and may take production parameter classes as input.
 """
 import cmath
 import math
@@ -18,7 +19,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.optimize import minimize
 
-from micromacro import fock, hom, memory, spdc, tomography
+from micromacro import fock, hom, macro, memory, spdc, tomography
 from micromacro.polarization import TwoQubitDensity
 
 
@@ -308,12 +309,27 @@ def three_pulse_train(alpha: complex, params: memory.MemoryParams,
     return memory_pass(apply_phase(first, phi), params)
 
 
+# ---- macro: the point-mass lattice search for N_eff ----
+
+def lattice_effective_size(sigma: float, target_p_g: float) -> int:
+    """The N_eff search ``macro.size_analysis`` replaced: the smallest N for
+    which point masses at 0 and N, smoothed on the P_g lattice, reach
+    ``target_p_g`` at ``sigma``."""
+    for n in range(1, 100_000):
+        p0 = np.zeros(n + 1); p0[0] = 1.0
+        pn = np.zeros(n + 1); pn[n] = 1.0
+        if macro.guessing_probability_dists(p0, pn, sigma) >= target_p_g:
+            return n
+    raise RuntimeError("effective size search ran away")
+
+
 # ---- tomography: the L-BFGS-B maximum-likelihood fit ----
 
-def tomography_projectors(pairs) -> np.ndarray:
-    """Outcome projectors, four per setting pair: (+,+), (+,-), (-,+), (-,-)."""
+def tomography_projectors() -> np.ndarray:
+    """Outcome projectors of ``tomography.SETTING_PAIRS``, four per pair:
+    (+,+), (+,-), (-,+), (-,-)."""
     out = []
-    for pair in pairs:
+    for pair in tomography.SETTING_PAIRS:
         sides = []
         for label in pair:
             ket = tomography.ANALYZER_KETS[label]
@@ -337,7 +353,7 @@ def _pack(t: np.ndarray) -> np.ndarray:
     return np.concatenate([np.real(np.diag(t)), np.real(t[lo]), np.imag(t[lo])])
 
 
-def reference_mle(record, max_iter: int = 4000, grad_tol: float = 1e-9):
+def reference_mle(counts, max_iter: int = 4000, grad_tol: float = 1e-9):
     """The scipy maximum-likelihood fit ``tomography.reconstruct_mle`` replaced.
 
     rho = T T^dag / tr with T lower triangular, started from the projected
@@ -345,17 +361,14 @@ def reference_mle(record, max_iter: int = 4000, grad_tol: float = 1e-9):
     until the certificate max(lambda_max(R) - 1, max|R rho - rho|) is below
     ``grad_tol`` (ConvergenceError otherwise, as in production).
     """
-    if np.any(record.counts.sum(axis=(1, 2)) == 0):
-        raise tomography.RankDeficiencyError("a setting pair has no counts at all")
-    pis = tomography_projectors(record.pairs)
-    freqs = record.counts.reshape(-1).astype(float)
+    pis = tomography_projectors()
+    freqs = counts.reshape(-1).astype(float)
     n_total = freqs.sum()
     span = pis.reshape(len(pis), 16)
-    if np.linalg.matrix_rank(span, tol=1e-9) < 16:
-        raise tomography.RankDeficiencyError("projector set spans < 16 dims")
 
     # linear-inversion warm start, projected onto the state set
-    rho_lin, *_ = np.linalg.lstsq(span, freqs / record.shots_per_pair, rcond=None)
+    shots = counts.sum(axis=(1, 2)).repeat(4)
+    rho_lin, *_ = np.linalg.lstsq(span, freqs / shots, rcond=None)
     rho_lin = rho_lin.reshape(4, 4)
     rho_lin = (rho_lin + rho_lin.conj().T) / 2
     w, v = np.linalg.eigh(rho_lin)
@@ -408,15 +421,15 @@ def reference_mle(record, max_iter: int = 4000, grad_tol: float = 1e-9):
     return TwoQubitDensity(rho / np.real(np.trace(rho)))
 
 
-def tomography_fit(record, rho: np.ndarray) -> tuple[float, float]:
-    """(certificate, per-shot log-likelihood) of a state for a record.
+def tomography_fit(counts, rho: np.ndarray) -> tuple[float, float]:
+    """(certificate, per-shot log-likelihood) of a state for the counts.
 
     The certificate is max(lambda_max(R) - 1, max|R rho - rho|) with
     R = sum_k (c_k / q_k) Pi_k / N over the observed outcomes; it bounds
     how far the log-likelihood is below its maximum.
     """
-    pis = tomography_projectors(record.pairs)
-    counts = record.counts.reshape(-1)
+    pis = tomography_projectors()
+    counts = counts.reshape(-1)
     seen = counts > 0
     pis, freqs = pis[seen], counts[seen] / counts.sum()
     q = np.real(np.einsum("kij,ji->k", pis, rho))

@@ -130,8 +130,8 @@ def test_criterion_6c_werner_witness_identities():
 
 def test_criterion_6d_tomography_round_trip():
     rho = polarization.werner_state(0.94)
-    record = tomography.simulate_tomography(rho, shots=1_000_000, rng_seed=0)
-    est = tomography.reconstruct_mle(record)
+    counts = tomography.simulate_tomography(rho, shots=1_000_000, rng_seed=0)
+    est = tomography.reconstruct_mle(counts)
     assert polarization.state_fidelity(rho, est) >= 0.995
 
 

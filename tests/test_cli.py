@@ -131,10 +131,6 @@ def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
 
 
 @pytest.mark.parametrize("command, line, message", [
-    # the window overlap evaluates exp(inf - inf) at these extreme widths;
-    # the table refuses the NaN
-    ("hom", "hom.hsp_tau_c = 1e-300", "hom_overlap: non-finite xi = nan"),
-    ("hom", "hom.csp_fwhm = 1e300", "hom_overlap: non-finite xi = nan"),
     ("size", "size.target_p_g = 0.99", "target 0.99 outside"),
 ])
 def test_failed_run_writes_no_table(tmp_path, capsys, command, line, message):
@@ -144,6 +140,15 @@ def test_failed_run_writes_no_table(tmp_path, capsys, command, line, message):
     assert run([command, "--config", cfg, "--out", out]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_removed_overlap_ratio_key_is_unknown(tmp_path, capsys):
+    # noise.r_overlap fed no computation and is no longer a key
+    cfg = write_config(tmp_path, "noise.r_overlap = 0.87\n")
+    out = tmp_path / "out"
+    assert run(["curves", "--config", cfg, "--out", out]) == 1
+    assert "line 1: unknown key 'noise.r_overlap'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_removed_jobs_flag_is_a_usage_error(tmp_path, capsys):

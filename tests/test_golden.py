@@ -13,32 +13,32 @@ from micromacro import cli
 
 GOLDEN = {
     "curves": {
-        "reference_points.csv": "7de27e404f72fddce573f312525a2b7b55244b4d6028d4d1bc749ad499c8b95e",
-        "witness_curves.csv": "4515ebf2cfd70b758df2641197df3099b0765b58ef1033b39769c21eca9a2c54",
+        "reference_points.csv": "6aad7ae746c7eeb16ff28589cdde72603b1dcd7991dc3c4ccb8120bf573ea483",
+        "witness_curves.csv": "684fed215ee1892ebee82d293ee01e9c9a117b14c2f5f18a3e174b3167970795",
     },
     "size": {
-        "size_curve.csv": "86deae1cfc8780b0c2537b0cb987688822354f1ffe1255d8171addf998fda293",
-        "size_summary.csv": "ba4a867461c5742e535dcd9a71d53f890810fd4b491ebb5fb7252798ed5d1f6f",
+        "size_curve.csv": "394e3003626fc9e8f39283e64c60c64c22d43fc1566321102763891a8b14ba9d",
+        "size_summary.csv": "14d8dad06290ca955f1bf2d6028334b11554eb84652640e44dedfa25ac0aea74",
     },
     "hom": {
-        "hom_overlap.csv": "2df43da122c040d4fb9146f7410d0626d0182c9baaf351697c63030c786b5e1c",
-        "hom_visibility.csv": "afad72ff1a125d4699dbb5ecf138e8db31fd97dd4cfe14f466c4dce778541b7b",
+        "hom_overlap.csv": "c690319d4ee527c9bd9cbf6b384611672370e7e35fc1a3e658b8954f4b480509",
+        "hom_visibility.csv": "002490ab2e148ed19c8177d7536eaf85028321d2640bca54a9839877788205da",
     },
     "detailed": {
-        "detailed_grid.csv": "57b7147ad2223fd365da2178e427557c498fdf880cc64f2c19f8b53c66940400",
-        "detailed_summary.csv": "717bfb9a1c4b7d63c467c3d23880873eb836d47e4d36ba1bdd5ff412de0190ed",
+        "detailed_grid.csv": "a85536367a2c6f29cd9991dcfd5fec42edf4814105fa6a4c009ae178477cb25a",
+        "detailed_summary.csv": "a013f6f87e0e0e76e11b4ab0486df551ba822e5b54cdd9bbce61f38ddb0752fa",
     },
     "tomo": {
-        "tomo_matrix.csv": "534e1eddcef7e72ca1148c90955fbf84f121b6f35c4668b1b947a8a5566c413e",
-        "tomo_summary.csv": "da4bff8297e0aab7cff8664fdab3d9f09be7941a44992f2bc4fb9a80e09b911a",
+        "tomo_matrix.csv": "827d54745f3cf44dad8816310245000ab2468f55ea0248c6589642764a6bc2c6",
+        "tomo_summary.csv": "1783e41e37aa56f53f2947351c53b10d0e0ce80fde08670c0b22becbce249d68",
     },
 }
 
 #: ``detailed`` with ``detailed.mc_samples = 2000``
 GOLDEN_ORACLE = {
-    "detailed_grid.csv": "efd1b292e2c0ac130a357d6b36f0997651e98936f871caf591afdb4ec841feeb",
-    "detailed_oracle.csv": "36bc8b5dbee8f35d67bdeee0ad43a6b92904a8fa3bb1b9fca9f2e8b7ee4ba10c",
-    "detailed_summary.csv": "fcdb8441376cd1d9cffc13d129fb6fe16b5786394f453903dec5a2e65a300052",
+    "detailed_grid.csv": "1ca64fc43c0c15631a8d4a7ba3794ffbdf6a6673998596486868fbde4b9b9e28",
+    "detailed_oracle.csv": "18fdd91de7bde597e5b4c6ebb7891a4e21cb426720285249fac64b56698f9c3d",
+    "detailed_summary.csv": "65ebd96d3a716381577a5cb4571dc785d2d4bf328aed39c17f2431b1473697f7",
 }
 
 

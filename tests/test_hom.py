@@ -125,6 +125,14 @@ def test_temporal_overlap_across_erfcx_branches(tau_c):
                    - quad_overlap(profiles, window)) < 1e-12
 
 
+@pytest.mark.parametrize("csp_fwhm", [1e8, 1e150])
+def test_temporal_overlap_of_a_wide_csp(csp_fwhm):
+    # s >> w: e^(a^2 - b^2) taken as a difference of squares read 1.92 at
+    # 1e8 and 0.0 at 1e150; the exponent -d (2a + d) keeps every digit
+    profiles = hom.TemporalProfiles(csp_fwhm=csp_fwhm)
+    assert abs(hom.temporal_overlap(profiles, 0.5) - quad_overlap(profiles, 0.5)) < 1e-12
+
+
 def test_erfcx_is_continuous_at_the_switch():
     below = hom._erfcx(np.nextafter(25.0, 0.0))
     assert abs(hom._erfcx(25.0) / below - 1.0) < 1e-12

@@ -10,7 +10,8 @@ from scipy.stats import norm
 
 from micromacro import fock, macro
 from oracles import ideal_guessing_probability
-from references import coherent_density, displacement_operator, loss_channel
+from references import (coherent_density, displacement_operator, lattice_effective_size,
+                        loss_channel)
 
 
 def reference_smoothed_difference(p, q, sigma, spacing):
@@ -97,18 +98,39 @@ def test_frozen_guessing_values():
 
 def test_two_point_masses_match_normal_cdf():
     # for delta distributions at 0 and N the optimal guess succeeds with
-    # probability Phi(N / (2 sigma)); the grid error sits at the one sign
-    # change x = N / 2 and is largest where it is steepest, 3.9e-5 at N = 1,
-    # sigma = 0.5 (5.9e-6 at N = 8, sigma = 2.5 for sigma >= 1)
-    for n in (1, 8, 13, 40):
-        p = np.zeros(n + 1)
-        q = np.zeros(n + 1)
-        p[0] = 1.0
-        q[n] = 1.0
-        for sigma in (0.5, 1.0, 2.5, 6.0, 15.0):
+    # probability Phi(N / (2 sigma)), the closed form size_analysis uses for
+    # N_eff.  The lattice errs only at the one sign change x0 = N / 2, by at
+    # most h^2 |d'(x0)| / 6 in L1 (the kink bound, with the 1.25 slack of
+    # test_fine_lattice_error_within_kink_bound); the largest error, 7.4e-5,
+    # is at N = 1, sigma = 0.3
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 55):
+        p = np.eye(n + 1)[0]
+        q = np.eye(n + 1)[n]
+        for sigma in (*np.geomspace(0.3, 30.0, 13), 1.25):
             got = macro.guessing_probability_dists(p, q, sigma)
-            tol = 1e-5 if sigma >= 1.0 else 4e-5
-            assert abs(got - norm.cdf(n / (2.0 * sigma))) < tol, (n, sigma)
+            h = 1.0 / max(macro.GRID_POINTS, math.ceil(6.0 / sigma))
+            slope = n / sigma**2 * norm.pdf(n / (2.0 * sigma)) / sigma
+            bound = 1.25 * h**2 * slope / 6.0 / 4.0 + 1e-14  # P_g = 1/2 + L1 / 4
+            assert abs(got - norm.cdf(n / (2.0 * sigma))) <= bound, (n, sigma)
+
+
+@pytest.mark.parametrize("beta_sq, n_eff", [(10.0, 6), (47.0, 13), (150.0, 23),
+                                            (300.0, 33)])
+def test_effective_size_matches_the_lattice_search(beta_sq, n_eff):
+    # the closed-form Phi(N / 2 sigma_max) against the point-mass search it
+    # replaced, which smooths |0> and |N> on the P_g lattice
+    result = macro.size_analysis(math.sqrt(beta_sq))
+    assert result.n_eff == n_eff
+    assert lattice_effective_size(result.sigma_max, 2.0 / 3.0) == n_eff
+
+
+def test_default_cutoff_keeps_the_component_mass():
+    # default_n_max(lam + 1) keeps both components' mass to 1e-12 for every
+    # size the CLI and perfbench use (worst 2.1e-13, at lam = 293.8)
+    for lam in np.linspace(0.0, 300.0, 1201):
+        pair = macro.macro_components(math.sqrt(lam), macro.default_n_max(lam + 1.0))
+        assert abs(pair.p_plus.sum() - 1.0) <= 1e-12, lam
+        assert abs(pair.p_minus.sum() - 1.0) <= 1e-12, lam
 
 
 @given(pair=distribution_pairs(),
