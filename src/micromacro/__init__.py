@@ -3,7 +3,7 @@
 Submodules
 ----------
 fock            truncated photon-number amplitudes, splitter unitaries, click detectors
-polarization    two-qubit states, CHSH, PPT and concurrence witnesses
+polarization    two-qubit states, CHSH at the lab settings, PPT and concurrence witnesses
 tomography      joint-setting counts and maximum-likelihood reconstruction
 noise           displacement-noise model for the witness-vs-size curves
 spdc            detailed double-pair source model with a sampling oracle

@@ -189,9 +189,9 @@ def cmd_detailed(args) -> int:
     summary = ResultTable(
         "detailed_summary", ["key", "value"],
         meta=dict(meta, command="detailed",
-                  settings_deg=",".join(f"{d:g}" for d in spdc.CHSH_SETTINGS_DEG)),
+                  settings_deg=",".join(f"{d:g}" for d in polarization.CHSH_SETTINGS_DEG)),
     )
-    summary.add_row("chsh_s", spdc.chsh_from_detailed(spdc.CHSH_SETTINGS, params))
+    summary.add_row("chsh_s", spdc.chsh_from_detailed(params))
     summary.add_row("herald_probability",
                     spdc.herald_probability(params.g, params.r, params.p_dc))
 

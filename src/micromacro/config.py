@@ -2,19 +2,20 @@
 
 ``#`` starts a comment, blank lines are ignored, and any key outside the
 schema is rejected, as is any value outside its range: floats must be
-finite, sizes (alpha^2, beta^2) and pulse means at least 0, windows above
-0, the pair probability in (0, 1), grid sizes and shot counts at least 1,
-seeds and band sample counts at least 0, and oracle sample counts 0 (off) or
-at least 2.  Every grid's ``*_min`` must lie below its ``*_max``.  Defaults
-reproduce the reference experiment, so an empty config is a valid complete
-run.  The resolved key/value map has a canonical text form whose SHA-256 is
-stamped into every output table.
+finite, sizes (alpha^2, beta^2), pulse means and noise band widths
+(``noise.sd_*``) at least 0, windows above 0, the pair probability in
+(0, 1), grid sizes and shot counts at least 1, seeds and band sample counts
+at least 0, and oracle sample counts 0 (off) or at least 2.  Every grid's
+``*_min`` must lie below its ``*_max``.  Defaults reproduce the reference
+experiment, so an empty config is a valid complete run.  The resolved
+key/value map has a canonical text form whose SHA-256 is stamped into every
+output table.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .noise import ExperimentParams
 from .spdc import DetailedParams
@@ -72,10 +73,8 @@ def _mc_samples(s: str) -> int:
     return value
 
 
-_NOISE_KEYS = ("eta_h", "bs_t", "eta", "vis", "v_mm", "eta_abs",
-               "kappa", "sd_eta_h", "sd_eta", "sd_vis")
-_DETAILED_KEYS = ("g", "r", "eta_d", "p_dc", "t1", "t2", "eta_c", "gamma",
-                  "sigma_phi")
+_NOISE_KEYS = tuple(f.name for f in fields(ExperimentParams))
+_DETAILED_KEYS = tuple(f.name for f in fields(DetailedParams))
 
 SCHEMA: dict[str, tuple] = {
     "run.seed": (_nonnegative, 0),
@@ -109,7 +108,8 @@ SCHEMA: dict[str, tuple] = {
 #: grids whose ``_min`` key must lie below their ``_max`` key
 _GRIDS = ("curves.alpha_sq", "size.beta_sq", "hom.mu", "hom.window")
 for _k in _NOISE_KEYS:
-    SCHEMA[f"noise.{_k}"] = (_float, getattr(ExperimentParams(), _k))
+    SCHEMA[f"noise.{_k}"] = (_nonnegative_float if _k.startswith("sd_") else _float,
+                             getattr(ExperimentParams(), _k))
 for _k in _DETAILED_KEYS:
     SCHEMA[f"detailed.{_k}"] = (_float, getattr(DetailedParams(), _k))
 

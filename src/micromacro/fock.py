@@ -1,9 +1,9 @@
 """Truncated photon-number amplitudes, click detectors and the 50/50 splitter.
 
 Amplitudes live on bosonic modes, each truncated at a caller-chosen photon
-number ``n_max``.  The caller owns the truncation choice; ``TruncatedState``
-checks the probability mass lost to the cutoff and fails loudly instead of
-silently clipping tails.
+number ``n_max``.  The caller owns the truncation choice;
+``displaced_single_photon`` checks the probability mass lost to the cutoff
+and fails loudly instead of silently clipping tails.
 
 Displaced states have closed forms: D(alpha)|0> = |alpha> and
 D(alpha)|1> = (a^dag - alpha*)|alpha>, whose amplitudes are
@@ -38,33 +38,6 @@ TAU_TRUNC = 1e-8
 
 class TruncationError(ValueError):
     """The requested state does not fit in the truncated space."""
-
-
-@dataclass(frozen=True)
-class TruncatedState:
-    """Pure state on photon-number-truncated modes.
-
-    ``amplitudes`` carries one axis per mode, every axis of length
-    ``n_max + 1``.  Construction enforces that the squared norm is within
-    ``TAU_TRUNC`` of one, so a norm deficit from an overly small ``n_max``
-    surfaces immediately.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.ndim < 1 or amp.shape[0] < 2:
-            raise ValueError("truncation level n_max must be >= 1")
-        if any(s != amp.shape[0] for s in amp.shape):
-            raise ValueError("all modes must share one truncation level")
-        object.__setattr__(self, "amplitudes", amp)
-        nrm2 = float(np.sum(np.abs(amp) ** 2))
-        if not (1.0 - TAU_TRUNC) <= nrm2 <= (1.0 + TAU_TRUNC):
-            raise TruncationError(
-                f"squared norm {nrm2:.12g} outside [1 - {TAU_TRUNC}, 1]; "
-                "increase n_max or renormalize the input"
-            )
 
 
 def check_density_matrix(m: np.ndarray) -> None:
@@ -123,7 +96,7 @@ def poisson_pmf(mean: float, n_max: int) -> np.ndarray:
     return np.exp(-mean + n * math.log(mean) - log_factorials(n_max))
 
 
-def displaced_single_photon(alpha: complex, n_max: int) -> TruncatedState:
+def displaced_single_photon(alpha: complex, n_max: int) -> np.ndarray:
     """D(alpha)|1> = (a^dag - alpha*)|alpha>, amplitudes c_n (n/alpha - alpha*).
 
     Evaluated as sqrt(n) c_{n-1} - alpha* c_n (c_n n / alpha = sqrt(n) c_{n-1}),
@@ -134,7 +107,11 @@ def displaced_single_photon(alpha: complex, n_max: int) -> TruncatedState:
     c = coherent_amplitudes(alpha, n_max)
     vec = -np.conj(alpha) * c
     vec[1:] += np.sqrt(np.arange(1, n_max + 1)) * c[:-1]
-    return TruncatedState(vec)
+    nrm2 = float(np.sum(np.abs(vec) ** 2))
+    if not nrm2 >= 1.0 - TAU_TRUNC:
+        raise TruncationError(f"squared norm {nrm2:.12g} below 1 - {TAU_TRUNC}; "
+                              "increase n_max")
+    return vec
 
 
 @cache

@@ -46,14 +46,18 @@ class ExperimentParams:
                 raise ValueError(f"{name}={val} outside [0, 1]")
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
-
-
-DEFAULT_PARAMS = ExperimentParams()
+        for name in ("sd_eta_h", "sd_eta", "sd_vis"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= 0")
 
 
 @dataclass(frozen=True)
 class WitnessCurve:
-    """Predicted witnesses on an |alpha|^2 grid, with one-sigma band half-widths."""
+    """Predicted witnesses on an |alpha|^2 grid, with one-sigma band half-widths.
+
+    ``excitations`` is eta_abs * alpha_sq: the quoted sizes are already
+    overlap-corrected, so only the absorption probability enters.
+    """
 
     alpha_sq: np.ndarray
     excitations: np.ndarray
@@ -92,8 +96,6 @@ def no_leak_prob(mu: float, eta, vis):
     keeps full precision at small mu.  Zero at mu = 0.  ``eta`` and ``vis``
     may be arrays.
     """
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
     return np.expm1(-2.0 * mu * eta * (1.0 - vis)) - math.expm1(-mu)
 
 
@@ -107,37 +109,20 @@ def _noise_fraction(mu: float, bs_t: float, eta_h, eta, vis):
     return p_n / denom
 
 
-def _werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vis):
-    """W at alpha_sq for the given (scalar or array) eta_h, eta and vis."""
+def werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vis):
+    """W = v_mm * (1 - p_n / (p_s + p_n)) at mu = kappa * alpha_sq.
+
+    ``eta_h``, ``eta`` and ``vis`` may be arrays.  A zero-size displacement
+    is no operation at all and contributes no noise, so alpha_sq = 0 maps to
+    W = v_mm exactly (the noise formulas themselves condition on at least one
+    displacement photon and are undefined there).
+    """
     if alpha_sq < 0:
         raise ValueError("alpha_sq must be >= 0")
     if alpha_sq == 0.0:
         return params.v_mm + np.zeros_like(eta)
     return params.v_mm * (1.0 - _noise_fraction(params.kappa * alpha_sq, params.bs_t,
                                                 eta_h, eta, vis))
-
-
-def predict_werner_visibility(alpha_sq: float,
-                              params: ExperimentParams = DEFAULT_PARAMS) -> float:
-    """W = v_mm * (1 - p_n / (p_s + p_n)) at mu = kappa * alpha_sq.
-
-    A zero-size displacement is no operation at all and contributes no noise,
-    so alpha_sq = 0 maps to W = v_mm exactly (the noise formulas themselves
-    condition on at least one displacement photon and are undefined there).
-    """
-    return _werner_visibility(alpha_sq, params, params.eta_h, params.eta, params.vis)
-
-
-def excitations_from_alpha(alpha_sq, eta_abs: float):
-    """Mean atomic-excitation count for a displacement of size alpha_sq.
-
-    The quoted alpha_sq values are already overlap-corrected upstream, so
-    only the absorption probability enters here.  ``alpha_sq`` may be an
-    array.
-    """
-    if np.any(np.asarray(alpha_sq) < 0):
-        raise ValueError("alpha_sq must be >= 0")
-    return eta_abs * alpha_sq
 
 
 def werner_witnesses(w):
@@ -168,12 +153,12 @@ def witness_band_point(alpha_sq: float, params: ExperimentParams,
     mean = np.array([params.eta_h, params.eta, params.vis])
     sd = np.array([params.sd_eta_h, params.sd_eta, params.sd_vis])
     eta_h, eta, vis = np.clip(mean + sd * z, 0.0, 1.0).T
-    ws = _werner_visibility(alpha_sq, params, eta_h, eta, vis)
+    ws = werner_visibility(alpha_sq, params, eta_h, eta, vis)
     s, ppt, conc = werner_witnesses(ws)
     return float(np.std(s)), float(np.std(ppt)), float(np.std(conc))
 
 
-def predict_witness_curves(alpha_sq_grid, params: ExperimentParams = DEFAULT_PARAMS,
+def predict_witness_curves(alpha_sq_grid, params: ExperimentParams = ExperimentParams(),
                            band_samples: int = 200, rng_seed: int = 0) -> WitnessCurve:
     """Predicted S / PPT / concurrence over a displacement-size grid.
 
@@ -186,21 +171,19 @@ def predict_witness_curves(alpha_sq_grid, params: ExperimentParams = DEFAULT_PAR
     grid = np.asarray(alpha_sq_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("alpha_sq grid is empty")
-    w = np.array([predict_werner_visibility(a, params) for a in grid])
+    w = np.array([werner_visibility(a, params, params.eta_h, params.eta, params.vis)
+                  for a in grid])
     s, ppt, conc = werner_witnesses(w)
 
-    band_s = np.zeros_like(grid)
-    band_ppt = np.zeros_like(grid)
-    band_conc = np.zeros_like(grid)
+    bands = np.zeros((grid.size, 3))
     if band_samples > 0:
         for i, a in enumerate(grid):
-            band_s[i], band_ppt[i], band_conc[i] = witness_band_point(
-                a, params, band_samples, rng_seed, i
-            )
+            bands[i] = witness_band_point(a, params, band_samples, rng_seed, i)
+    band_s, band_ppt, band_conc = bands.T
 
     return WitnessCurve(
         alpha_sq=grid,
-        excitations=excitations_from_alpha(grid, params.eta_abs),
+        excitations=params.eta_abs * grid,
         s=s, ppt=ppt, concurrence=conc,
         band_s=band_s, band_ppt=band_ppt, band_concurrence=band_conc,
     )

@@ -7,7 +7,6 @@ is ``cos(2 theta) sigma_z + sin(2 theta) sigma_x``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,30 +27,14 @@ class TwoQubitDensity:
         check_density_matrix(self.matrix)
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Equatorial analyzer angle in radians, stored in [0, 2*pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % (2 * math.pi))
-
-    def observable(self) -> np.ndarray:
-        return math.cos(2 * self.theta) * SIGMA_Z + math.sin(2 * self.theta) * SIGMA_X
+#: lab analyzer settings (a1, a2, b1, b2) of the CHSH test, in degrees; optimal
+#: for the |HH> + |VV> Bell state
+CHSH_SETTINGS_DEG = (45.0, 0.0, 22.5, 67.5)
+CHSH_SETTINGS = tuple(math.radians(d) for d in CHSH_SETTINGS_DEG)
 
 
-def _as_setting(s) -> MeasurementSetting:
-    return s if isinstance(s, MeasurementSetting) else MeasurementSetting(float(s))
-
-
-#: (a, a', b, b') quadruple that is optimal for the |HH>+|VV> Bell state
-DEFAULT_CHSH_SETTINGS = (
-    MeasurementSetting(math.radians(45.0)),
-    MeasurementSetting(math.radians(0.0)),
-    MeasurementSetting(math.radians(22.5)),
-    MeasurementSetting(math.radians(67.5)),
-)
+def observable(theta: float) -> np.ndarray:
+    return math.cos(2 * theta) * SIGMA_Z + math.sin(2 * theta) * SIGMA_X
 
 
 def bell_state() -> TwoQubitDensity:
@@ -68,21 +51,17 @@ def werner_state(w: float) -> TwoQubitDensity:
     return TwoQubitDensity(w * bell_state().matrix + (1.0 - w) * np.eye(4) / 4.0)
 
 
-def correlator(rho: TwoQubitDensity, a, b) -> float:
+def correlator(rho: TwoQubitDensity, a: float, b: float) -> float:
     """E(a, b) = Tr[rho A(a) x B(b)] for +-1 equatorial observables."""
-    ab = np.kron(_as_setting(a).observable(), _as_setting(b).observable())
+    ab = np.kron(observable(a), observable(b))
     return float(np.real(np.trace(rho.matrix @ ab)))
 
 
-def chsh_value(rho: TwoQubitDensity, settings=DEFAULT_CHSH_SETTINGS) -> float:
-    """S = |E(a,b) + E(a,b') + E(a',b) - E(a',b')|."""
-    a, a2, b, b2 = settings
-    return abs(
-        correlator(rho, a, b)
-        + correlator(rho, a, b2)
-        + correlator(rho, a2, b)
-        - correlator(rho, a2, b2)
-    )
+def chsh(corr) -> float:
+    """S = |E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2)| at ``CHSH_SETTINGS``,
+    with ``corr(a, b)`` the correlator E at analyzer angles in radians."""
+    a1, a2, b1, b2 = CHSH_SETTINGS
+    return abs(corr(a1, b1) + corr(a1, b2) + corr(a2, b1) - corr(a2, b2))
 
 
 def correlation_matrix(rho: TwoQubitDensity) -> np.ndarray:

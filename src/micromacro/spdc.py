@@ -19,11 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fock import TAU_NUM
-
-
-#: lab analyzer settings (a1, a2, b1, b2) of the CHSH test, in degrees
-CHSH_SETTINGS_DEG = (45.0, 0.0, 22.5, 67.5)
-CHSH_SETTINGS = tuple(np.deg2rad(CHSH_SETTINGS_DEG))
+from .polarization import chsh
 
 
 class ModelInconsistencyError(ArithmeticError):
@@ -106,13 +102,25 @@ def herald_probability(g: float, r: float, p_dc: float) -> float:
     return w1 - w2
 
 
+def _herald_rows(w1: float, w2: float) -> tuple:
+    """Herald table: rows A = +1 and A = -1 of the joints, columns weighing
+    side B's thermal pairs (nbar, mbar), (mbar, mbar), (nbar, nbar)."""
+    return (w1, -w2, 0.0), (-w1, 0.0, 1.0)
+
+
+def _weigh(row, vals):
+    """Entries of ``vals`` weighed by one herald row, summed in column order."""
+    return row[0] * vals[0] + row[1] * vals[1] + row[2] * vals[2]
+
+
 def _derived(p: DetailedParams):
+    """Thermal pairs, herald table, efficiency, jitter exponent, amplitude."""
     nbar, mbar = thermal_means(p.g, p.r)
+    pairs = ((nbar, mbar), (mbar, mbar), (nbar, nbar))
     eta = p.eta_d * p.t1**2 * p.t2**2 * p.eta_c
     eps = p.sigma_phi**2 / 2.0
     t_amp = p.t1 * p.t2 * math.sqrt(p.eta_c)
-    w1, w2 = herald_weights(p.g, p.r, p.p_dc)
-    return nbar, mbar, eta, eps, t_amp, w1, w2
+    return pairs, _herald_rows(*herald_weights(p.g, p.r, p.p_dc)), eta, eps, t_amp
 
 
 def _f_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams, eta: float,
@@ -147,21 +155,13 @@ def joint_probabilities(th_a: float, th_b: float,
     on side B measured in the displacement-matched frame.  The four raw
     joints need not sum to one because double-no-click rounds are dropped.
     """
-    nbar, mbar, eta, eps, _, w1, w2 = _derived(p)
-
-    def f_plus(nb, np_):
-        return (_f_factor(nb, np_, th_a, th_b, p, eta, eps)
-                - _g_factor(nb, np_, th_a, th_b, p, eta, eps))
-
-    def f_minus(nb, np_):
-        return 1.0 - _f_factor(nb, np_, th_a, th_b, p, eta, eps)
-
-    vals = np.array([
-        w1 * f_plus(nbar, mbar) - w2 * f_plus(mbar, mbar),
-        w1 * f_minus(nbar, mbar) - w2 * f_minus(mbar, mbar),
-        f_plus(nbar, nbar) - w1 * f_plus(nbar, mbar),
-        f_minus(nbar, nbar) - w1 * f_minus(nbar, mbar),
-    ])
+    pairs, rows, eta, eps, _ = _derived(p)
+    plus, minus = [], []  # P(B = +1) = F - G and P(B = -1) = 1 - F per pair
+    for nb, np_ in pairs:
+        f = _f_factor(nb, np_, th_a, th_b, p, eta, eps)
+        plus.append(f - _g_factor(nb, np_, th_a, th_b, p, eta, eps))
+        minus.append(1.0 - f)
+    vals = np.array([_weigh(row, b) for row in rows for b in (plus, minus)])
     if np.any(vals < -TAU_NUM) or np.any(vals > 1.0 + TAU_NUM):
         raise ModelInconsistencyError(f"joint probabilities out of range: {vals}")
     vals = np.clip(vals, 0.0, 1.0)
@@ -174,21 +174,27 @@ class OracleEstimate:
     errors: JointProbabilities
 
 
+def _mean_se(x: np.ndarray) -> tuple:
+    """Sample mean and its standard error (ddof = 1), with one mean pass."""
+    mean = x.mean()
+    dev = x - mean
+    dev *= dev
+    return mean, math.sqrt(dev.sum() / (x.size - 1)) / math.sqrt(x.size)
+
+
 def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
                        n_samples: int = 10**5, seed: int = 0) -> OracleEstimate:
     """Sampling estimate of the four joints with standard errors.
 
     Thermal modes are complex normals, the leak phase is N(0, sigma_phi);
     Bob's outcome probabilities are computed exactly per sample, so the only
-    noise is over the Gaussian draws.  The three thermal combinations are
-    estimated separately and combined with the herald weights, errors in
-    quadrature.
+    noise is over the Gaussian draws.  The three thermal pairs are estimated
+    separately and combined by the herald table, errors in quadrature.
     """
-    nbar, mbar, _, _, t_amp, w1, w2 = _derived(p)
+    pairs, rows, _, _, t_amp = _derived(p)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    est = {}
-    for key, (vb, vp) in {"nm": (nbar, mbar), "mm": (mbar, mbar),
-                          "nn": (nbar, nbar)}.items():
+    plus, minus = [], []  # (mean, standard error) of P(B = +-1) per pair
+    for vb, vp in pairs:
         a = rng.normal(0, math.sqrt(vb / 2), n_samples) \
             + 1j * rng.normal(0, math.sqrt(vb / 2), n_samples)
         b = rng.normal(0, math.sqrt(vp / 2), n_samples) \
@@ -201,47 +207,28 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
         c_orth = math.sin(th_b) * a_hat - math.cos(th_b) * b_hat
         pnc_main = (1.0 - p.p_dc) * np.exp(-np.abs(c_main) ** 2 * p.eta_d)
         pnc_orth = (1.0 - p.p_dc) * np.exp(-np.abs(c_orth) ** 2 * p.eta_d)
-        b_plus = pnc_main * (1.0 - pnc_orth)
-        b_minus = 1.0 - pnc_main
-        est[key] = {
-            "fp": b_plus.mean(), "fp_se": b_plus.std(ddof=1) / math.sqrt(n_samples),
-            "fm": b_minus.mean(), "fm_se": b_minus.std(ddof=1) / math.sqrt(n_samples),
-        }
+        plus.append(_mean_se(pnc_main * (1.0 - pnc_orth)))
+        minus.append(_mean_se(1.0 - pnc_main))
 
-    def combine(field, w_nm, w_mm, w_nn):
-        v = w_nm * est["nm"][field] + w_mm * est["mm"][field] \
-            + w_nn * est["nn"][field]
-        se = math.sqrt((w_nm * est["nm"][field + "_se"]) ** 2
-                       + (w_mm * est["mm"][field + "_se"]) ** 2
-                       + (w_nn * est["nn"][field + "_se"]) ** 2)
-        return v, se
-
-    pp = combine("fp", w1, -w2, 0.0)
-    pm = combine("fm", w1, -w2, 0.0)
-    mp = combine("fp", -w1, 0.0, 1.0)
-    mm = combine("fm", -w1, 0.0, 1.0)
-    return OracleEstimate(
-        joints=JointProbabilities(pp[0], pm[0], mp[0], mm[0]),
-        errors=JointProbabilities(pp[1], pm[1], mp[1], mm[1]),
-    )
+    joints, errors = [], []
+    for row in rows:
+        for est in (plus, minus):
+            means, ses = zip(*est)
+            joints.append(_weigh(row, means))
+            sq = [(w * se) ** 2 for w, se in zip(row, ses)]
+            errors.append(math.sqrt(sq[0] + sq[1] + sq[2]))
+    return OracleEstimate(JointProbabilities(*joints), JointProbabilities(*errors))
 
 
-def chsh_from_detailed(settings, p: DetailedParams) -> float:
-    """CHSH S for lab analyzer settings (a1, a2, b1, b2) in radians.
+def chsh_from_detailed(p: DetailedParams) -> float:
+    """CHSH S at the lab settings ``polarization.CHSH_SETTINGS``.
 
     Lab angles map onto the model as th_a = a and th_b = b - a (side B is
     analyzed in the frame of side A's displacement axis).
     """
-    a1, a2, b1, b2 = settings
-
-    def corr(a, b):
-        return joint_probabilities(a, b - a, p).correlator()
-
-    return abs(corr(a1, b1) + corr(a1, b2) + corr(a2, b1) - corr(a2, b2))
+    return chsh(lambda a, b: joint_probabilities(a, b - a, p).correlator())
 
 
 def detailed_chsh_curve(gammas, p: DetailedParams) -> np.ndarray:
     """CHSH S at the lab settings for every leak gain of ``gammas``."""
-    return np.array([
-        chsh_from_detailed(CHSH_SETTINGS, replace(p, gamma=float(gm))) for gm in gammas
-    ])
+    return np.array([chsh_from_detailed(replace(p, gamma=float(gm))) for gm in gammas])

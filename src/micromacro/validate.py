@@ -2,10 +2,11 @@
 
 These are the invariants the physics guarantees exactly (up to numerical
 tolerance); any failure means a broken build rather than a bad parameter
-choice.  Each check exercises code the subcommands run: the splitter's
+choice.  Most checks exercise code the subcommands run: the splitter's
 photon-number blocks, the closed-form displaced states, the hom coincidence
-function and the model's closed forms.  The whole battery runs in well under
-a second.
+function and the model's closed forms.  ``memory-null-residual`` and
+``loop-noise-ratio`` exercise ``memory``, which only ``validate`` runs.  The
+whole battery runs in well under a second.
 """
 from __future__ import annotations
 
@@ -40,14 +41,15 @@ def _displacement_inverse():
     worst = 0.0
     for alpha, n_max in ((0.7, 60), (math.sqrt(47.0), macro.default_n_max(48.0))):
         cols = np.stack([fock.coherent_amplitudes(alpha, n_max),
-                         fock.displaced_single_photon(alpha, n_max).amplitudes])
+                         fock.displaced_single_photon(alpha, n_max)])
         worst = max(worst, float(np.max(np.abs(cols.conj() @ cols.T - np.eye(2)))))
     return worst < 1e-10, (f"max |D(-a)D(a) - I| = {worst:.3e} on levels 0 and 1 "
                            "at a = 0.7 and sqrt 47")
 
 
 def _bell_chsh():
-    s = polarization.chsh_value(polarization.bell_state())
+    bell = polarization.bell_state()
+    s = polarization.chsh(lambda a, b: polarization.correlator(bell, a, b))
     dev = abs(s - 2.0 * RT2)
     return dev < 1e-12, f"|S - 2 sqrt 2| = {dev:.3e}"
 

@@ -34,9 +34,9 @@ def test_criterion_1_witness_predictions_match_reference():
 
 
 def test_criterion_2_excitation_conversion():
-    eta_abs = ExperimentParams().eta_abs
-    for alpha_sq, target in ((13.3, 7.3), (42.0, 23.1), (86.0, 47.3)):
-        got = noise.excitations_from_alpha(alpha_sq, eta_abs)
+    curve = noise.predict_witness_curves(
+        np.array([13.3, 42.0, 86.0]), ExperimentParams(), band_samples=0)
+    for got, target in zip(curve.excitations, (7.3, 23.1, 47.3)):
         assert abs(got - target) <= 0.05
 
 

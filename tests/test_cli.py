@@ -113,6 +113,9 @@ def test_config_rejects_bad_input():
     ("hom", "hom.window_min = 6"),
     ("curves", "curves.alpha_sq_min = 200"),
     ("curves", "curves.alpha_sq_max = -5"),
+    ("curves", "noise.sd_eta_h = -0.02"),
+    ("curves", "noise.sd_eta = -0.002"),
+    ("curves", "noise.sd_vis = -0.0002"),
 ])
 def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
     out = tmp_path / "out"

@@ -21,17 +21,22 @@ def test_coherent_state_photon_statistics():
     assert np.max(np.abs(p - expected)) < 1e-12
 
 
-def test_coherent_state_rejects_small_cutoff():
-    # |4> has mass 0.19 at or below n = 12
+def test_displaced_single_photon_rejects_a_short_cutoff():
+    # at |alpha|^2 = 47 and n_max = 95, D(alpha)|1> loses 1.32e-8 > TAU_TRUNC,
+    # while both macro components keep their mass within 1e-8, so this check
+    # is the only one that catches the cutoff
+    alpha, n_max = math.sqrt(47.0), 95
+    with pytest.raises(fock.TruncationError, match="increase n_max"):
+        fock.displaced_single_photon(alpha, n_max)
+    zero = fock.coherent_amplitudes(alpha, n_max)
+    one = fock.displaced_single_photon(alpha, n_max + 1)[:-1]
+    for sign in (1.0, -1.0):
+        deficit = 1.0 - float(np.sum(np.abs(zero + sign * one) ** 2)) / 2.0
+        assert 0.0 < deficit < fock.TAU_TRUNC
+    assert fock.displaced_single_photon(alpha, n_max + 5).shape == (n_max + 6,)
+    # a cutoff below the bulk of the state (|alpha|^2 = 16, n_max = 12)
     with pytest.raises(fock.TruncationError):
-        fock.TruncatedState(fock.coherent_amplitudes(4.0, 12))
-
-
-def test_truncated_state_rejects_norm_deficit():
-    v = np.zeros(5)
-    v[0] = 0.999  # squared norm 0.998, outside the tolerance band
-    with pytest.raises(fock.TruncationError):
-        fock.TruncatedState(v)
+        fock.displaced_single_photon(4.0, 12)
 
 
 def test_displacement_inverse_on_low_levels():
@@ -46,7 +51,7 @@ def test_displacement_inverse_on_low_levels():
 def test_displaced_photon_number_distribution(alpha):
     # |<n|D(a)|1>|^2 = e^{-a^2} a^{2(n-1)} (n - a^2)^2 / n!
     n_max = 40
-    p = np.abs(fock.displaced_single_photon(alpha, n_max).amplitudes) ** 2
+    p = np.abs(fock.displaced_single_photon(alpha, n_max)) ** 2
     lam = alpha**2
     n = np.arange(n_max + 1)
     logw = -lam + (n - 1) * math.log(lam) - gammaln(n + 1)
@@ -61,7 +66,7 @@ def test_displaced_photon_number_distribution(alpha):
 def test_displaced_single_photon_matches_dense_displacement(alpha):
     # reference: the column D(alpha)|1> of the dense matrix; |1> at alpha = 0
     n_max = 60
-    got = fock.displaced_single_photon(alpha, n_max).amplitudes
+    got = fock.displaced_single_photon(alpha, n_max)
     ref = displacement_operator(alpha, n_max)[:, 1]
     assert np.max(np.abs(got - ref)) < 1e-10
 

@@ -12,6 +12,10 @@ from micromacro import noise
 P = noise.ExperimentParams()
 
 
+def werner_visibility(alpha_sq, params=P):
+    return noise.werner_visibility(alpha_sq, params, params.eta_h, params.eta, params.vis)
+
+
 def noise_fraction(mu):
     """Noise weight p_n / (p_s + p_n) of the Werner state at the defaults."""
     return noise._noise_fraction(mu, P.bs_t, P.eta_h, P.eta, P.vis)
@@ -27,7 +31,7 @@ def reference_band_point(alpha_sq, params, band_samples, rng_seed, index):
                                                getattr(params, f"sd_{name}")),
                                     0.0, 1.0))
                 for name in ("eta_h", "eta", "vis")}
-        ws.append(noise.predict_werner_visibility(alpha_sq, replace(params, **draw)))
+        ws.append(werner_visibility(alpha_sq, replace(params, **draw)))
     s, ppt, conc = noise.werner_witnesses(np.array(ws))
     return float(np.std(s)), float(np.std(ppt)), float(np.std(conc))
 
@@ -40,9 +44,9 @@ def test_witness_anchor_values():
         42.0: 1.593551,
     }
     for alpha_sq, s_expected in cases.items():
-        w = noise.predict_werner_visibility(alpha_sq, P)
+        w = werner_visibility(alpha_sq, P)
         assert abs(2.0 * math.sqrt(2.0) * w - s_expected) < 1e-5
-    w86 = noise.predict_werner_visibility(86.0, P)
+    w86 = werner_visibility(86.0, P)
     assert abs((1.0 - 3.0 * w86) / 4.0 - (-0.047111)) < 1e-5
 
 
@@ -73,25 +77,24 @@ def test_click_formulas_match_poisson_series():
 
 
 def test_zero_displacement_is_noiseless():
-    assert noise.predict_werner_visibility(0.0, P) == P.v_mm
+    assert werner_visibility(0.0, P) == P.v_mm
     with pytest.raises(ValueError):
         noise_fraction(0.0)
 
 
 def test_visibility_decreases_with_displacement_size():
     grid = np.linspace(0.5, 150.0, 120)
-    w = np.array([noise.predict_werner_visibility(a, P) for a in grid])
+    w = np.array([werner_visibility(a, P) for a in grid])
     assert np.all(np.diff(w) < 0.0)
 
 
 def test_excitation_conversion_is_linear_in_size():
-    assert abs(noise.excitations_from_alpha(13.3, P.eta_abs) - 7.315) < 1e-12
-    assert abs(noise.excitations_from_alpha(42.0, P.eta_abs) - 23.1) < 1e-12
-    assert abs(noise.excitations_from_alpha(86.0, P.eta_abs) - 47.3) < 1e-12
-    grid = np.array([0.0, 13.3, 86.0])
-    assert np.array_equal(noise.excitations_from_alpha(grid, P.eta_abs), P.eta_abs * grid)
+    grid = np.array([0.0, 13.3, 42.0, 86.0])
+    got = noise.predict_witness_curves(grid, P, band_samples=0).excitations
+    assert np.max(np.abs(got - [0.0, 7.315, 23.1, 47.3])) < 1e-12
+    assert np.array_equal(got, P.eta_abs * grid)
     with pytest.raises(ValueError, match="alpha_sq must be >= 0"):
-        noise.excitations_from_alpha(np.array([1.0, -1.0]), P.eta_abs)
+        noise.predict_witness_curves(np.array([-1.0, 1.0]), P, band_samples=0)
 
 
 def test_band_sampling_is_order_independent():
@@ -139,3 +142,10 @@ def test_curve_container_shapes():
     assert np.allclose(curve.excitations, P.eta_abs * grid)
     with pytest.raises(ValueError):
         noise.predict_witness_curves([], P)
+
+
+@pytest.mark.parametrize("name", ["sd_eta_h", "sd_eta", "sd_vis"])
+def test_negative_band_width_is_rejected(name):
+    with pytest.raises(ValueError, match=f"{name}=-0.002 must be >= 0"):
+        noise.ExperimentParams(**{name: -0.002})
+    assert getattr(noise.ExperimentParams(**{name: 0.0}), name) == 0.0

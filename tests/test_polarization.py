@@ -18,14 +18,19 @@ def test_bell_correlator_depends_on_angle_difference(theta_a, theta_b):
 
 
 def test_measurement_setting_observables():
-    z = pol.MeasurementSetting(0.0).observable()
-    x = pol.MeasurementSetting(math.pi / 4).observable()
+    z = pol.observable(0.0)
+    x = pol.observable(math.pi / 4)
     assert np.max(np.abs(z - np.diag([1.0, -1.0]))) < 1e-15
     assert np.max(np.abs(x - np.array([[0, 1], [1, 0]]))) < 1e-15
 
 
+def s_at_lab_settings(rho):
+    return pol.chsh(lambda a, b: pol.correlator(rho, a, b))
+
+
 def test_chsh_at_default_settings_is_tsirelson():
-    assert abs(pol.chsh_value(pol.bell_state()) - 2.0 * RT2) < 1e-12
+    assert pol.CHSH_SETTINGS == tuple(np.deg2rad(pol.CHSH_SETTINGS_DEG))
+    assert abs(s_at_lab_settings(pol.bell_state()) - 2.0 * RT2) < 1e-12
 
 
 def test_chsh_maximum_dominates_fixed_settings():
@@ -33,7 +38,7 @@ def test_chsh_maximum_dominates_fixed_settings():
         rho = pol.werner_state(w)
         s_max = pol.chsh_maximum(rho)
         assert abs(s_max - 2.0 * RT2 * w) < 1e-10
-        assert pol.chsh_value(rho) <= s_max + 1e-12
+        assert s_at_lab_settings(rho) <= s_max + 1e-12
 
 
 def test_werner_ppt_and_concurrence_closed_forms():
