@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import binom, poisson
 
-from micromacro import fock, hom
+from micromacro import fock, hom, macro
 from references import (ModeTransform, annihilation, beam_splitter, coherent_density,
                         dense_coincidence, displacement_operator, loss_channel,
                         thermal_dist)
@@ -34,9 +34,26 @@ def test_displaced_single_photon_rejects_a_short_cutoff():
         deficit = 1.0 - float(np.sum(np.abs(zero + sign * one) ** 2)) / 2.0
         assert 0.0 < deficit < fock.TAU_TRUNC
     assert fock.displaced_single_photon(alpha, n_max + 5).shape == (n_max + 6,)
-    # a cutoff below the bulk of the state (|alpha|^2 = 16, n_max = 12)
+
+
+def test_coherent_state_rejects_small_cutoff():
+    # |4> has mass 0.19 at or below n = 12, so the cutoff sits below the bulk
+    # of the state and every state built on it is refused
+    mass = float(np.sum(np.abs(fock.coherent_amplitudes(4.0, 12)) ** 2))
+    assert abs(mass - poisson.cdf(12, 16.0)) < 1e-12
     with pytest.raises(fock.TruncationError):
         fock.displaced_single_photon(4.0, 12)
+    with pytest.raises(fock.TruncationError):
+        macro.macro_components(4.0, 12)
+
+
+def test_truncated_state_rejects_norm_deficit():
+    v = np.zeros(5)
+    v[0] = 0.999 ** 2  # total probability 0.998, outside the tolerance band
+    with pytest.raises(fock.TruncationError):
+        macro.MacroComponentPair(v, v, 0.0)
+    v[0] = 1.0 - fock.TAU_TRUNC / 2  # inside the band
+    macro.MacroComponentPair(v, v, 0.0)
 
 
 def test_displacement_inverse_on_low_levels():
