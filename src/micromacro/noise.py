@@ -115,14 +115,18 @@ def werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vis
     ``eta_h``, ``eta`` and ``vis`` may be arrays.  A zero-size displacement
     is no operation at all and contributes no noise, so alpha_sq = 0 maps to
     W = v_mm exactly (the noise formulas themselves condition on at least one
-    displacement photon and are undefined there).
+    displacement photon and are undefined there).  A mu that overflows to
+    infinity is refused.
     """
     if alpha_sq < 0:
         raise ValueError("alpha_sq must be >= 0")
     if alpha_sq == 0.0:
         return params.v_mm + np.zeros_like(eta)
-    return params.v_mm * (1.0 - _noise_fraction(params.kappa * alpha_sq, params.bs_t,
-                                                eta_h, eta, vis))
+    mu = params.kappa * float(alpha_sq)
+    if not math.isfinite(mu):
+        raise ValueError(f"mu = kappa * alpha_sq = {params.kappa:g} * {alpha_sq:g} "
+                         "is not finite")
+    return params.v_mm * (1.0 - _noise_fraction(mu, params.bs_t, eta_h, eta, vis))
 
 
 def werner_witnesses(w):
@@ -146,8 +150,11 @@ def witness_band_point(alpha_sq: float, params: ExperimentParams,
     all samples at once.  Row-major order uses the draws as one scalar
     ``rng.normal(mean, sd)`` per parameter and sample would.  The generator
     is seeded from (rng_seed, index), so the result does not depend on
-    evaluation order or on how points are split across workers.
+    evaluation order or on how points are split across workers.  At
+    alpha_sq = 0 every sample's W is v_mm, so the spreads are exactly zero.
     """
+    if alpha_sq == 0.0:
+        return 0.0, 0.0, 0.0
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, index]))
     z = rng.standard_normal((band_samples, 3))
     mean = np.array([params.eta_h, params.eta, params.vis])

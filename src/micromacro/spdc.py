@@ -182,6 +182,25 @@ def _mean_se(x: np.ndarray) -> tuple:
     return mean, math.sqrt(dev.sum() / (x.size - 1)) / math.sqrt(x.size)
 
 
+def _sampled_pair(rng, amp: np.ndarray, n_samples: int, p: DetailedParams) -> tuple:
+    """(mean, standard error) of P(B = +1) and of P(B = -1) for one thermal
+    pair: ``amp`` maps a (5, n_samples) block of standard normals onto the
+    real and imaginary parts of the main and orthogonal detector amplitudes.
+    Every temporary is freed on return, before the next pair draws."""
+    c = amp @ rng.standard_normal((5, n_samples))
+    c *= c
+    pnc = c[0::2]  # |c|^2, then the no-click probability: rows main, orth
+    pnc += c[1::2]
+    pnc *= -p.eta_d
+    np.exp(pnc, out=pnc)
+    pnc *= 1.0 - p.p_dc
+    pnc_main, pnc_orth = pnc
+    np.subtract(1.0, pnc_orth, out=pnc_orth)
+    pnc_orth *= pnc_main
+    np.subtract(1.0, pnc_main, out=pnc_main)
+    return _mean_se(pnc_orth), _mean_se(pnc_main)
+
+
 def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
                        n_samples: int = 10**5, seed: int = 0) -> OracleEstimate:
     """Sampling estimate of the four joints with standard errors.
@@ -190,25 +209,35 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     Bob's outcome probabilities are computed exactly per sample, so the only
     noise is over the Gaussian draws.  The three thermal pairs are estimated
     separately and combined by the herald table, errors in quadrature.
+
+    Each pair (vb, vp) draws one (5, n_samples) block of standard normals,
+    rows Re a, Im a, Re b, Im b, phi: the same stream, in the same order, as
+    one ``rng.normal(0, sd, n_samples)`` call per row.  The two detector
+    amplitudes are linear in the draws; with t the amplitude transmission
+    and k = t2 gamma sigma_phi,
+
+        c_main = t (cos th_b a + sin th_b b) + i k cos(th_a - th_b) phi
+        c_orth = t (sin th_b a - cos th_b b) + i k sin(th_b - th_a) phi,
+
+    so one real 4 x 5 map gives both real and imaginary parts and no complex
+    array is made.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples = {n_samples}: a standard error needs >= 2")
     pairs, rows, _, _, t_amp = _derived(p)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    plus, minus = [], []  # (mean, standard error) of P(B = +-1) per pair
+    cb, sb = math.cos(th_b), math.sin(th_b)
+    k = p.t2 * p.gamma * p.sigma_phi
+    k_main, k_orth = k * math.cos(th_a - th_b), k * math.sin(th_b - th_a)
+    ests = []
     for vb, vp in pairs:
-        a = rng.normal(0, math.sqrt(vb / 2), n_samples) \
-            + 1j * rng.normal(0, math.sqrt(vb / 2), n_samples)
-        b = rng.normal(0, math.sqrt(vp / 2), n_samples) \
-            + 1j * rng.normal(0, math.sqrt(vp / 2), n_samples)
-        phi = rng.normal(0, p.sigma_phi, n_samples)
-        m = 1j * p.t2 * p.gamma * phi
-        a_hat = t_amp * a + math.cos(th_a) * m
-        b_hat = t_amp * b + math.sin(th_a) * m
-        c_main = math.cos(th_b) * a_hat + math.sin(th_b) * b_hat
-        c_orth = math.sin(th_b) * a_hat - math.cos(th_b) * b_hat
-        pnc_main = (1.0 - p.p_dc) * np.exp(-np.abs(c_main) ** 2 * p.eta_d)
-        pnc_orth = (1.0 - p.p_dc) * np.exp(-np.abs(c_orth) ** 2 * p.eta_d)
-        plus.append(_mean_se(pnc_main * (1.0 - pnc_orth)))
-        minus.append(_mean_se(1.0 - pnc_main))
+        ta, tb = t_amp * math.sqrt(vb / 2), t_amp * math.sqrt(vp / 2)
+        amp = np.array([[cb * ta, 0.0, sb * tb, 0.0, 0.0],
+                        [0.0, cb * ta, 0.0, sb * tb, k_main],
+                        [sb * ta, 0.0, -cb * tb, 0.0, 0.0],
+                        [0.0, sb * ta, 0.0, -cb * tb, k_orth]])
+        ests.append(_sampled_pair(rng, amp, n_samples, p))
+    plus, minus = zip(*ests)  # (mean, standard error) of P(B = +-1) per pair
 
     joints, errors = [], []
     for row in rows:

@@ -4,11 +4,12 @@ Each one computes a production figure the long way: the splitter and the
 displacement as dense exponentials on the full truncated Fock space, the
 loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
 (and its rejected double-click reading), the phase-jitter average by
-Gauss-Hermite quadrature, the storage loop slot by slot, the effective size
-by a search over smoothed point masses, the tomography likelihood fit by
-scipy's L-BFGS-B.  The differential tests compare the closed forms with
-them.  Unlike ``oracles.py`` (standard library and mpmath only), these use
-numpy and may take production parameter classes as input.
+Gauss-Hermite quadrature, the sampling oracle in complex arithmetic, the
+storage loop slot by slot, the effective size by a search over smoothed
+point masses, the tomography likelihood fit by scipy's L-BFGS-B.  The
+differential tests compare the closed forms with them.  Unlike
+``oracles.py`` (standard library and mpmath only), these use numpy and may
+take production parameter classes as input.
 """
 import cmath
 import math
@@ -196,7 +197,7 @@ def overlap_ratio(v_m: float, v_e: float) -> float:
     return v_m / v_e
 
 
-# ---- spdc: four-mode amplitudes, herald conditioning, jitter average ----
+# ---- spdc: four-mode amplitudes, herald conditioning, jitter average, sampling ----
 
 def spdc_amplitudes(g: float, n_max: int) -> np.ndarray:
     """Four-mode amplitudes c[n_a, n_aperp, n_b, n_bperp] of the double pair.
@@ -257,6 +258,40 @@ def gauss_hermite_phase_average(fn, sigma: float, n_nodes: int = 61) -> float:
     x, w = hermgauss(n_nodes)
     return float(sum(wi * fn(math.sqrt(2.0) * sigma * xi)
                      for xi, wi in zip(x, w)) / math.sqrt(math.pi))
+
+
+def complex_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedParams,
+                               n_samples: int, seed: int) -> spdc.OracleEstimate:
+    """``spdc.monte_carlo_oracle`` in complex arithmetic: the thermal modes
+    a, b and the leak phase phi drawn one ``rng.normal`` call per real
+    component, displaced by the leak, rotated onto the two detectors."""
+    pairs, rows, _, _, t_amp = spdc._derived(p)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    plus, minus = [], []  # (mean, standard error) of P(B = +-1) per pair
+    for vb, vp in pairs:
+        a = rng.normal(0, math.sqrt(vb / 2), n_samples) \
+            + 1j * rng.normal(0, math.sqrt(vb / 2), n_samples)
+        b = rng.normal(0, math.sqrt(vp / 2), n_samples) \
+            + 1j * rng.normal(0, math.sqrt(vp / 2), n_samples)
+        phi = rng.normal(0, p.sigma_phi, n_samples)
+        m = 1j * p.t2 * p.gamma * phi
+        a_hat = t_amp * a + math.cos(th_a) * m
+        b_hat = t_amp * b + math.sin(th_a) * m
+        c_main = math.cos(th_b) * a_hat + math.sin(th_b) * b_hat
+        c_orth = math.sin(th_b) * a_hat - math.cos(th_b) * b_hat
+        pnc_main = (1.0 - p.p_dc) * np.exp(-np.abs(c_main) ** 2 * p.eta_d)
+        pnc_orth = (1.0 - p.p_dc) * np.exp(-np.abs(c_orth) ** 2 * p.eta_d)
+        for est, x in ((plus, pnc_main * (1.0 - pnc_orth)), (minus, 1.0 - pnc_main)):
+            est.append((x.mean(), x.std(ddof=1) / math.sqrt(n_samples)))
+
+    joints, errors = [], []
+    for row in rows:
+        for est in (plus, minus):
+            means, ses = zip(*est)
+            joints.append(spdc._weigh(row, means))
+            errors.append(math.sqrt(sum((w * se) ** 2 for w, se in zip(row, ses))))
+    return spdc.OracleEstimate(spdc.JointProbabilities(*joints),
+                               spdc.JointProbabilities(*errors))
 
 
 # ---- memory: the storage loop slot by slot ----

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,19 @@ def test_curves_run_at_a_vanishing_size(tmp_path):
     assert first["alpha_sq"] == 1e-20
     assert abs(first["chsh_s"] - 2.0 * math.sqrt(2.0) * 0.94 * (1.0 - 0.015623054352)) < 1e-9
     assert all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_overflowing_photon_number_is_an_error(tmp_path, capsys):
+    # mu = kappa * alpha_sq overflows at the default grid: exit 1 with a
+    # message, no numpy warning and no table
+    cfg = write_config(tmp_path, "noise.kappa = 1e308\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["curves", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "error: mu = kappa * alpha_sq = 1e+308 * " in err and "not finite" in err
+    assert not out.exists()
 
 
 def test_grid_bounds_must_be_ordered():

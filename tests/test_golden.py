@@ -14,7 +14,7 @@ from micromacro import cli
 GOLDEN = {
     "curves": {
         "reference_points.csv": "6aad7ae746c7eeb16ff28589cdde72603b1dcd7991dc3c4ccb8120bf573ea483",
-        "witness_curves.csv": "684fed215ee1892ebee82d293ee01e9c9a117b14c2f5f18a3e174b3167970795",
+        "witness_curves.csv": "e58b3cf5a87746a89d0ecac9bc8f6e1d5f5b2f2a746e70505e9cb7a847a17199",
     },
     "size": {
         "size_curve.csv": "394e3003626fc9e8f39283e64c60c64c22d43fc1566321102763891a8b14ba9d",

@@ -112,6 +112,7 @@ def test_band_sampling_is_order_independent():
        rng_seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**16))
 @example(alpha_sq=13.3, band_samples=1000, rng_seed=0, index=0)
 @example(alpha_sq=1e-20, band_samples=5, rng_seed=0, index=0)  # small-size limit
+@example(alpha_sq=0.0, band_samples=200, rng_seed=0, index=0)  # the default first row
 def test_band_point_matches_per_sample_loop(alpha_sq, band_samples, rng_seed, index):
     # same draws in the same order; only np.exp on arrays vs scalars may
     # differ, by ulps that the spread amplifies
@@ -122,6 +123,12 @@ def test_band_point_matches_per_sample_loop(alpha_sq, band_samples, rng_seed, in
             noise.witness_band_point(alpha_sq, P, band_samples, rng_seed, index)
         return
     got = noise.witness_band_point(alpha_sq, P, band_samples, rng_seed, index)
+    if alpha_sq == 0.0:
+        # W = v_mm for every draw: the spread is exactly zero, where the
+        # loop's np.std of equal values keeps rounding noise (<= 4 ulps of
+        # each witness for up to 1000 samples; S = 2.66 has ulp 4.4e-16)
+        assert got == (0.0, 0.0, 0.0) and max(expected) < 2e-15
+        return
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
 
 

@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from micromacro import spdc
-from references import (conditional_state_coeffs, gauss_hermite_phase_average,
-                        projected_g_factor, spdc_amplitudes, thermal_dist)
+from references import (complex_monte_carlo_oracle, conditional_state_coeffs,
+                        gauss_hermite_phase_average, projected_g_factor,
+                        spdc_amplitudes, thermal_dist)
+
+#: the regime of ``test_sampling_arbitrates_double_click_reading``
+STRONG_LEAK = spdc.DetailedParams(g=0.8, r=0.1, eta_d=0.9, p_dc=0.0, t1=1.0,
+                                  t2=1.0, eta_c=1.0, gamma=2.0, sigma_phi=0.4)
 
 
 def brute_force_conditional(g, r, p_dc, n_max, herald=+1):
@@ -143,8 +149,7 @@ def test_sampling_arbitrates_double_click_reading(monkeypatch):
     per-mode one, the package's, survives a direct sampling check in a
     regime that amplifies the difference (asymmetric thermal means, strong
     leak).  The projected one is the reference ``projected_g_factor``."""
-    p = spdc.DetailedParams(g=0.8, r=0.1, eta_d=0.9, p_dc=0.0, t1=1.0, t2=1.0,
-                            eta_c=1.0, gamma=2.0, sigma_phi=0.4)
+    p = STRONG_LEAK
     th_a, th_b = 0.0, math.pi / 3
     est = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=100_000, seed=11)
     se = np.maximum(est.errors.as_array(), 1e-12)
@@ -155,6 +160,38 @@ def test_sampling_arbitrates_double_click_reading(monkeypatch):
                     - spdc.joint_probabilities(th_a, th_b, p).as_array())
     assert np.all(dev_pm <= 4.0 * se)
     assert np.max(dev_pr / se) > 20.0
+
+
+@pytest.mark.parametrize("p", [spdc.DetailedParams(), STRONG_LEAK],
+                         ids=["default", "strong_leak"])
+@pytest.mark.parametrize("n_samples", [2, 777, 40_000])
+@pytest.mark.parametrize("th_a,th_b", [(0.0, 0.0), (0.3, 0.9),
+                                       (math.pi / 4, -math.pi / 8), (1.2, -0.4)])
+def test_monte_carlo_matches_complex_reference(th_a, th_b, n_samples, p):
+    # same seed, same normals: the real 4 x 5 map and the complex arithmetic
+    # differ only by rounding
+    got = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=n_samples, seed=13)
+    want = complex_monte_carlo_oracle(th_a, th_b, p, n_samples=n_samples, seed=13)
+    for g, w in ((got.joints, want.joints), (got.errors, want.errors)):
+        np.testing.assert_allclose(g.as_array(), w.as_array(), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n_samples", [-1, 0, 1])
+def test_monte_carlo_needs_two_samples(n_samples):
+    with pytest.raises(ValueError, match=f"n_samples = {n_samples}"):
+        spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=n_samples)
+
+
+def test_monte_carlo_peak_memory():
+    # one (5, n) block of normals and one (4, n) block of amplitudes at a time
+    # (13.7 MiB at 2e5 samples); the complex arithmetic peaked at 32 MiB
+    tracemalloc.start()
+    try:
+        spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_gauss_hermite_average():
