@@ -14,6 +14,7 @@ re-estimates the same four joints by direct sampling.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -174,31 +175,48 @@ class OracleEstimate:
     errors: JointProbabilities
 
 
-def _mean_se(x: np.ndarray) -> tuple:
-    """Sample mean and its standard error (ddof = 1), with one mean pass."""
-    mean = x.mean()
-    dev = x - mean
-    dev *= dev
-    return mean, math.sqrt(dev.sum() / (x.size - 1)) / math.sqrt(x.size)
+#: samples per oracle block: a pair's (5, n) normals and (4, n) amplitudes
+#: are drawn and mapped this many columns at a time, in buffers that stay in
+#: cache, so memory does not grow with n_samples
+ORACLE_BLOCK = 2**14
 
 
 def _sampled_pair(rng, amp: np.ndarray, n_samples: int, p: DetailedParams) -> tuple:
     """(mean, standard error) of P(B = +1) and of P(B = -1) for one thermal
-    pair: ``amp`` maps a (5, n_samples) block of standard normals onto the
+    pair: ``amp`` maps blocks of (5, ORACLE_BLOCK) standard normals onto the
     real and imaginary parts of the main and orthogonal detector amplitudes.
-    Every temporary is freed on return, before the next pair draws."""
-    c = amp @ rng.standard_normal((5, n_samples))
-    c *= c
-    pnc = c[0::2]  # |c|^2, then the no-click probability: rows main, orth
-    pnc += c[1::2]
-    pnc *= -p.eta_d
-    np.exp(pnc, out=pnc)
-    pnc *= 1.0 - p.p_dc
-    pnc_main, pnc_orth = pnc
-    np.subtract(1.0, pnc_orth, out=pnc_orth)
-    pnc_orth *= pnc_main
-    np.subtract(1.0, pnc_main, out=pnc_main)
-    return _mean_se(pnc_orth), _mean_se(pnc_main)
+
+    Each block's means and summed squared deviations are merged into running
+    totals (Chan, Golub & LeVeque 1979), so only two buffers are allocated.
+    """
+    size = min(n_samples, ORACLE_BLOCK)
+    z_buf, c_buf = np.empty(5 * size), np.empty(4 * size)
+    mean, m2 = np.zeros(2), np.zeros(2)  # running mean, summed squared deviations
+    for start in range(0, n_samples, size):
+        m = min(size, n_samples - start)
+        z = z_buf[:5 * m].reshape(5, m)  # contiguous, as ``out=`` requires
+        c = c_buf[:4 * m].reshape(4, m)
+        rng.standard_normal(out=z)
+        np.matmul(amp, z, out=c)
+        c *= c
+        pnc = c[0::2]  # |c|^2, then the no-click probability: rows main, orth
+        pnc += c[1::2]
+        pnc *= -p.eta_d
+        np.exp(pnc, out=pnc)
+        pnc *= 1.0 - p.p_dc
+        pnc_main, pnc_orth = pnc
+        np.subtract(1.0, pnc_orth, out=pnc_orth)
+        pnc_orth *= pnc_main
+        np.subtract(1.0, pnc_main, out=pnc_main)
+        x = pnc[::-1]  # rows P(B = +1), P(B = -1)
+        block_mean = x.mean(axis=1)
+        x -= block_mean[:, None]
+        x *= x
+        delta = block_mean - mean
+        mean += delta * (m / (start + m))
+        m2 += x.sum(axis=1) + delta**2 * (start * m / (start + m))
+    se = np.sqrt(m2 / (n_samples - 1) / n_samples)
+    return (mean[0], se[0]), (mean[1], se[1])
 
 
 def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
@@ -210,11 +228,12 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     noise is over the Gaussian draws.  The three thermal pairs are estimated
     separately and combined by the herald table, errors in quadrature.
 
-    Each pair (vb, vp) draws one (5, n_samples) block of standard normals,
-    rows Re a, Im a, Re b, Im b, phi: the same stream, in the same order, as
-    one ``rng.normal(0, sd, n_samples)`` call per row.  The two detector
-    amplitudes are linear in the draws; with t the amplitude transmission
-    and k = t2 gamma sigma_phi,
+    Pair j draws from child j of ``SeedSequence([seed]).spawn(3)`` through
+    an SFC64 generator, in blocks of (5, ORACLE_BLOCK) standard normals with
+    rows Re a, Im a, Re b, Im b, phi.  The pairs run on three threads; each
+    owns its stream, so the result does not depend on scheduling.  The two
+    detector amplitudes are linear in the draws; with t the amplitude
+    transmission and k = t2 gamma sigma_phi,
 
         c_main = t (cos th_b a + sin th_b b) + i k cos(th_a - th_b) phi
         c_orth = t (sin th_b a - cos th_b b) + i k sin(th_b - th_a) phi,
@@ -225,18 +244,34 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: a standard error needs >= 2")
     pairs, rows, _, _, t_amp = _derived(p)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    children = np.random.SeedSequence([seed]).spawn(len(pairs))
     cb, sb = math.cos(th_b), math.sin(th_b)
     k = p.t2 * p.gamma * p.sigma_phi
     k_main, k_orth = k * math.cos(th_a - th_b), k * math.sin(th_b - th_a)
-    ests = []
-    for vb, vp in pairs:
+    ests = [None] * len(pairs)
+    failures = []
+
+    def run(j, child, amp):
+        try:
+            rng = np.random.Generator(np.random.SFC64(child))
+            ests[j] = _sampled_pair(rng, amp, n_samples, p)
+        except BaseException as exc:  # handed to the caller, which raises it
+            failures.append(exc)
+
+    threads = []
+    for j, ((vb, vp), child) in enumerate(zip(pairs, children)):
         ta, tb = t_amp * math.sqrt(vb / 2), t_amp * math.sqrt(vp / 2)
         amp = np.array([[cb * ta, 0.0, sb * tb, 0.0, 0.0],
                         [0.0, cb * ta, 0.0, sb * tb, k_main],
                         [sb * ta, 0.0, -cb * tb, 0.0, 0.0],
                         [0.0, sb * ta, 0.0, -cb * tb, k_orth]])
-        ests.append(_sampled_pair(rng, amp, n_samples, p))
+        threads.append(threading.Thread(target=run, args=(j, child, amp)))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
     plus, minus = zip(*ests)  # (mean, standard error) of P(B = +-1) per pair
 
     joints, errors = [], []

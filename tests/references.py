@@ -263,17 +263,20 @@ def gauss_hermite_phase_average(fn, sigma: float, n_nodes: int = 61) -> float:
 def complex_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedParams,
                                n_samples: int, seed: int) -> spdc.OracleEstimate:
     """``spdc.monte_carlo_oracle`` in complex arithmetic: the thermal modes
-    a, b and the leak phase phi drawn one ``rng.normal`` call per real
-    component, displaced by the leak, rotated onto the two detectors."""
+    a, b and the leak phase phi scaled from the same standard normals (pair j
+    from SFC64 child j of the seed, in ``ORACLE_BLOCK`` blocks, concatenated),
+    displaced by the leak, rotated onto the two detectors, and reduced by
+    whole-array mean and ``std(ddof=1)``."""
     pairs, rows, _, _, t_amp = spdc._derived(p)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    children = np.random.SeedSequence([seed]).spawn(len(pairs))
     plus, minus = [], []  # (mean, standard error) of P(B = +-1) per pair
-    for vb, vp in pairs:
-        a = rng.normal(0, math.sqrt(vb / 2), n_samples) \
-            + 1j * rng.normal(0, math.sqrt(vb / 2), n_samples)
-        b = rng.normal(0, math.sqrt(vp / 2), n_samples) \
-            + 1j * rng.normal(0, math.sqrt(vp / 2), n_samples)
-        phi = rng.normal(0, p.sigma_phi, n_samples)
+    for (vb, vp), child in zip(pairs, children):
+        rng = np.random.Generator(np.random.SFC64(child))
+        z = np.concatenate([rng.standard_normal((5, min(spdc.ORACLE_BLOCK, n_samples - s)))
+                            for s in range(0, n_samples, spdc.ORACLE_BLOCK)], axis=1)
+        a = math.sqrt(vb / 2) * (z[0] + 1j * z[1])
+        b = math.sqrt(vp / 2) * (z[2] + 1j * z[3])
+        phi = p.sigma_phi * z[4]
         m = 1j * p.t2 * p.gamma * phi
         a_hat = t_amp * a + math.cos(th_a) * m
         b_hat = t_amp * b + math.sin(th_a) * m

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -164,12 +167,13 @@ def test_sampling_arbitrates_double_click_reading(monkeypatch):
 
 @pytest.mark.parametrize("p", [spdc.DetailedParams(), STRONG_LEAK],
                          ids=["default", "strong_leak"])
-@pytest.mark.parametrize("n_samples", [2, 777, 40_000])
+@pytest.mark.parametrize("n_samples", [2, 777, 40_000, spdc.ORACLE_BLOCK,
+                                       spdc.ORACLE_BLOCK + 1, 3 * spdc.ORACLE_BLOCK + 5])
 @pytest.mark.parametrize("th_a,th_b", [(0.0, 0.0), (0.3, 0.9),
                                        (math.pi / 4, -math.pi / 8), (1.2, -0.4)])
 def test_monte_carlo_matches_complex_reference(th_a, th_b, n_samples, p):
-    # same seed, same normals: the real 4 x 5 map and the complex arithmetic
-    # differ only by rounding
+    # same seed, same normals: the real 4 x 5 map with block-merged moments
+    # and the complex arithmetic on whole arrays differ only by rounding
     got = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=n_samples, seed=13)
     want = complex_monte_carlo_oracle(th_a, th_b, p, n_samples=n_samples, seed=13)
     for g, w in ((got.joints, want.joints), (got.errors, want.errors)):
@@ -182,16 +186,72 @@ def test_monte_carlo_needs_two_samples(n_samples):
         spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=n_samples)
 
 
-def test_monte_carlo_peak_memory():
-    # one (5, n) block of normals and one (4, n) block of amplitudes at a time
-    # (13.7 MiB at 2e5 samples); the complex arithmetic peaked at 32 MiB
+@pytest.mark.parametrize("n_samples", [200_000, 2_000_000])
+def test_monte_carlo_peak_memory(n_samples):
+    # two reused (5, ORACLE_BLOCK) and (4, ORACLE_BLOCK) buffers per pair,
+    # 3.4 MiB in all, whatever n_samples; whole (5, n) and (4, n) blocks
+    # peaked at 13.7 MiB at 2e5 samples and 137 MiB at 2e6
     tracemalloc.start()
     try:
-        spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=200_000)
+        spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=n_samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 6 * 2**20
+
+
+def test_monte_carlo_is_reproducible_across_threads():
+    # each pair owns its stream, so thread scheduling cannot move a bit; the
+    # second call switches threads as often as the interpreter allows
+    def bits():
+        est = spdc.monte_carlo_oracle(0.3, 0.9, STRONG_LEAK, n_samples=50_000, seed=5)
+        return np.concatenate([est.joints.as_array(), est.errors.as_array()]).tobytes()
+
+    before = threading.active_count()
+    first = bits()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        second = bits()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert first == second
+
+
+def test_monte_carlo_raises_what_a_pair_raises(monkeypatch):
+    class PairFailure(RuntimeError):
+        pass
+
+    sampled_pair = spdc._sampled_pair
+    calls = itertools.count()  # next() is atomic, so exactly one pair fails
+
+    def failing(rng, amp, n_samples, p):
+        if next(calls) == 1:
+            raise PairFailure("pair failed")
+        return sampled_pair(rng, amp, n_samples, p)
+
+    before = threading.active_count()
+    monkeypatch.setattr(spdc, "_sampled_pair", failing)
+    with pytest.raises(PairFailure, match="pair failed"):
+        spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=1000)
+    assert threading.active_count() == before
+
+
+def test_monte_carlo_errors_are_calibrated():
+    # the joints weigh the three pairs with opposite signs, so pairs that
+    # shared a stream would make the quadrature errors wrong; a same-seed
+    # reference draws the same streams and cannot see that
+    p = spdc.DetailedParams()
+    th_a, th_b = 0.3, 0.9
+    want = spdc.joint_probabilities(th_a, th_b, p).as_array()
+    z = []
+    for seed in range(400):
+        est = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=4000, seed=seed)
+        z.append((est.joints.as_array() - want) / est.errors.as_array())
+    z = np.array(z)
+    assert np.all(np.abs(z.mean(axis=0)) < 0.2)
+    assert np.all((z.std(axis=0) > 0.85) & (z.std(axis=0) < 1.15))
 
 
 def test_gauss_hermite_average():
