@@ -1,8 +1,13 @@
 """Command-line entry point: reproducible CSV (and optional SVG) outputs.
 
-Every table is stamped with the resolved-config hash and the master seed, so
-rerunning a command with the same inputs rewrites identical bytes.  Exit
-status: 0 on success, 1 on a failed run or failed validation, 2 on usage
+``main`` loads the config, computes, renders and writes, in that order.  Each
+``cmd_*`` maps ``(cfg, seed, meta)`` to its tables and chart specs and touches
+neither the arguments nor the filesystem; ``_write`` renders every file before
+it writes the first, so a run that fails at any stage writes nothing.
+
+Every table is stamped with the resolved-config hash, the master seed and the
+command, so rerunning a command with the same inputs rewrites identical bytes.
+Exit status: 0 on success, 1 on a failed run or failed validation, 2 on usage
 errors (from argparse).
 """
 from __future__ import annotations
@@ -17,9 +22,9 @@ import numpy as np
 from . import __version__, macro, noise, polarization, spdc, tomography
 from . import hom as hom_mod
 from . import validate as validate_mod
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .fock import ClickDetector
-from .svgplot import write_chart
+from .svgplot import line_chart
 from .tables import ResultTable
 
 GRID_DEG = (0.0, 22.5, 45.0, 67.5)
@@ -37,34 +42,35 @@ def _point_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
 
-# ---- subcommands ----
-
 def _load(args) -> tuple[RunConfig, int, dict]:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig.defaults()
     seed = args.seed if args.seed is not None else cfg["run.seed"]
-    meta = {"config_sha256": cfg.sha256(), "seed": seed}
+    meta = {"config_sha256": cfg.sha256(), "seed": seed, "command": args.command}
     return cfg, seed, meta
 
 
-def _emit(args, *tables: ResultTable) -> None:
-    """Write a run's tables once all are built: a failed run writes none."""
+def _write(args, tables, charts) -> None:
+    """Render the tables and, with ``--svg``, the charts; then write them all.
+
+    A chart spec is ``(name, x, series, title, xlabel, ylabel)``.
+    """
+    files = [(f"{table.name}.csv", table.to_csv_text()) for table in tables]
+    for name, *chart in (charts if args.svg else ()):
+        try:
+            files.append((f"{name}.svg", line_chart(*chart)))
+        except ValueError as exc:
+            raise ValueError(f"{name}.svg: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
-    for table in tables:
-        path = os.path.join(args.out, f"{table.name}.csv")
-        table.write_csv(path)
+    for name, text in files:
+        path = os.path.join(args.out, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
         print(f"wrote {path}")
 
 
-def _emit_chart(args, name, x, series, title, xlabel, ylabel) -> None:
-    if not args.svg:
-        return
-    path = os.path.join(args.out, f"{name}.svg")
-    write_chart(path, x, series, title, xlabel, ylabel)
-    print(f"wrote {path}")
+# ---- subcommands: (cfg, seed, meta) -> (tables, chart specs) ----
 
-
-def cmd_curves(args) -> int:
-    cfg, seed, meta = _load(args)
+def cmd_curves(cfg, seed, meta):
     params = cfg.noise_params()
     grid = np.linspace(cfg["curves.alpha_sq_min"], cfg["curves.alpha_sq_max"],
                        cfg["curves.points"])
@@ -74,31 +80,26 @@ def cmd_curves(args) -> int:
         "witness_curves",
         ["alpha_sq", "excitations", "chsh_s", "chsh_s_band", "ppt_min_eig",
          "ppt_band", "concurrence", "concurrence_band"],
-        meta=dict(meta, command="curves"),
+        meta=meta,
     )
     for row in zip(grid, curve.excitations, curve.s, curve.band_s, curve.ppt,
                    curve.band_ppt, curve.concurrence, curve.band_concurrence):
         table.add_row(*map(float, row))
 
-    ref = ResultTable(
-        "reference_points",
-        ["alpha_sq", "quantity", "value", "tolerance"],
-        meta=dict(meta, command="curves",
-                  note="reference measurements, fixed comparison targets"),
-    )
+    note = "reference measurements, fixed comparison targets"
+    ref = ResultTable("reference_points", ["alpha_sq", "quantity", "value", "tolerance"],
+                      meta=dict(meta, note=note))
     for row in REFERENCE_POINTS:
         ref.add_row(*row)
-    _emit(args, table, ref)
 
-    _emit_chart(args, "witness_curves", grid,
-                {"S": curve.s,
-                 "S+band": curve.s + curve.band_s, "S-band": curve.s - curve.band_s},
-                "CHSH witness vs displacement size", "alpha_sq", "S")
-    return 0
+    chart = ("witness_curves", grid,
+             {"S": curve.s,
+              "S+band": curve.s + curve.band_s, "S-band": curve.s - curve.band_s},
+             "CHSH witness vs displacement size", "alpha_sq", "S")
+    return [table, ref], [chart]
 
 
-def cmd_size(args) -> int:
-    cfg, seed, meta = _load(args)
+def cmd_size(cfg, seed, meta):
     nparams = cfg.noise_params()
     grid = np.linspace(cfg["size.beta_sq_min"], cfg["size.beta_sq_max"],
                        cfg["size.points"])
@@ -107,8 +108,7 @@ def cmd_size(args) -> int:
         pair = macro.macro_components(math.sqrt(b), macro.default_n_max(b + 1.0))
         pg.append(macro.guessing_probability(pair, 0.0))
 
-    table = ResultTable("size_curve", ["beta_sq", "p_g_ideal"],
-                        meta=dict(meta, command="size"))
+    table = ResultTable("size_curve", ["beta_sq", "p_g_ideal"], meta=meta)
     for b, p in zip(grid, pg):
         table.add_row(float(b), p)
 
@@ -118,39 +118,29 @@ def cmd_size(args) -> int:
     alpha_in = math.sqrt(star / nparams.eta_abs)
     pg_mix = macro.lossy_mixture_guessing(alpha_in, nparams.eta_h,
                                           nparams.eta_abs, [0.0])[0]
-    summary = ResultTable(
-        "size_summary", ["key", "value"],
-        meta=dict(meta, command="size", beta_sq_star=format(star, ".12g"),
-                  target_p_g=format(target, ".12g")),
-    )
+    summary = ResultTable("size_summary", ["key", "value"],
+                          meta=dict(meta, beta_sq_star=format(star, ".12g"),
+                                    target_p_g=format(target, ".12g")))
     summary.add_row("p_g_ideal", result.p_g)
     summary.add_row("sigma_max", result.sigma_max)
     summary.add_row("n_eff", result.n_eff)
     summary.add_row("p_g_mixture_sigma0", float(pg_mix))
-    _emit(args, table, summary)
 
-    _emit_chart(args, "size_curve", grid, {"P_g": pg},
-                "Ideal guessing probability vs stored size", "beta_sq", "P_g")
-    return 0
+    chart = ("size_curve", grid, {"P_g": pg},
+             "Ideal guessing probability vs stored size", "beta_sq", "P_g")
+    return [table, summary], [chart]
 
 
-def _hom_params(cfg, mu: float) -> hom_mod.HomParams:
-    return hom_mod.HomParams(
-        mu_csp=mu, p_pair=cfg["hom.p_pair"], eta_h=cfg["hom.eta_h"],
-        xi=cfg["hom.xi"],
-        detector=ClickDetector(cfg["hom.eta_d"], cfg["hom.p_dc"]),
+def cmd_hom(cfg, seed, meta):
+    params = hom_mod.HomParams(
+        mu_csp=cfg["hom.mu_star"], p_pair=cfg["hom.p_pair"], eta_h=cfg["hom.eta_h"],
+        xi=cfg["hom.xi"], detector=ClickDetector(cfg["hom.eta_d"], cfg["hom.p_dc"]),
     )
-
-
-def cmd_hom(args) -> int:
-    cfg, seed, meta = _load(args)
-    params = _hom_params(cfg, cfg["hom.mu_star"])
     v_e = hom_mod.hom_visibility(params)
     mu_grid = np.linspace(cfg["hom.mu_min"], cfg["hom.mu_max"], cfg["hom.points"])
     vis = hom_mod.hom_visibility_curve(mu_grid, params)
 
-    table = ResultTable("hom_visibility", ["mu", "visibility"],
-                        meta=dict(meta, command="hom"))
+    table = ResultTable("hom_visibility", ["mu", "visibility"], meta=meta)
     for m, v in zip(mu_grid, vis):
         table.add_row(float(m), float(v))
 
@@ -158,21 +148,17 @@ def cmd_hom(args) -> int:
     windows = np.linspace(cfg["hom.window_min"], cfg["hom.window_max"],
                           cfg["hom.window_points"])
     xi, v_m = hom_mod.overlap_vs_window(profiles, windows, v_e)
-    overlap = ResultTable(
-        "hom_overlap", ["window_ns", "xi", "v_m"],
-        meta=dict(meta, command="hom", expected_visibility=format(v_e, ".12g")),
-    )
+    overlap = ResultTable("hom_overlap", ["window_ns", "xi", "v_m"],
+                          meta=dict(meta, expected_visibility=format(v_e, ".12g")))
     for w, x, v in zip(windows, xi, v_m):
         overlap.add_row(float(w), float(x), float(v))
-    _emit(args, table, overlap)
 
-    _emit_chart(args, "hom_visibility", mu_grid, {"V": vis},
-                "Interference visibility vs coherent pulse size", "mu", "V")
-    return 0
+    chart = ("hom_visibility", mu_grid, {"V": vis},
+             "Interference visibility vs coherent pulse size", "mu", "V")
+    return [table, overlap], [chart]
 
 
-def cmd_detailed(args) -> int:
-    cfg, seed, meta = _load(args)
+def cmd_detailed(cfg, seed, meta):
     params = cfg.detailed_params()
     grid = [(ta, tb) for ta in GRID_DEG for tb in GRID_DEG]
     joints = [spdc.joint_probabilities(math.radians(ta), math.radians(tb), params)
@@ -181,15 +167,15 @@ def cmd_detailed(args) -> int:
         "detailed_grid",
         ["theta_a_deg", "theta_b_deg", "p_pp", "p_pm", "p_mp", "p_mm",
          "correlator"],
-        meta=dict(meta, command="detailed"),
+        meta=meta,
     )
     for (ta, tb), j in zip(grid, joints):
         table.add_row(ta, tb, j.p_pp, j.p_pm, j.p_mp, j.p_mm, j.correlator())
 
     summary = ResultTable(
         "detailed_summary", ["key", "value"],
-        meta=dict(meta, command="detailed",
-                  settings_deg=",".join(f"{d:g}" for d in polarization.CHSH_SETTINGS_DEG)),
+        meta=dict(meta, settings_deg=",".join(
+            f"{d:g}" for d in polarization.CHSH_SETTINGS_DEG)),
     )
     summary.add_row("chsh_s", spdc.chsh_from_detailed(params))
     summary.add_row("herald_probability",
@@ -202,7 +188,7 @@ def cmd_detailed(args) -> int:
             "detailed_oracle",
             ["theta_a_deg", "theta_b_deg", "outcome", "analytic", "mc_value",
              "mc_se", "deviation_se"],
-            meta=dict(meta, command="detailed", mc_samples=samples),
+            meta=dict(meta, mc_samples=samples),
         )
         for i, ((ta, tb), joint) in enumerate(zip(grid, joints)):
             est = spdc.monte_carlo_oracle(math.radians(ta), math.radians(tb), params,
@@ -215,30 +201,23 @@ def cmd_detailed(args) -> int:
                 oracle.add_row(ta, tb, name, float(ana[k]), float(val),
                                float(se), float(dev))
         tables.append(oracle)
-    _emit(args, *tables)
 
-    if args.svg:
-        x = np.array(GRID_DEG)
-        series = {
-            f"theta_a={ta}": [j.correlator() for (a, _), j in zip(grid, joints)
-                              if a == ta]
-            for ta in GRID_DEG
-        }
-        _emit_chart(args, "detailed_grid", x, series,
-                    "Correlator vs analyzer angle", "theta_b_deg", "E")
-    return 0
+    series = {f"theta_a={ta}": [j.correlator() for (a, _), j in zip(grid, joints)
+                                if a == ta]
+              for ta in GRID_DEG}
+    chart = ("detailed_grid", np.array(GRID_DEG), series,
+             "Correlator vs analyzer angle", "theta_b_deg", "E")
+    return tables, [chart]
 
 
-def cmd_tomo(args) -> int:
-    cfg, seed, meta = _load(args)
+def cmd_tomo(cfg, seed, meta):
     w = cfg["tomo.werner_w"]
     shots = cfg["tomo.shots"]
     rho = polarization.werner_state(w)
     record = tomography.simulate_tomography(rho, shots=shots, rng_seed=seed)
     est = tomography.reconstruct_mle(record)
 
-    summary = ResultTable("tomo_summary", ["key", "value"],
-                          meta=dict(meta, command="tomo"))
+    summary = ResultTable("tomo_summary", ["key", "value"], meta=meta)
     summary.add_row("werner_w", w)
     summary.add_row("shots_per_pair", shots)
     summary.add_row("fidelity", polarization.state_fidelity(rho, est))
@@ -246,17 +225,15 @@ def cmd_tomo(args) -> int:
     summary.add_row("ppt_min_eig", polarization.ppt_min_eigenvalue(est))
     summary.add_row("concurrence", polarization.concurrence(est))
 
-    matrix = ResultTable("tomo_matrix", ["row", "col", "re", "im"],
-                         meta=dict(meta, command="tomo"))
+    matrix = ResultTable("tomo_matrix", ["row", "col", "re", "im"], meta=meta)
     for i in range(4):
         for j in range(4):
             matrix.add_row(i, j, float(est.matrix[i, j].real),
                            float(est.matrix[i, j].imag))
-    _emit(args, summary, matrix)
-    return 0
+    return [summary, matrix], []
 
 
-def cmd_validate(args) -> int:
+def cmd_validate() -> int:
     results = validate_mod.run_all()
     width = max(len(r.name) for r in results)
     failed = 0
@@ -307,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="detailed source model grid").set_defaults(func=cmd_detailed)
     sub.add_parser("tomo", parents=[common],
                    help="synthetic tomography round trip").set_defaults(func=cmd_tomo)
-    sub.add_parser("validate", parents=[common],
+    sub.add_parser("validate",
                    help="run the consistency checks").set_defaults(func=cmd_validate)
     return parser
 
@@ -315,8 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
+        if args.command == "validate":
+            return args.func()
+        cfg, seed, meta = _load(args)
+        _write(args, *args.func(cfg, seed, meta))
+        return 0
+    except (OSError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,8 +83,3 @@ def line_chart(x, series: dict, title: str = "", xlabel: str = "",
                    f'font-size="11">{label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_chart(path, x, series, title="", xlabel="", ylabel="") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(line_chart(x, series, title, xlabel, ylabel))

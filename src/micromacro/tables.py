@@ -42,8 +42,3 @@ class ResultTable:
         lines.append(",".join(self.columns))
         lines += [",".join(format_cell(c) for c in row) for row in self.rows]
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
-

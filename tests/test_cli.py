@@ -134,14 +134,19 @@ def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, line, message", [
-    ("size", "size.target_p_g = 0.99", "target 0.99 outside"),
+@pytest.mark.parametrize("command, line, flags, message", [
+    ("size", "size.target_p_g = 0.99", [], "target 0.99 outside"),
+    ("curves", "curves.points = 1", ["--svg"],
+     "witness_curves.svg: need at least two x points"),
+    ("size", "size.points = 1", ["--svg"], "size_curve.svg: need at least two x points"),
+    ("hom", "hom.points = 1", ["--svg"], "hom_visibility.svg: need at least two x points"),
 ])
-def test_failed_run_writes_no_table(tmp_path, capsys, command, line, message):
-    # each run fails on its second table, after the first was built
+def test_failed_run_writes_no_table(tmp_path, capsys, command, line, flags, message):
+    # each run fails after a table was built: the size target on the second
+    # table, a one-point grid on the chart after both tables
     cfg = write_config(tmp_path, line + "\n")
     out = tmp_path / "out"
-    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert run([command, "--config", cfg, "--out", out, *flags]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
@@ -153,6 +158,14 @@ def test_removed_overlap_ratio_key_is_unknown(tmp_path, capsys):
     assert run(["curves", "--config", cfg, "--out", out]) == 1
     assert "line 1: unknown key 'noise.r_overlap'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_validate_takes_no_run_options(capsys):
+    # validate reads no config and writes no file, so it has no run options
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--svg"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
 
 
 def test_removed_jobs_flag_is_a_usage_error(tmp_path, capsys):
@@ -308,7 +321,7 @@ def test_table_round_trip(tmp_path):
     table.add_row(0.1, "a")
     table.add_row(2.0 / 3.0, "b")
     path = tmp_path / "demo.csv"
-    table.write_csv(path)
+    path.write_text(table.to_csv_text(), encoding="utf-8")
     meta, cols, rows = read_table(path)
     assert meta["table"] == "demo" and meta["seed"] == "5"
     assert cols == ["x", "label"]
@@ -350,8 +363,9 @@ def test_no_subcommand_loads_scipy(tmp_path):
         "    print('scipy', loaded('scipy'))\n"
         "    print('pool', loaded('multiprocessing', 'concurrent'))\n"
         "report()\n"
-        "for cmd in ('curves', 'size', 'hom', 'detailed', 'tomo', 'validate'):\n"
+        "for cmd in ('curves', 'size', 'hom', 'detailed', 'tomo'):\n"
         f"    cli.main([cmd, '--out', {str(tmp_path)!r}])\n"
+        "cli.main(['validate'])\n"
         "report()\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

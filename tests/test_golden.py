@@ -1,4 +1,4 @@
-"""Golden digests: the SHA-256 of every CSV the subcommands write.
+"""Golden digests: the SHA-256 of every CSV and SVG the subcommands write.
 
 The default config and seed are used throughout, plus one ``detailed`` run
 with a small sampling oracle.  A refactor that changes any written number,
@@ -41,10 +41,26 @@ GOLDEN_ORACLE = {
     "detailed_summary.csv": "65ebd96d3a716381577a5cb4571dc785d2d4bf328aed39c17f2431b1473697f7",
 }
 
+#: the chart each default run writes with ``--svg``
+GOLDEN_SVG = {
+    "curves": {
+        "witness_curves.svg": "7db4b2409f65d5971191dc1449f1089b4509e9c20ba23f81bae9ec3787a90a56",
+    },
+    "size": {
+        "size_curve.svg": "3ee9e3a86a67d988708f1344f66f0fe9059468453b9152b6635706c3872c8ba7",
+    },
+    "hom": {
+        "hom_visibility.svg": "42398f6f38800166e27918c3ca7c056b458e03bca9307f28711d5c356ae8b647",
+    },
+    "detailed": {
+        "detailed_grid.svg": "3564512942085b20af4a12bf3ddddc648db338e878d428c71efe77fbd0e5b619",
+    },
+}
 
-def _digests(directory) -> dict:
+
+def _digests(directory, pattern="*.csv") -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(directory.glob("*.csv"))}
+            for p in sorted(directory.glob(pattern))}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -59,3 +75,11 @@ def test_oracle_outputs_match_golden_digests(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["detailed", "--config", str(cfg), "--out", str(out)]) == 0
     assert _digests(out) == GOLDEN_ORACLE
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SVG))
+def test_default_charts_match_golden_digests(command, tmp_path):
+    # the tables written beside the chart are the same bytes as without --svg
+    assert cli.main([command, "--out", str(tmp_path), "--svg"]) == 0
+    assert _digests(tmp_path, "*.svg") == GOLDEN_SVG[command]
+    assert _digests(tmp_path) == GOLDEN[command]
