@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__, macro, noise, polarization, spdc, tomography
 from . import hom as hom_mod
 from . import validate as validate_mod
-from .config import RunConfig
-from .fock import ClickDetector
+from .config import SCHEMA, RunConfig
 from .svgplot import line_chart
 from .tables import ResultTable
 
@@ -132,10 +131,7 @@ def cmd_size(cfg, seed, meta):
 
 
 def cmd_hom(cfg, seed, meta):
-    params = hom_mod.HomParams(
-        mu_csp=cfg["hom.mu_star"], p_pair=cfg["hom.p_pair"], eta_h=cfg["hom.eta_h"],
-        xi=cfg["hom.xi"], detector=ClickDetector(cfg["hom.eta_d"], cfg["hom.p_dc"]),
-    )
+    params = cfg.hom_params()
     v_e = hom_mod.hom_visibility(params)
     mu_grid = np.linspace(cfg["hom.mu_min"], cfg["hom.mu_max"], cfg["hom.points"])
     vis = hom_mod.hom_visibility_curve(mu_grid, params)
@@ -144,7 +140,7 @@ def cmd_hom(cfg, seed, meta):
     for m, v in zip(mu_grid, vis):
         table.add_row(float(m), float(v))
 
-    profiles = hom_mod.TemporalProfiles(cfg["hom.csp_fwhm"], cfg["hom.hsp_tau_c"])
+    profiles = cfg.temporal_profiles()
     windows = np.linspace(cfg["hom.window_min"], cfg["hom.window_max"],
                           cfg["hom.window_points"])
     xi, v_m = hom_mod.overlap_vs_window(profiles, windows, v_e)
@@ -193,13 +189,10 @@ def cmd_detailed(cfg, seed, meta):
         for i, ((ta, tb), joint) in enumerate(zip(grid, joints)):
             est = spdc.monte_carlo_oracle(math.radians(ta), math.radians(tb), params,
                                           samples, _point_seed(seed, i))
-            ana = joint.as_array()
-            for k, name in enumerate(("pp", "pm", "mp", "mm")):
-                val = est.joints.as_array()[k]
-                se = est.errors.as_array()[k]
-                dev = abs(ana[k] - val) / se if se > 0 else 0.0
-                oracle.add_row(ta, tb, name, float(ana[k]), float(val),
-                               float(se), float(dev))
+            for name, ana, val, se in zip(("pp", "pm", "mp", "mm"), joint.as_array(),
+                                          est.joints.as_array(), est.errors.as_array()):
+                dev = abs(ana - val) / se if se > 0 else 0.0
+                oracle.add_row(ta, tb, name, float(ana), float(val), float(se), float(dev))
         tables.append(oracle)
 
     series = {f"theta_a={ta}": [j.correlator() for (a, _), j in zip(grid, joints)
@@ -226,10 +219,8 @@ def cmd_tomo(cfg, seed, meta):
     summary.add_row("concurrence", polarization.concurrence(est))
 
     matrix = ResultTable("tomo_matrix", ["row", "col", "re", "im"], meta=meta)
-    for i in range(4):
-        for j in range(4):
-            matrix.add_row(i, j, float(est.matrix[i, j].real),
-                           float(est.matrix[i, j].imag))
+    for (i, j), z in np.ndenumerate(est.matrix):
+        matrix.add_row(i, j, float(z.real), float(z.imag))
     return [summary, matrix], []
 
 
@@ -245,17 +236,6 @@ def cmd_validate() -> int:
     return 0 if failed == 0 else 1
 
 
-def _int_from(lo: int):
-    """Argparse type: an integer of at least ``lo``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse names it in "invalid int value"
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="micromacro",
@@ -263,12 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "displaced-photon entanglement models.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+
+    def seed(text: str) -> int:
+        """An int in ``run.seed``'s range."""
+        value = int(text)
+        try:
+            return SCHEMA["run.seed"][0].check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    seed.__name__ = "int"  # argparse names it in "invalid int value"
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="run configuration file (section.key = value)")
     common.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current)")
-    common.add_argument("--seed", type=_int_from(0), default=None,
+    common.add_argument("--seed", type=seed, default=None,
                         help="master seed (overrides run.seed)")
     common.add_argument("--svg", action="store_true",
                         help="also write SVG charts")

@@ -1,23 +1,25 @@
 """Run configuration: plain text, one ``section.key = value`` per line.
 
 ``#`` starts a comment, blank lines are ignored, and any key outside the
-schema is rejected, as is any value outside its range: floats must be
-finite, sizes (alpha^2, beta^2), pulse means and noise band widths
-(``noise.sd_*``) at least 0, windows above 0, the pair probability in
-(0, 1), grid sizes and shot counts at least 1, seeds and band sample counts
-at least 0, and oracle sample counts 0 (off) or at least 2.  Every grid's
-``*_min`` must lie below its ``*_max``.  Defaults reproduce the reference
-experiment, so an empty config is a valid complete run.  The resolved
-key/value map has a canonical text form whose SHA-256 is stamped into every
-output table.
+schema is rejected, as is any value outside the key's range.  A key that sets
+a model parameter takes its range and default from the dataclass field it
+maps to (``FIELD_KEYS``, ``ranges``); every other key declares its range in
+``SCHEMA``.  Two rules apply to the final values: the oracle sample count is
+0 (off) or at least 2, and each grid's ``*_min`` lies below its ``*_max``.
+Every key is checked at parse time, before any command computes.  Defaults
+reproduce the reference experiment, so an empty config is a valid complete
+run.  The resolved key/value map has a canonical text form whose SHA-256 is
+stamped into every output table.
 """
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
+from .hom import HomParams, TemporalProfiles
 from .noise import ExperimentParams
+from .ranges import NONNEGATIVE, POSITIVE, UNIT, Range
 from .spdc import DetailedParams
 
 
@@ -25,136 +27,95 @@ class ConfigError(ValueError):
     pass
 
 
-def _float(s: str) -> float:
-    value = float(s)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
+_COUNT = Range(1.0)
 
 
-def _nonnegative_float(s: str) -> float:
-    value = _float(s)
-    if value < 0:
-        raise ValueError("must be >= 0")
-    return value
+_NOISE, _DETAILED = ExperimentParams(), DetailedParams()
+_HOM, _PROFILES = HomParams(), TemporalProfiles()
+#: key -> (default object, field name); the field declares the key's range
+FIELD_KEYS = {
+    **{f"noise.{f.name}": (_NOISE, f.name) for f in fields(_NOISE)},
+    **{f"detailed.{f.name}": (_DETAILED, f.name) for f in fields(_DETAILED)},
+    "hom.mu_star": (_HOM, "mu_csp"),
+    **{f"hom.{k}": (_HOM, k) for k in ("p_pair", "eta_h", "xi")},
+    **{f"hom.{k}": (_HOM.detector, k) for k in ("eta_d", "p_dc")},
+    **{f"hom.{k}": (_PROFILES, k) for k in ("csp_fwhm", "hsp_tau_c")},
+}
 
-
-def _positive_float(s: str) -> float:
-    value = _float(s)
-    if value <= 0:
-        raise ValueError("must be > 0")
-    return value
-
-
-def _open_unit_float(s: str) -> float:
-    value = _float(s)
-    if not 0 < value < 1:
-        raise ValueError("must be in (0, 1)")
-    return value
-
-
-def _int_from(lo: int):
-    def cast(s: str) -> int:
-        value = int(s)
-        if value < lo:
-            raise ValueError(f"must be >= {lo}")
-        return value
-    return cast
-
-
-_count = _int_from(1)
-_nonnegative = _int_from(0)
-
-
-def _mc_samples(s: str) -> int:
-    value = _nonnegative(s)
-    if value == 1:
-        raise ValueError("must be 0 (no oracle) or >= 2 for a standard error")
-    return value
-
-
-_NOISE_KEYS = tuple(f.name for f in fields(ExperimentParams))
-_DETAILED_KEYS = tuple(f.name for f in fields(DetailedParams))
-
+#: key -> (range, default); a value parses as its default's type
 SCHEMA: dict[str, tuple] = {
-    "run.seed": (_nonnegative, 0),
-    "curves.alpha_sq_min": (_nonnegative_float, 0.0),
-    "curves.alpha_sq_max": (_nonnegative_float, 100.0),
-    "curves.points": (_count, 41),
-    "curves.band_samples": (_nonnegative, 200),
-    "size.beta_sq_min": (_nonnegative_float, 2.0),
-    "size.beta_sq_max": (_nonnegative_float, 60.0),
-    "size.points": (_count, 15),
-    "size.beta_sq_star": (_nonnegative_float, 47.0),
-    "size.target_p_g": (_float, 2.0 / 3.0),
-    "hom.p_pair": (_open_unit_float, 0.005),
-    "hom.eta_h": (_float, 0.19),
-    "hom.xi": (_float, 1.0),
-    "hom.eta_d": (_float, 0.5),
-    "hom.p_dc": (_float, 0.0),
-    "hom.mu_star": (_nonnegative_float, 0.012),
-    "hom.mu_min": (_nonnegative_float, 0.001),
-    "hom.mu_max": (_nonnegative_float, 0.2),
-    "hom.points": (_count, 25),
-    "hom.csp_fwhm": (_float, 1.0),
-    "hom.hsp_tau_c": (_float, 1.9),
-    "hom.window_min": (_positive_float, 0.5),
-    "hom.window_max": (_positive_float, 6.0),
-    "hom.window_points": (_count, 23),
-    "detailed.mc_samples": (_mc_samples, 0),
-    "tomo.shots": (_count, 100_000),
-    "tomo.werner_w": (_float, 0.94),
+    "run.seed": (NONNEGATIVE, 0),
+    "curves.alpha_sq_min": (NONNEGATIVE, 0.0),
+    "curves.alpha_sq_max": (NONNEGATIVE, 100.0),
+    "curves.points": (_COUNT, 41),
+    "curves.band_samples": (NONNEGATIVE, 200),
+    "size.beta_sq_min": (NONNEGATIVE, 2.0),
+    "size.beta_sq_max": (NONNEGATIVE, 60.0),
+    "size.points": (_COUNT, 15),
+    "size.beta_sq_star": (NONNEGATIVE, 47.0),
+    # P_g = 1/2 is a coin toss and P_g = 1 certainty; a target lies between
+    "size.target_p_g": (Range(0.5, 1.0, "()"), 2.0 / 3.0),
+    "hom.mu_min": (HomParams.range_of("mu_csp"), 0.001),
+    "hom.mu_max": (HomParams.range_of("mu_csp"), 0.2),
+    "hom.points": (_COUNT, 25),
+    "hom.window_min": (POSITIVE, 0.5),
+    "hom.window_max": (POSITIVE, 6.0),
+    "hom.window_points": (_COUNT, 23),
+    "detailed.mc_samples": (NONNEGATIVE, 0),
+    "tomo.shots": (_COUNT, 100_000),
+    "tomo.werner_w": (UNIT, 0.94),  # as polarization.werner_state checks it
+    **{key: (obj.range_of(name), getattr(obj, name))
+       for key, (obj, name) in FIELD_KEYS.items()},
 }
 #: grids whose ``_min`` key must lie below their ``_max`` key
 _GRIDS = ("curves.alpha_sq", "size.beta_sq", "hom.mu", "hom.window")
-for _k in _NOISE_KEYS:
-    SCHEMA[f"noise.{_k}"] = (_nonnegative_float if _k.startswith("sd_") else _float,
-                             getattr(ExperimentParams(), _k))
-for _k in _DETAILED_KEYS:
-    SCHEMA[f"detailed.{_k}"] = (_float, getattr(DetailedParams(), _k))
 
 
 def parse_config_text(text: str) -> dict:
     values = {k: default for k, (_, default) in SCHEMA.items()}
     set_on: dict[str, tuple[int, str]] = {}
+
+    def bad(key: str, why) -> ConfigError:
+        lineno, val = set_on[key]
+        return ConfigError(f"line {lineno}: bad value {val!r} for {key}: {why}")
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, eq, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if not eq or not key or not val:
-            raise ConfigError(f"line {lineno}: expected 'section.key = value'")
+        if not eq or not key:
+            raise ConfigError(f"line {lineno}: expected 'section.key = value', "
+                              f"not {line!r}")
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        caster = SCHEMA[key][0]
-        try:
-            values[key] = caster(val)
-        except ValueError as exc:
-            raise ConfigError(
-                f"line {lineno}: bad value {val!r} for {key}: {exc}") from exc
+        rng, default = SCHEMA[key]
         set_on[key] = (lineno, val)
+        try:
+            values[key] = rng.check(type(default)(val))
+        except ValueError as exc:
+            raise bad(key, exc) from exc
     for grid in _GRIDS:
         lo, hi = values[f"{grid}_min"], values[f"{grid}_max"]
         if lo >= hi:
             # blame the later of the two lines: it made the pair inconsistent
             key = max((k for k in (f"{grid}_min", f"{grid}_max") if k in set_on),
                       key=lambda k: set_on[k][0])
-            lineno, val = set_on[key]
-            raise ConfigError(
-                f"line {lineno}: bad value {val!r} for {key}: {grid}_min "
-                f"({lo:.12g}) must be below {grid}_max ({hi:.12g})")
+            raise bad(key, f"{grid}_min ({lo:.12g}) must be below "
+                           f"{grid}_max ({hi:.12g})")
+    if values["detailed.mc_samples"] == 1:
+        raise bad("detailed.mc_samples", "must be 0 (no oracle) or >= 2 for a standard error")
     return values
 
 
 @dataclass(frozen=True)
 class RunConfig:
     values: tuple
-    #: key -> value, built once; not part of equality or the hash
-    _lookup: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.values))
+    @cached_property
+    def _lookup(self) -> dict:
+        return dict(self.values)
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -178,8 +139,19 @@ class RunConfig:
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
+    def _build(self, default, **extra):
+        """``default`` with every field that a config key sets replaced."""
+        return replace(default, **extra, **{name: self[key] for key, (obj, name)
+                                            in FIELD_KEYS.items() if obj is default})
+
     def noise_params(self) -> ExperimentParams:
-        return ExperimentParams(**{k: self[f"noise.{k}"] for k in _NOISE_KEYS})
+        return self._build(_NOISE)
 
     def detailed_params(self) -> DetailedParams:
-        return DetailedParams(**{k: self[f"detailed.{k}"] for k in _DETAILED_KEYS})
+        return self._build(_DETAILED)
+
+    def hom_params(self) -> HomParams:
+        return self._build(_HOM, detector=self._build(_HOM.detector))
+
+    def temporal_profiles(self) -> TemporalProfiles:
+        return self._build(_PROFILES)

@@ -30,6 +30,8 @@ from functools import cache
 
 import numpy as np
 
+from .ranges import UNIT, Range, Ranged, ranged
+
 #: numerical tolerance for unitarity / hermiticity / eigenvalue checks
 TAU_NUM = 1e-10
 #: acceptable probability mass lost to photon-number truncation
@@ -55,17 +57,11 @@ def check_density_matrix(m: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class ClickDetector:
+class ClickDetector(Ranged):
     """Non-photon-number-resolving detector: efficiency and dark-count probability."""
 
-    eta_d: float
-    p_dc: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta_d <= 1.0:
-            raise ValueError("eta_d must be in [0, 1]")
-        if not 0.0 <= self.p_dc < 1.0:
-            raise ValueError("p_dc must be in [0, 1)")
+    eta_d: float = ranged(UNIT)
+    p_dc: float = ranged(Range(0.0, 1.0, "[)"), 0.0)
 
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fock import ClickDetector, poisson_pmf, splitter_blocks
+from .ranges import NONNEGATIVE, POSITIVE, UNIT, Range, Ranged, ranged
 
 #: photon-number cutoff of each splitter input
 N_MAX = 6
@@ -37,22 +38,17 @@ class UndefinedVisibilityError(ZeroDivisionError):
 
 
 @dataclass(frozen=True)
-class HomParams:
-    mu_csp: float = 0.012
-    p_pair: float = 0.005
-    eta_h: float = 0.19
-    xi: float = 1.0
+class HomParams(Ranged):
+    mu_csp: float = ranged(NONNEGATIVE, 0.012)
+    #: at 0 no pair is heralded: 0/0 in the heralded weights
+    p_pair: float = ranged(Range(0.0, 1.0, "()"), 0.005)
+    eta_h: float = ranged(UNIT, 0.19)
+    xi: float = ranged(UNIT, 1.0)
     detector: ClickDetector = field(default_factory=lambda: ClickDetector(0.5, 0.0))
-
-    def __post_init__(self):
-        if self.mu_csp < 0 or not 0 < self.p_pair < 1:
-            raise ValueError("bad source parameters")
-        if not 0.0 <= self.eta_h <= 1.0 or not 0.0 <= self.xi <= 1.0:
-            raise ValueError("eta_h and xi must be in [0, 1]")
 
 
 @dataclass(frozen=True)
-class TemporalProfiles:
+class TemporalProfiles(Ranged):
     """CSP: Gaussian of intensity FWHM csp_fwhm (ns); heralded photon:
     double-sided exponential amplitude with coherence time tau_c (ns).
 
@@ -61,12 +57,8 @@ class TemporalProfiles:
     2.0 ns pulse would give an overlap above 0.99 there).
     """
 
-    csp_fwhm: float = 1.0
-    hsp_tau_c: float = 1.9
-
-    def __post_init__(self):
-        if self.csp_fwhm <= 0 or self.hsp_tau_c <= 0:
-            raise ValueError("widths must be positive")
+    csp_fwhm: float = ranged(POSITIVE, 1.0)
+    hsp_tau_c: float = ranged(POSITIVE, 1.9)
 
 
 def heralded_signal_dist(p_pair: float, eta_h: float) -> np.ndarray:
@@ -168,8 +160,7 @@ def temporal_overlap(profiles: TemporalProfiles, window: float) -> float:
     int g h = s sqrt(2 pi) e^(a^2) [erfc(a) - erfc(a + w / (2 sqrt2 s))]
     with a = s / (sqrt2 tau), written through erfcx(x) = e^(x^2) erfc(x).
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
+    POSITIVE.check(window, "window")
     s = profiles.csp_fwhm / (2.0 * math.sqrt(math.log(2.0)))
     tau = profiles.hsp_tau_c
     half = window / 2.0

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ranges import NONNEGATIVE, POSITIVE, UNIT, Range, Ranged, ranged
+
 
 @dataclass(frozen=True)
-class ExperimentParams:
+class ExperimentParams(Ranged):
     """Independently measured parameters (mean and optional std for bands).
 
     eta_h      heralding efficiency of the signal photon
@@ -28,27 +30,17 @@ class ExperimentParams:
                mean photon number used by the noise formulas
     """
 
-    eta_h: float = 0.19
-    bs_t: float = 0.995
-    eta: float = 0.046
-    vis: float = 0.9985
-    v_mm: float = 0.94
-    eta_abs: float = 0.55
-    kappa: float = 1.0
-    sd_eta_h: float = 0.02
-    sd_eta: float = 0.002
-    sd_vis: float = 0.0002
-
-    def __post_init__(self):
-        for name in ("eta_h", "bs_t", "eta", "vis", "v_mm", "eta_abs"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name}={val} outside [0, 1]")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
-        for name in ("sd_eta_h", "sd_eta", "sd_vis"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}={getattr(self, name)} must be >= 0")
+    eta_h: float = ranged(UNIT, 0.19)
+    bs_t: float = ranged(UNIT, 0.995)
+    eta: float = ranged(UNIT, 0.046)
+    vis: float = ranged(UNIT, 0.9985)
+    v_mm: float = ranged(UNIT, 0.94)
+    #: above 0: the size analysis divides the stored size by it
+    eta_abs: float = ranged(Range(0.0, 1.0, "(]"), 0.55)
+    kappa: float = ranged(POSITIVE, 1.0)
+    sd_eta_h: float = ranged(NONNEGATIVE, 0.02)
+    sd_eta: float = ranged(NONNEGATIVE, 0.002)
+    sd_vis: float = ranged(NONNEGATIVE, 0.0002)
 
 
 @dataclass(frozen=True)

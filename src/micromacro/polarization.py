@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .fock import check_density_matrix
+from .ranges import UNIT
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -46,8 +47,7 @@ def bell_state() -> TwoQubitDensity:
 
 def werner_state(w: float) -> TwoQubitDensity:
     """w |psi><psi| + (1 - w) I/4 with |psi> the Bell state above."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("visibility w must be in [0, 1]")
+    UNIT.check(w, "w")
     return TwoQubitDensity(w * bell_state().matrix + (1.0 - w) * np.eye(4) / 4.0)
 
 

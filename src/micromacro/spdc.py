@@ -21,6 +21,7 @@ import numpy as np
 
 from .fock import TAU_NUM
 from .polarization import chsh
+from .ranges import UNIT, Range, Ranged, ranged
 
 
 class ModelInconsistencyError(ArithmeticError):
@@ -28,31 +29,27 @@ class ModelInconsistencyError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class DetailedParams:
+class DetailedParams(Ranged):
     """Source, propagation and detection parameters of the detailed model.
 
     ``r`` is the amplitude remainder of the herald tap: a herald efficiency
     eta_A corresponds to r = sqrt(1 - eta_A).
     """
 
-    g: float = 0.2
-    r: float = 0.9
-    eta_d: float = 0.35
-    p_dc: float = 1e-4
-    t1: float = 0.995
-    t2: float = 0.995
-    eta_c: float = 0.5
-    gamma: float = 2.0
-    sigma_phi: float = math.sqrt(2.0 * 0.0015)
-
-    def __post_init__(self):
-        if self.g < 0 or not 0.0 <= self.r <= 1.0:
-            raise ValueError("need g >= 0 and 0 <= r <= 1")
-        for name in ("eta_d", "p_dc", "t1", "t2", "eta_c"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.sigma_phi < 0:
-            raise ValueError("sigma_phi must be nonnegative")
+    #: g <= 5 keeps 1 - tanh^2 g above 1e-4, so nbar = tanh^2 g / (1 - tanh^2 g)
+    #: is good to ~1e-12; it is 4 % off at g = 18 and divides by 0 past g = 19.06
+    g: float = ranged(Range(0.0, 5.0), 0.2)
+    r: float = ranged(UNIT, 0.9)
+    eta_d: float = ranged(UNIT, 0.35)
+    p_dc: float = ranged(UNIT, 1e-4)
+    t1: float = ranged(UNIT, 0.995)
+    t2: float = ranged(UNIT, 0.995)
+    eta_c: float = ranged(UNIT, 0.5)
+    #: only gamma^2, the leak's mean photon number, enters; at 1e6 photons and
+    #: the default jitter the main detector fires in 98 % of rounds; gamma^2 stays finite
+    gamma: float = ranged(Range(0.0, 1e3), 2.0)
+    #: radians; a phase spread past pi is no small jitter, and sigma_phi^2 stays finite
+    sigma_phi: float = ranged(Range(0.0, math.pi), math.sqrt(2.0 * 0.0015))
 
 
 @dataclass(frozen=True)

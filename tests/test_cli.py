@@ -71,6 +71,9 @@ def test_config_parsing_basics():
     # later assignments win
     again = parse_config_text("run.seed = 1\nrun.seed = 9\n")
     assert again["run.seed"] == 9
+    # the oracle-count rule, like the grid order, applies to the final value
+    again = parse_config_text("detailed.mc_samples = 1\ndetailed.mc_samples = 4\n")
+    assert again["detailed.mc_samples"] == 4
 
 
 def test_config_rejects_bad_input():
@@ -117,6 +120,18 @@ def test_config_rejects_bad_input():
     ("curves", "noise.sd_eta_h = -0.02"),
     ("curves", "noise.sd_eta = -0.002"),
     ("curves", "noise.sd_vis = -0.0002"),
+    # ranges declared on the parameter dataclasses, checked at parse time
+    ("size", "noise.eta_abs = 0"),
+    ("hom", "hom.csp_fwhm = -1"),
+    ("detailed", "detailed.g = -1"),
+    ("hom", "hom.xi = -1"),
+    ("tomo", "tomo.werner_w = 1.5"),
+    ("detailed", "detailed.g = 50"),
+    ("detailed", "detailed.gamma = -3"),
+    ("detailed", "detailed.gamma = 1e300"),
+    ("detailed", "detailed.sigma_phi = 1e300"),
+    ("hom", "hom.p_dc = 1"),
+    ("curves", "noise.kappa = 0"),
 ])
 def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
     out = tmp_path / "out"
@@ -130,8 +145,25 @@ def test_out_of_range_input_is_rejected(tmp_path, capsys, command, line):
         cfg = write_config(tmp_path, f"# range check\n{line}\n")
         assert run([command, "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
-        assert "line 2: bad value" in err and line.split()[0] in err
+        assert f"line 2: bad value '{line.split()[-1]}' for {line.split()[0]}: " in err
     assert not out.exists()
+
+
+def test_every_command_checks_every_key(tmp_path, capsys):
+    # curves builds no DetailedParams, yet a bad detailed.* key still fails
+    # before any output is written
+    cfg = write_config(tmp_path, "detailed.g = -1\n")
+    out = tmp_path / "out"
+    assert run(["curves", "--config", cfg, "--out", out]) == 1
+    assert "line 1: bad value '-1' for detailed.g: must be in [0, 5]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_flag_takes_an_int(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tomo", "--out", str(tmp_path / "out"), "--seed", "x"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, line, flags, message", [

@@ -1,7 +1,8 @@
 """Config fuzzing: every input either runs or ends with a message and exit 1.
 
 The parser must return a complete, finite value map or raise ConfigError,
-whatever the keys, values and line shapes.  The ``hom`` and ``curves``
+whatever the keys, values and line shapes; a ConfigError for a line that
+sets a known key names that key.  The ``hom`` and ``curves``
 subcommands, fed configs built from their own keys and edge-case values,
 must exit 0 with every written cell finite, or exit 1 with an ``error:``
 line on stderr: never a traceback, never a NaN or inf cell.
@@ -9,6 +10,7 @@ line on stderr: never a traceback, never a NaN or inf cell.
 import contextlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -36,9 +38,14 @@ LINES = st.one_of(
 @given(st.lists(LINES, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_parser_returns_finite_values_or_raises_config_error(lines):
+    text = "\n".join(lines)
     try:
-        values = parse_config_text("\n".join(lines))
-    except ConfigError:
+        values = parse_config_text(text)
+    except ConfigError as exc:
+        # an error on a line that sets a known key names that key
+        lineno = int(re.match(r"line (\d+): ", str(exc)).group(1))
+        key = text.splitlines()[lineno - 1].split("#", 1)[0].partition("=")[0].strip()
+        assert key not in SCHEMA or key in str(exc), (str(exc), key)
         return
     assert set(values) == set(SCHEMA)
     assert all(math.isfinite(v) for v in values.values() if isinstance(v, float))
