@@ -102,10 +102,7 @@ def cmd_size(cfg, seed, meta):
     nparams = cfg.noise_params()
     grid = np.linspace(cfg["size.beta_sq_min"], cfg["size.beta_sq_max"],
                        cfg["size.points"])
-    pg = []
-    for b in map(float, grid):
-        pair = macro.macro_components(math.sqrt(b), macro.default_n_max(b + 1.0))
-        pg.append(macro.guessing_probability(pair, 0.0))
+    pg = [macro.window_guessing_probability(float(b), 0.0) for b in grid]
 
     table = ResultTable("size_curve", ["beta_sq", "p_g_ideal"], meta=meta)
     for b, p in zip(grid, pg):

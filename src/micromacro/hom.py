@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fock import ClickDetector, poisson_pmf, splitter_blocks
-from .ranges import NONNEGATIVE, POSITIVE, UNIT, Range, Ranged, ranged
+from .ranges import POSITIVE, UNIT, Range, Ranged, ranged
 
 #: photon-number cutoff of each splitter input
 N_MAX = 6
@@ -39,7 +39,10 @@ class UndefinedVisibilityError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class HomParams(Ranged):
-    mu_csp: float = ranged(NONNEGATIVE, 0.012)
+    #: both splitter inputs are cut at N_MAX = 6 photons; the CSP mass past
+    #: the cut, counted as coincidences, is 2e-9 at mu = 0.2 and 8.3e-5 at 1,
+    #: and 3.4e-2 at 3, so the model stops at 1
+    mu_csp: float = ranged(Range(0.0, 1.0), 0.012)
     #: at 0 no pair is heralded: 0/0 in the heralded weights
     p_pair: float = ranged(Range(0.0, 1.0, "()"), 0.005)
     eta_h: float = ranged(UNIT, 0.19)

@@ -25,6 +25,65 @@ def ideal_guessing_probability(lam: float) -> float:
     return 0.5 + math.exp(-lam + (k + 0.5) * math.log(lam) - math.lgamma(k + 1))
 
 
+def window_guessing_probability(lam: float, sigma: float):
+    """(P_g, r) of D(alpha)|+> vs D(alpha)|-> at lam = alpha^2 under a
+    width-sigma Gaussian detector, at DPS digits.
+
+    P_g = 1/2 + sqrt(lam) max_x P(x - 1 < Y <= x), Y = Poisson(lam) +
+    N(0, sigma^2), the maximum at the root r of f(r) = f(r - 1), f the
+    density of Y (r is None at sigma = 0, where the window holds the Poisson
+    mode).  Poisson terms below 1e-45 are left out, as are Gaussian factors
+    beyond 16 sigma + 1, below e^-128 of the nearest one.  The root is
+    bracketed by sign, bisected to sigma / 4, then polished by
+    ``mp.findroot``.  The float inputs are taken exactly.
+    """
+    with mp.workdps(DPS):
+        lam_, s = mp.mpf(lam), mp.mpf(sigma)
+        k = int(mp.floor(lam_))
+        mode = mp.exp(-lam_) * lam_**k / mp.factorial(k)
+        if sigma == 0:
+            return 1 / mp.mpf(2) + mp.sqrt(lam_) * mode, None
+        tiny = mp.mpf(10) ** -(DPS + 5)
+        p = {k: mode}
+        n = k
+        while p[n] > tiny:
+            p[n + 1] = p[n] * lam_ / (n + 1)
+            n += 1
+        n = k
+        while n > 0 and p[n] > tiny:
+            p[n - 1] = p[n] * n / lam_
+            n -= 1
+
+        def log_f(x):
+            return mp.log(mp.fsum(pn * mp.exp(-(x - n) ** 2 / (2 * s * s))
+                                  for n, pn in p.items() if abs(x - n) <= 16 * s + 1))
+
+        def g(x):
+            return log_f(x) - log_f(x - 1)
+
+        a, b = lam_ - 1, lam_ + mp.mpf(1.5)
+        while g(a) <= 0:
+            a -= 1
+        while g(b) >= 0:
+            b += 1
+        while b - a > s / 4:
+            mid = (a + b) / 2
+            a, b = (mid, b) if g(mid) > 0 else (a, mid)
+        r = mp.findroot(g, (a, b), solver="anderson")
+        w = mp.fsum(pn * (mp.ncdf((r - n) / s) - mp.ncdf((r - 1 - n) / s))
+                    for n, pn in p.items() if abs(r - n) <= 16 * s + 1)
+        return 1 / mp.mpf(2) + mp.sqrt(lam_) * w, r
+
+
+def sigma_max_root(lam: float, target: float, start: float):
+    """sigma with ``window_guessing_probability`` equal to ``target``, at DPS
+    digits: secant steps from ``start``, which must lie near the root."""
+    with mp.workdps(DPS):
+        start = mp.mpf(start)
+        return mp.findroot(lambda s: window_guessing_probability(lam, s)[0] - target,
+                           (start, start * (1 + mp.mpf(10) ** -9)), solver="secant")
+
+
 @cache
 def _splitter_blocks(n_max: int) -> tuple:
     """(lowest n_a, exp of the block generator) for N = 0..2 n_max at DPS digits.

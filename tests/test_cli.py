@@ -109,6 +109,8 @@ def test_config_rejects_bad_input():
     ("hom", "hom.mu_min = -0.5"),
     ("hom", "hom.mu_max = 0.001"),
     ("hom", "hom.mu_star = -1"),
+    ("hom", "hom.mu_star = 1e300"),
+    ("hom", "hom.mu_max = 1.5"),
     ("hom", "hom.p_pair = 0"),
     ("hom", "hom.p_pair = -0.1"),
     ("hom", "hom.p_pair = 1"),

@@ -18,7 +18,7 @@ GOLDEN = {
     },
     "size": {
         "size_curve.csv": "394e3003626fc9e8f39283e64c60c64c22d43fc1566321102763891a8b14ba9d",
-        "size_summary.csv": "14d8dad06290ca955f1bf2d6028334b11554eb84652640e44dedfa25ac0aea74",
+        "size_summary.csv": "e325901d598445faa48f28818c7aab4bf39447bd72be524f922e850ea4c0c9f0",
     },
     "hom": {
         "hom_overlap.csv": "c690319d4ee527c9bd9cbf6b384611672370e7e35fc1a3e658b8954f4b480509",

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 from scipy.stats import norm
 
 from micromacro import fock, macro
-from oracles import ideal_guessing_probability
+from oracles import ideal_guessing_probability, sigma_max_root, window_guessing_probability
 from references import (coherent_density, displacement_operator, lattice_effective_size,
                         loss_channel)
 
@@ -227,6 +227,57 @@ def test_sigma_max_and_effective_size_at_47():
     assert abs(result.p_g - ideal_guessing_probability(47.0)) < 1e-9
 
 
+ORACLE_SIGMAS = (0.0, 1e-3, 0.29, 1.0, 5.0, 15.0, 37.0)
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 2.0, 10.0, 47.0, 150.0, 300.0])
+def test_window_form_matches_40_digit_oracle(lam):
+    # worst 7.0e-14, at lam = 300, sigma = 0.29: the rounding of
+    # log Pois(floor(lam)) in the package
+    for sigma in ORACLE_SIGMAS:
+        want, _ = window_guessing_probability(lam, sigma)
+        got = macro.window_guessing_probability(lam, sigma)
+        assert abs(got - float(want)) <= 1e-12, (lam, sigma, got, want)
+
+
+@pytest.mark.parametrize("beta_sq", [10.0, 47.0])
+def test_sigma_max_matches_the_oracle_root(beta_sq):
+    # the root tolerance SIGMA_MAX_TOL = 1e-12 is sigma_max's only error;
+    # the oracle solves P_g(sigma) = 2/3 at 40 digits, at the pair's lam
+    result = macro.size_analysis(math.sqrt(beta_sq))
+    root = sigma_max_root(math.sqrt(beta_sq) ** 2, 2.0 / 3.0, result.sigma_max)
+    assert abs(result.sigma_max - float(root)) <= 1e-10, (result.sigma_max, root)
+
+
+@pytest.mark.parametrize("lam, sigma", [(0.25, 0.29), (1.0, 1.0), (2.0, 5.0)])
+def test_window_form_matches_the_fine_per_photon_grid(lam, sigma):
+    # the Fock pair smoothed on a 2e-4 grid by the per-photon loop; the grid
+    # errs at the sign changes x0 of the smoothed difference (one, and
+    # rounding flips in the far tail), by at most h^2 |d'(x0)| / 6 in L1
+    # (1.25 slack, as in the kink-bound test)
+    pair = macro.macro_components(math.sqrt(lam), macro.default_n_max(lam + 1.0))
+    h = 2e-4
+    d = reference_smoothed_difference(pair.p_plus, pair.p_minus, sigma, h)
+    cross = np.flatnonzero(np.signbit(d[:-1]) != np.signbit(d[1:]))
+    slope = float(np.abs(d[cross + 1] - d[cross]).sum() / h)
+    want = 0.5 + 0.25 * float(np.abs(d).sum() * h)
+    got = macro.guessing_probability(pair, sigma)
+    assert abs(got - want) <= 0.25 * 1.25 * h**2 / 6.0 * slope + 1e-12, (got, want)
+
+
+def test_pure_pair_needs_no_lattice(monkeypatch):
+    # P_g, sigma_max and N_eff of the pure pair come from the window form
+    def no_lattice(*args):
+        raise AssertionError("the smoothing lattice ran for the pure pair")
+
+    monkeypatch.setattr(macro, "_l1_smoothed", no_lattice)
+    result = macro.size_analysis(math.sqrt(47.0))
+    assert result.n_eff == 13
+    pair = macro.macro_components(2.0, 60)
+    for sigma in (0.0, 0.3, 2.0):
+        assert 0.5 < macro.guessing_probability(pair, sigma) < 1.0
+
+
 MONOTONE = (
     lambda t, a, b: a * t + b * t**3,
     lambda t, a, b: math.tanh(a * t) + b * t,
@@ -251,8 +302,8 @@ def test_brentq_port_matches_scipy(kind, root, a, b, sign, below, above, log_xto
 @pytest.mark.parametrize("tol", [1e-3, 1e-12])
 def test_brentq_port_matches_scipy_on_the_size_solver(tol):
     pair = macro.macro_components(math.sqrt(47.0), macro.default_n_max(48.0))
-    def excess(s):
-        return macro.guessing_probability(pair, s) - 2.0 / 3.0
+    def excess(s):  # the window form at the pair's lam, as _sigma_max solves it
+        return macro.window_guessing_probability(pair.alpha**2, s) - 2.0 / 3.0
     hi = 4.0 * math.sqrt(47.0)  # _sigma_max's bracket: 2 alpha, doubled once
     assert macro._sigma_max(pair, 2.0 / 3.0, tol)[1] == brentq(excess, 0.0, hi, xtol=tol)
 
