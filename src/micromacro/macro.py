@@ -264,14 +264,15 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError("Brent's method did not converge in 100 iterations")
 
 
-def _sigma_max(pair: MacroComponentPair, target_p_g: float,
-               tol: float) -> tuple[float, float]:
-    """(P_g(0), largest sigma with P_g(sigma) >= target), one Brent search.
+def _sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float, float]:
+    """(P_g(0), largest sigma with P_g(sigma) >= target) of the pair at
+    alpha, one Brent search.
 
     P_g(sigma) is the window form, smooth and exact to rounding, so the
     root's only error is ``tol`` (plus Brent's 4 eps relative).
     """
-    p0 = guessing_probability(pair, 0.0)
+    lam = alpha**2
+    p0 = window_guessing_probability(lam, 0.0)
     if not 0.5 < target_p_g < p0:
         raise UnattainableTargetError(
             f"target {target_p_g} outside (1/2, P_g(0) = {p0:.6f})"
@@ -281,10 +282,10 @@ def _sigma_max(pair: MacroComponentPair, target_p_g: float,
 
     def excess(s):
         if s not in seen:
-            seen[s] = guessing_probability(pair, s) - target_p_g
+            seen[s] = window_guessing_probability(lam, s) - target_p_g
         return seen[s]
 
-    hi = max(2.0, 2.0 * pair.alpha)
+    hi = max(2.0, 2.0 * alpha)
     while excess(hi) > 0.0:
         hi *= 2.0
         if hi > 1e6:
@@ -300,8 +301,9 @@ def size_analysis(alpha: float, target_p_g: float = 2.0 / 3.0) -> SizeResult:
     Two point masses smoothed by the width-sigma Gaussian cross at N / 2, so
     their guessing probability is exactly Phi(N / 2 sigma).
     """
-    pair = macro_components(alpha, default_n_max(alpha**2 + 1.0))
-    p_g, s_max = _sigma_max(pair, target_p_g, SIGMA_MAX_TOL)
+    if alpha < 0:
+        raise ValueError("alpha must be real and >= 0")
+    p_g, s_max = _sigma_max(float(alpha), target_p_g, SIGMA_MAX_TOL)
     n = 1
     while 0.5 * math.erfc(-n / (2.0 * math.sqrt(2.0) * s_max)) < target_p_g:
         n += 1

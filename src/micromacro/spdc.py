@@ -172,48 +172,50 @@ class OracleEstimate:
     errors: JointProbabilities
 
 
-#: samples per oracle block: a pair's (5, n) normals and (4, n) amplitudes
+#: samples per oracle block: a stream's (5, n) normals and (4k, n) amplitudes
 #: are drawn and mapped this many columns at a time, in buffers that stay in
 #: cache, so memory does not grow with n_samples
 ORACLE_BLOCK = 2**14
 
 
-def _sampled_pair(rng, amp: np.ndarray, n_samples: int, p: DetailedParams) -> tuple:
-    """(mean, standard error) of P(B = +1) and of P(B = -1) for one thermal
-    pair: ``amp`` maps blocks of (5, ORACLE_BLOCK) standard normals onto the
-    real and imaginary parts of the main and orthogonal detector amplitudes.
+def _sampled_pairs(rng, amp: np.ndarray, n_samples: int, p: DetailedParams) -> list:
+    """(mean, standard error) of P(B = +1) and of P(B = -1) for each of the k
+    thermal pairs that share one stream: ``amp`` stacks their (4, 5) maps,
+    each taking the same blocks of (5, ORACLE_BLOCK) standard normals onto
+    the real and imaginary parts of the main and orthogonal detector amplitudes.
 
     Each block's means and summed squared deviations are merged into running
     totals (Chan, Golub & LeVeque 1979), so only two buffers are allocated.
     """
+    rows = amp.shape[0]
     size = min(n_samples, ORACLE_BLOCK)
-    z_buf, c_buf = np.empty(5 * size), np.empty(4 * size)
-    mean, m2 = np.zeros(2), np.zeros(2)  # running mean, summed squared deviations
+    z_buf, c_buf = np.empty(5 * size), np.empty(rows * size)
+    # running mean and summed squared deviations, rows as ``pnc`` below
+    mean, m2 = np.zeros(rows // 2), np.zeros(rows // 2)
     for start in range(0, n_samples, size):
         m = min(size, n_samples - start)
         z = z_buf[:5 * m].reshape(5, m)  # contiguous, as ``out=`` requires
-        c = c_buf[:4 * m].reshape(4, m)
+        c = c_buf[:rows * m].reshape(rows, m)
         rng.standard_normal(out=z)
         np.matmul(amp, z, out=c)
         c *= c
-        pnc = c[0::2]  # |c|^2, then the no-click probability: rows main, orth
+        pnc = c[0::2]  # |c|^2, then the no-click probability: rows main, orth per pair
         pnc += c[1::2]
         pnc *= -p.eta_d
         np.exp(pnc, out=pnc)
         pnc *= 1.0 - p.p_dc
-        pnc_main, pnc_orth = pnc
+        pnc_main, pnc_orth = pnc[0::2], pnc[1::2]
         np.subtract(1.0, pnc_orth, out=pnc_orth)
         pnc_orth *= pnc_main
-        np.subtract(1.0, pnc_main, out=pnc_main)
-        x = pnc[::-1]  # rows P(B = +1), P(B = -1)
-        block_mean = x.mean(axis=1)
-        x -= block_mean[:, None]
-        x *= x
+        np.subtract(1.0, pnc_main, out=pnc_main)  # rows P(B = -1), P(B = +1) per pair
+        block_mean = pnc.mean(axis=1)
+        pnc -= block_mean[:, None]
+        pnc *= pnc
         delta = block_mean - mean
         mean += delta * (m / (start + m))
-        m2 += x.sum(axis=1) + delta**2 * (start * m / (start + m))
+        m2 += pnc.sum(axis=1) + delta**2 * (start * m / (start + m))
     se = np.sqrt(m2 / (n_samples - 1) / n_samples)
-    return (mean[0], se[0]), (mean[1], se[1])
+    return [((mean[i + 1], se[i + 1]), (mean[i], se[i])) for i in range(0, mean.size, 2)]
 
 
 def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
@@ -225,51 +227,57 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     noise is over the Gaussian draws.  The three thermal pairs are estimated
     separately and combined by the herald table, errors in quadrature.
 
-    Pair j draws from child j of ``SeedSequence([seed]).spawn(3)`` through
-    an SFC64 generator, in blocks of (5, ORACLE_BLOCK) standard normals with
-    rows Re a, Im a, Re b, Im b, phi.  The pairs run on three threads; each
-    owns its stream, so the result does not depend on scheduling.  The two
-    detector amplitudes are linear in the draws; with t the amplitude
-    transmission and k = t2 gamma sigma_phi,
+    Pair 0 (nbar, mbar) meets pair 1 in the A = +1 joints and pair 2 in the
+    A = -1 joints, but pairs 1 and 2 never meet: the herald table gives
+    pair 2 zero weight in row A = +1 and pair 1 zero weight in row A = -1.
+    So pairs 1 and 2 may read the same normals and each joint still sums
+    two independent estimates, which keeps its quadrature error exact.
+    Two streams, children 0 and 1 of ``SeedSequence([seed]).spawn(2)``
+    through SFC64 generators, feed pair 0 and pairs 1 and 2, in blocks of
+    (5, ORACLE_BLOCK) standard normals with rows Re a, Im a, Re b, Im b, phi:
+    10 draws per sample.  Pair 0 runs on one worker thread while the caller
+    runs the other stream; each stream has one owner, so the result does not
+    depend on scheduling.  The two detector amplitudes are linear in the
+    draws; with t the amplitude transmission and k = t2 gamma sigma_phi,
 
         c_main = t (cos th_b a + sin th_b b) + i k cos(th_a - th_b) phi
         c_orth = t (sin th_b a - cos th_b b) + i k sin(th_b - th_a) phi,
 
-    so one real 4 x 5 map gives both real and imaginary parts and no complex
-    array is made.
+    so one real 4 x 5 map per pair gives both real and imaginary parts and
+    no complex array is made.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: a standard error needs >= 2")
     pairs, rows, _, _, t_amp = _derived(p)
-    children = np.random.SeedSequence([seed]).spawn(len(pairs))
     cb, sb = math.cos(th_b), math.sin(th_b)
     k = p.t2 * p.gamma * p.sigma_phi
     k_main, k_orth = k * math.cos(th_a - th_b), k * math.sin(th_b - th_a)
-    ests = [None] * len(pairs)
-    failures = []
-
-    def run(j, child, amp):
-        try:
-            rng = np.random.Generator(np.random.SFC64(child))
-            ests[j] = _sampled_pair(rng, amp, n_samples, p)
-        except BaseException as exc:  # handed to the caller, which raises it
-            failures.append(exc)
-
-    threads = []
-    for j, ((vb, vp), child) in enumerate(zip(pairs, children)):
+    amp = np.empty((4 * len(pairs), 5))
+    for j, (vb, vp) in enumerate(pairs):
         ta, tb = t_amp * math.sqrt(vb / 2), t_amp * math.sqrt(vp / 2)
-        amp = np.array([[cb * ta, 0.0, sb * tb, 0.0, 0.0],
-                        [0.0, cb * ta, 0.0, sb * tb, k_main],
-                        [sb * ta, 0.0, -cb * tb, 0.0, 0.0],
-                        [0.0, sb * ta, 0.0, -cb * tb, k_orth]])
-        threads.append(threading.Thread(target=run, args=(j, child, amp)))
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
-    plus, minus = zip(*ests)  # (mean, standard error) of P(B = +-1) per pair
+        amp[4 * j:4 * j + 4] = [[cb * ta, 0.0, sb * tb, 0.0, 0.0],
+                                [0.0, cb * ta, 0.0, sb * tb, k_main],
+                                [sb * ta, 0.0, -cb * tb, 0.0, 0.0],
+                                [0.0, sb * ta, 0.0, -cb * tb, k_orth]]
+    rngs = [np.random.Generator(np.random.SFC64(child))
+            for child in np.random.SeedSequence([seed]).spawn(2)]
+    worker_out = []  # pair 0's estimate, or the exception that ended it
+
+    def run():
+        try:
+            worker_out.extend(_sampled_pairs(rngs[0], amp[:4], n_samples, p))
+        except BaseException as exc:  # handed to the caller, which raises it
+            worker_out.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        shared = _sampled_pairs(rngs[1], amp[4:], n_samples, p)
+    finally:
+        worker.join()
+    if isinstance(worker_out[0], BaseException):
+        raise worker_out[0]
+    plus, minus = zip(*worker_out, *shared)  # (mean, standard error) of P(B = +-1) per pair
 
     joints, errors = [], []
     for row in rows:

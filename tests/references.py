@@ -263,14 +263,14 @@ def gauss_hermite_phase_average(fn, sigma: float, n_nodes: int = 61) -> float:
 def complex_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedParams,
                                n_samples: int, seed: int) -> spdc.OracleEstimate:
     """``spdc.monte_carlo_oracle`` in complex arithmetic: the thermal modes
-    a, b and the leak phase phi scaled from the same standard normals (pair j
-    from SFC64 child j of the seed, in ``ORACLE_BLOCK`` blocks, concatenated),
-    displaced by the leak, rotated onto the two detectors, and reduced by
-    whole-array mean and ``std(ddof=1)``."""
+    a, b and the leak phase phi scaled from the same standard normals (pair 0
+    from SFC64 child 0 of the seed, pairs 1 and 2 both from child 1, in
+    ``ORACLE_BLOCK`` blocks, concatenated), displaced by the leak, rotated
+    onto the two detectors, and reduced by whole-array mean and ``std(ddof=1)``."""
     pairs, rows, _, _, t_amp = spdc._derived(p)
-    children = np.random.SeedSequence([seed]).spawn(len(pairs))
+    children = np.random.SeedSequence([seed]).spawn(2)
     plus, minus = [], []  # (mean, standard error) of P(B = +-1) per pair
-    for (vb, vp), child in zip(pairs, children):
+    for (vb, vp), child in zip(pairs, (children[0], children[1], children[1])):
         rng = np.random.Generator(np.random.SFC64(child))
         z = np.concatenate([rng.standard_normal((5, min(spdc.ORACLE_BLOCK, n_samples - s)))
                             for s in range(0, n_samples, spdc.ORACLE_BLOCK)], axis=1)

@@ -301,11 +301,11 @@ def test_brentq_port_matches_scipy(kind, root, a, b, sign, below, above, log_xto
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-12])
 def test_brentq_port_matches_scipy_on_the_size_solver(tol):
-    pair = macro.macro_components(math.sqrt(47.0), macro.default_n_max(48.0))
-    def excess(s):  # the window form at the pair's lam, as _sigma_max solves it
-        return macro.window_guessing_probability(pair.alpha**2, s) - 2.0 / 3.0
-    hi = 4.0 * math.sqrt(47.0)  # _sigma_max's bracket: 2 alpha, doubled once
-    assert macro._sigma_max(pair, 2.0 / 3.0, tol)[1] == brentq(excess, 0.0, hi, xtol=tol)
+    alpha = math.sqrt(47.0)
+    def excess(s):  # the window form at lam = alpha^2, as _sigma_max solves it
+        return macro.window_guessing_probability(alpha**2, s) - 2.0 / 3.0
+    hi = 4.0 * alpha  # _sigma_max's bracket: 2 alpha, doubled once
+    assert macro._sigma_max(alpha, 2.0 / 3.0, tol)[1] == brentq(excess, 0.0, hi, xtol=tol)
 
 
 def test_brentq_port_rejects_an_unbracketed_root():
@@ -318,16 +318,21 @@ def test_size_analysis_evaluates_each_sigma_once(monkeypatch, beta_sq):
     # Brent's bracket ends are P_g(0) and the doubling search's last sigma,
     # both already evaluated; the search must not compute them again
     sigmas = []
-    original = macro.guessing_probability
+    original = macro.window_guessing_probability
 
-    def counting(pair, sigma):
+    def counting(lam, sigma):
         sigmas.append(sigma)
-        return original(pair, sigma)
+        return original(lam, sigma)
 
-    monkeypatch.setattr(macro, "guessing_probability", counting)
+    monkeypatch.setattr(macro, "window_guessing_probability", counting)
     macro.size_analysis(math.sqrt(beta_sq))
     assert sigmas.count(0.0) == 1
     assert len(set(sigmas)) == len(sigmas), sorted(sigmas)
+
+
+def test_size_analysis_rejects_negative_alpha():
+    with pytest.raises(ValueError, match="alpha must be real and >= 0"):
+        macro.size_analysis(-1.0)
 
 
 def test_unattainable_targets_rejected():

@@ -1,4 +1,3 @@
-import itertools
 import math
 import sys
 import threading
@@ -188,9 +187,9 @@ def test_monte_carlo_needs_two_samples(n_samples):
 
 @pytest.mark.parametrize("n_samples", [200_000, 2_000_000])
 def test_monte_carlo_peak_memory(n_samples):
-    # two reused (5, ORACLE_BLOCK) and (4, ORACLE_BLOCK) buffers per pair,
-    # 3.4 MiB in all, whatever n_samples; whole (5, n) and (4, n) blocks
-    # peaked at 13.7 MiB at 2e5 samples and 137 MiB at 2e6
+    # two reused buffers per stream, (5 + 4) and (5 + 8) rows of
+    # ORACLE_BLOCK, 2.75 MiB in all, whatever n_samples; whole (5, n) and
+    # (4, n) blocks per pair peaked at 13.7 MiB at 2e5 samples and 137 MiB at 2e6
     tracemalloc.start()
     try:
         spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=n_samples)
@@ -201,7 +200,7 @@ def test_monte_carlo_peak_memory(n_samples):
 
 
 def test_monte_carlo_is_reproducible_across_threads():
-    # each pair owns its stream, so thread scheduling cannot move a bit; the
+    # each stream has one owner, so thread scheduling cannot move a bit; the
     # second call switches threads as often as the interpreter allows
     def bits():
         est = spdc.monte_carlo_oracle(0.3, 0.9, STRONG_LEAK, n_samples=50_000, seed=5)
@@ -219,29 +218,41 @@ def test_monte_carlo_is_reproducible_across_threads():
     assert first == second
 
 
-def test_monte_carlo_raises_what_a_pair_raises(monkeypatch):
-    class PairFailure(RuntimeError):
+def test_herald_table_keeps_pairs_1_and_2_apart():
+    # the oracle feeds pairs 1 and 2 the same normals, which is sound only
+    # while no joint weighs both; pair 0 is in every joint
+    tables = [spdc._herald_rows(0.3, 0.09), spdc._herald_rows(0.9, 0.81)]
+    tables += [spdc._derived(p)[1] for p in (spdc.DetailedParams(), STRONG_LEAK)]
+    for plus, minus in tables:  # rows A = +1, A = -1
+        assert plus[2] == 0.0 and minus[1] == 0.0
+        assert plus[0] != 0.0 and minus[0] != 0.0
+
+
+@pytest.mark.parametrize("failing_rows", [4, 8], ids=["worker_stream", "caller_stream"])
+def test_monte_carlo_raises_what_a_stream_raises(monkeypatch, failing_rows):
+    # the worker thread maps pair 0 (4 rows), the caller pairs 1 and 2 (8 rows)
+    class StreamFailure(RuntimeError):
         pass
 
-    sampled_pair = spdc._sampled_pair
-    calls = itertools.count()  # next() is atomic, so exactly one pair fails
+    sampled_pairs = spdc._sampled_pairs
 
     def failing(rng, amp, n_samples, p):
-        if next(calls) == 1:
-            raise PairFailure("pair failed")
-        return sampled_pair(rng, amp, n_samples, p)
+        if amp.shape[0] == failing_rows:
+            raise StreamFailure(f"{failing_rows}-row stream failed")
+        return sampled_pairs(rng, amp, n_samples, p)
 
     before = threading.active_count()
-    monkeypatch.setattr(spdc, "_sampled_pair", failing)
-    with pytest.raises(PairFailure, match="pair failed"):
+    monkeypatch.setattr(spdc, "_sampled_pairs", failing)
+    with pytest.raises(StreamFailure, match=f"{failing_rows}-row stream failed"):
         spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=1000)
     assert threading.active_count() == before
 
 
 def test_monte_carlo_errors_are_calibrated():
-    # the joints weigh the three pairs with opposite signs, so pairs that
-    # shared a stream would make the quadrature errors wrong; a same-seed
-    # reference draws the same streams and cannot see that
+    # the joints weigh pair 0 against pair 1 or 2 with opposite signs, so
+    # pairs that meet in a joint and shared a stream would make the
+    # quadrature errors wrong; a same-seed reference draws the same streams
+    # and cannot see that
     p = spdc.DetailedParams()
     th_a, th_b = 0.3, 0.9
     want = spdc.joint_probabilities(th_a, th_b, p).as_array()
