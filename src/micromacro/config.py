@@ -4,8 +4,9 @@
 schema is rejected, as is any value outside the key's range.  A key that sets
 a model parameter takes its range and default from the dataclass field it
 maps to (``FIELD_KEYS``, ``ranges``); every other key declares its range in
-``SCHEMA``.  Two rules apply to the final values: the oracle sample count is
-0 (off) or at least 2, and each grid's ``*_min`` lies below its ``*_max``.
+``SCHEMA``.  Two rules apply to the final values: the oracle and band sample
+counts are each 0 (off) or at least 2, and each grid's ``*_min`` lies below
+its ``*_max``.
 Every key is checked at parse time, before any command computes.  Defaults
 reproduce the reference experiment, so an empty config is a valid complete
 run.  The resolved key/value map has a canonical text form whose SHA-256 is
@@ -106,6 +107,8 @@ def parse_config_text(text: str) -> dict:
                            f"{grid}_max ({hi:.12g})")
     if values["detailed.mc_samples"] == 1:
         raise bad("detailed.mc_samples", "must be 0 (no oracle) or >= 2 for a standard error")
+    if values["curves.band_samples"] == 1:
+        raise bad("curves.band_samples", "must be 0 (no bands) or >= 2 for a spread")
     return values
 
 

@@ -133,3 +133,15 @@ def splitter_blocks(n_max: int) -> tuple:
         n_a.flags.writeable = u.flags.writeable = False
         blocks.append((n_a, u))
     return tuple(blocks)
+
+
+@cache
+def splitter_weights(n_max: int) -> tuple:
+    """The transition probabilities |u|^2 of ``splitter_blocks(n_max)``, one
+    read-only ``(n_a, |u|^2)`` entry per N, cached like the blocks."""
+    weights = []
+    for n_a, u in splitter_blocks(n_max):
+        w = np.abs(u) ** 2
+        w.flags.writeable = False
+        weights.append((n_a, w))
+    return tuple(weights)

@@ -12,7 +12,8 @@ N = n_a + n_b, so the coherent phase and every off-diagonal term drop out
 of the output distribution:
 P(n_a, n_b) = sum_k |<n_a, N - n_a|U_N|k, N - k>|^2 q_k p_(N - k),
 with q the heralded distribution, p the Poissonian CSP statistics and U_N
-the splitter's photon-number blocks (``fock.splitter_blocks``).  No
+the splitter's photon-number blocks (``fock.splitter_blocks``), whose
+|U_N|^2 are read from ``fock.splitter_weights``, cached per cutoff.  No
 two-mode density matrix is built.  Both inputs are cut at ``N_MAX``
 photons; the form 1 - P(no click a) - P(no click b) + P(neither) counts the
 Poisson mass beyond it (2e-9 at mu = 0.2) as coincidences.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import ClickDetector, poisson_pmf, splitter_blocks
+from .fock import ClickDetector, poisson_pmf, splitter_weights
 from .ranges import POSITIVE, UNIT, Range, Ranged, ranged
 
 #: photon-number cutoff of each splitter input
@@ -92,8 +93,8 @@ def output_distribution(q_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
     distributions q_a and p_b of its inputs, both of length n_max + 1."""
     n_max = len(q_a) - 1
     out = np.zeros((n_max + 1, n_max + 1))
-    for total, (n_a, u) in enumerate(splitter_blocks(n_max)):
-        out[n_a, total - n_a] = np.abs(u) ** 2 @ (q_a[n_a] * p_b[total - n_a])
+    for total, (n_a, w) in enumerate(splitter_weights(n_max)):
+        out[n_a, total - n_a] = w @ (q_a[n_a] * p_b[total - n_a])
     return out
 
 
@@ -117,20 +118,14 @@ def coincidence_from_joint(q_a: np.ndarray, p_b: np.ndarray, det: ClickDetector,
     return 1.0 - pnc_a - pnc_b + pnc_ab
 
 
-def coincidence_probability(params: HomParams, xi: float) -> float:
-    """Coincidence rate with the CSP mode-matched fraction xi."""
+def hom_visibility(params: HomParams) -> float:
+    """V = (R_perp - R_par) / R_perp, each R the coincidence rate with the
+    CSP mode-matched fraction xi (params.xi and 0) of the same heralded input."""
     q = np.zeros(N_MAX + 1)
     q[: HERALD_KMAX + 1] = heralded_signal_dist(params.p_pair, params.eta_h)
-    return coincidence_from_joint(
+    r_par, r_perp = (coincidence_from_joint(
         q, poisson_pmf(xi * params.mu_csp, N_MAX), params.detector,
-        unmatched_mean=(1.0 - xi) * params.mu_csp,
-    )
-
-
-def hom_visibility(params: HomParams) -> float:
-    """V = (R_perp - R_par) / R_perp."""
-    r_par = coincidence_probability(params, params.xi)
-    r_perp = coincidence_probability(params, xi=0.0)
+        unmatched_mean=(1.0 - xi) * params.mu_csp) for xi in (params.xi, 0.0))
     # below ~100 eps the subtractions above are pure cancellation noise
     if r_perp <= 1e-14:
         raise UndefinedVisibilityError("no coincidences in the orthogonal case")

@@ -25,6 +25,7 @@ import numpy as np
 
 from .fock import (TAU_TRUNC, TruncationError, coherent_amplitudes,
                    displaced_single_photon)
+from .ranges import NONNEGATIVE
 
 #: fewest lattice points per photon of the Gaussian smoothing integral
 GRID_POINTS = 20
@@ -171,8 +172,8 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
     (4e-13 at lam = 300): P_g is within 7e-14 of a 40-digit evaluation for
     lam up to 300 and sigma from 1e-3 to 37.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    NONNEGATIVE.check(lam, "lam")
+    NONNEGATIVE.check(sigma, "sigma")
     if lam == 0.0:
         return 0.5
     k = math.floor(lam)
@@ -301,8 +302,8 @@ def size_analysis(alpha: float, target_p_g: float = 2.0 / 3.0) -> SizeResult:
     Two point masses smoothed by the width-sigma Gaussian cross at N / 2, so
     their guessing probability is exactly Phi(N / 2 sigma).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be real and >= 0")
+    if not (alpha >= 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be real and >= 0, and finite, not {alpha}")
     p_g, s_max = _sigma_max(float(alpha), target_p_g, SIGMA_MAX_TOL)
     n = 1
     while 0.5 * math.erfc(-n / (2.0 * math.sqrt(2.0) * s_max)) < target_p_g:

@@ -144,7 +144,10 @@ def witness_band_point(alpha_sq: float, params: ExperimentParams,
     is seeded from (rng_seed, index), so the result does not depend on
     evaluation order or on how points are split across workers.  At
     alpha_sq = 0 every sample's W is v_mm, so the spreads are exactly zero.
+    A spread needs at least two samples.
     """
+    if band_samples < 2:
+        raise ValueError(f"band_samples={band_samples} must be >= 2 for a spread")
     if alpha_sq == 0.0:
         return 0.0, 0.0, 0.0
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, index]))

@@ -63,13 +63,13 @@ class JointProbabilities:
         return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
 
     def total(self) -> float:
-        return float(self.as_array().sum())
+        return self.p_pp + self.p_pm + self.p_mp + self.p_mm
 
     def renormalized(self) -> "JointProbabilities":
         s = self.total()
         if s <= 0:
             raise ModelInconsistencyError("joint probabilities sum to zero")
-        return JointProbabilities(*(self.as_array() / s))
+        return JointProbabilities(self.p_pp / s, self.p_pm / s, self.p_mp / s, self.p_mm / s)
 
     def correlator(self) -> float:
         p = self.renormalized()
@@ -145,6 +145,12 @@ def _g_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams, eta: float,
     return gg / math.sqrt(1.0 + 4.0 * z * eps)
 
 
+def _check_angles(th_a: float, th_b: float) -> None:
+    for name, th in (("th_a", th_a), ("th_b", th_b)):
+        if not math.isfinite(th):
+            raise ValueError(f"{name}={th} must be finite")
+
+
 def joint_probabilities(th_a: float, th_b: float,
                         p: DetailedParams) -> JointProbabilities:
     """Raw joint outcome probabilities P(A = +-1, B = +-1).
@@ -153,17 +159,18 @@ def joint_probabilities(th_a: float, th_b: float,
     on side B measured in the displacement-matched frame.  The four raw
     joints need not sum to one because double-no-click rounds are dropped.
     """
+    _check_angles(th_a, th_b)
     pairs, rows, eta, eps, _ = _derived(p)
     plus, minus = [], []  # P(B = +1) = F - G and P(B = -1) = 1 - F per pair
     for nb, np_ in pairs:
         f = _f_factor(nb, np_, th_a, th_b, p, eta, eps)
         plus.append(f - _g_factor(nb, np_, th_a, th_b, p, eta, eps))
         minus.append(1.0 - f)
-    vals = np.array([_weigh(row, b) for row in rows for b in (plus, minus)])
-    if np.any(vals < -TAU_NUM) or np.any(vals > 1.0 + TAU_NUM):
+    vals = [_weigh(row, b) for row in rows for b in (plus, minus)]
+    # written so that a NaN joint fails the check too
+    if not all(-TAU_NUM <= v <= 1.0 + TAU_NUM for v in vals):
         raise ModelInconsistencyError(f"joint probabilities out of range: {vals}")
-    vals = np.clip(vals, 0.0, 1.0)
-    return JointProbabilities(*vals)
+    return JointProbabilities(*(min(max(v, 0.0), 1.0) for v in vals))
 
 
 @dataclass(frozen=True)
@@ -248,6 +255,7 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     """
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: a standard error needs >= 2")
+    _check_angles(th_a, th_b)
     pairs, rows, _, _, t_amp = _derived(p)
     cb, sb = math.cos(th_b), math.sin(th_b)
     k = p.t2 * p.gamma * p.sigma_phi

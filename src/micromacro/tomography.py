@@ -13,6 +13,7 @@ an upper bound on the per-shot log-likelihood gap to the maximum.
 """
 from __future__ import annotations
 
+import numbers
 from functools import cache
 
 import numpy as np
@@ -53,6 +54,14 @@ def _projector_stack() -> np.ndarray:
     return stack
 
 
+def _born_probabilities(rho: np.ndarray) -> np.ndarray:
+    """tr(rho Pi) of every projector of ``_projector_stack``, clipped at 0,
+    one row of four per setting pair: one stacked product and one batched
+    trace, bit for bit the same operations as a loop over the projectors."""
+    born = np.real(np.trace(rho @ _projector_stack(), axis1=1, axis2=2))
+    return np.clip(born, 0.0, None).reshape(len(SETTING_PAIRS), 4)
+
+
 def simulate_tomography(rho: TwoQubitDensity, shots: int = 10_000,
                         rng_seed: int = 0) -> np.ndarray:
     """Multinomial outcome counts per setting pair, reproducible for a seed.
@@ -63,15 +72,14 @@ def simulate_tomography(rho: TwoQubitDensity, shots: int = 10_000,
     Each pair draws from its own generator spawned off the master seed, so
     results do not depend on evaluation order.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not (isinstance(shots, numbers.Integral) and shots >= 1):
+        raise ValueError(f"shots={shots!r} must be an integer >= 1")
     streams = np.random.SeedSequence(rng_seed).spawn(len(SETTING_PAIRS))
-    pis = _projector_stack().reshape(len(SETTING_PAIRS), 4, 4, 4)
+    q = _born_probabilities(rho.matrix)
     counts = np.empty((len(SETTING_PAIRS), 2, 2), dtype=np.int64)
     for k, ss in enumerate(streams):
-        q = np.clip([np.real(np.trace(rho.matrix @ pi)) for pi in pis[k]], 0.0, None)
         rng = np.random.default_rng(ss)
-        counts[k] = rng.multinomial(shots, q / q.sum()).reshape(2, 2)
+        counts[k] = rng.multinomial(shots, q[k] / q[k].sum()).reshape(2, 2)
     return counts
 
 
@@ -109,15 +117,25 @@ def reconstruct_mle(counts: np.ndarray) -> TwoQubitDensity:
     second step checks the certificate max(lambda_max(R) - 1, max|R rho -
     rho|), with R = sum_k (c_k / q_k) Pi_k / N, which bounds the per-shot
     log-likelihood gap to the maximum; ConvergenceError is raised if it is
-    still above GRAD_TOL after MAX_STEPS steps in all.
+    still above GRAD_TOL after MAX_STEPS steps in all.  Counts that are not
+    finite non-negative integers with a positive total raise ValueError
+    before any step.
     """
     if np.shape(counts) != (len(SETTING_PAIRS), 2, 2):
         raise ValueError(f"counts must have shape ({len(SETTING_PAIRS)}, 2, 2)")
     counts = np.reshape(counts, -1)
+    if not np.all(np.isfinite(counts)):
+        raise ValueError("counts must be finite")
+    if np.any(counts < 0) or np.any(counts != np.round(counts)):
+        raise ValueError("counts must be non-negative integers")
+    total = counts.sum()
+    if not total > 0:
+        raise ValueError("counts must have a positive total")
     seen = counts > 0                    # unobserved outcomes add nothing to the likelihood
     pis = _projector_stack()[seen]
-    freqs = counts[seen] / counts.sum()
-    rows = pis.reshape(len(pis), 16).conj()
+    freqs = counts[seen] / total
+    flat = pis.reshape(len(pis), 16)
+    rows = flat.conj()
     eye = np.eye(4)
 
     def born(t):                         # q_k = tr(Pi_k T T^dag) for tr(T T^dag) = 1
@@ -130,7 +148,7 @@ def reconstruct_mle(counts: np.ndarray) -> TwoQubitDensity:
     q = born(t)
     gap = np.inf
     for step in range(MAX_STEPS):
-        r_op = np.tensordot(freqs / q, pis, 1)
+        r_op = np.dot((freqs / q)[None], flat).reshape(4, 4)  # np.tensordot's product
         if step >= WARMUP_STEPS and step % 2 == 0:
             rho = t @ t.conj().T
             gap = max(np.linalg.eigvalsh(r_op)[-1] - 1.0, np.max(np.abs(r_op @ rho - rho)))
@@ -140,8 +158,7 @@ def reconstruct_mle(counts: np.ndarray) -> TwoQubitDensity:
         if step >= WARMUP_STEPS:
             # gradient and Hessian of the per-shot log-likelihood in T
             a = r_op - eye
-            hess = 2 * np.block([[np.kron(a.real, eye), -np.kron(a.imag, eye)],
-                                 [np.kron(a.imag, eye), np.kron(a.real, eye)]])
+            hess = 2 * np.kron(np.block([[a.real, -a.imag], [a.imag, a.real]]), eye)
             jac = 2 * _real(pis @ t)     # d q_k / d T
             hess -= jac.T @ (jac * (freqs / q ** 2)[:, None])
             hess += 4 * np.outer(_real(t), _real(t))

@@ -6,10 +6,11 @@ loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
 (and its rejected double-click reading), the phase-jitter average by
 Gauss-Hermite quadrature, the sampling oracle in complex arithmetic, the
 storage loop slot by slot, the effective size by a search over smoothed
-point masses, the tomography likelihood fit by scipy's L-BFGS-B.  The
-differential tests compare the closed forms with them.  Unlike
-``oracles.py`` (standard library and mpmath only), these use numpy and may
-take production parameter classes as input.
+point masses, the tomography likelihood fit by scipy's L-BFGS-B and its
+Born probabilities one projector at a time.  The differential tests compare
+the closed forms with them.  Unlike ``oracles.py`` (standard library and
+mpmath only), these use numpy and may take production parameter classes as
+input.
 """
 import cmath
 import math
@@ -375,6 +376,14 @@ def tomography_projectors() -> np.ndarray:
             sides.append((p, np.eye(2) - p))
         out.extend(np.kron(ka, kb) for ka in sides[0] for kb in sides[1])
     return np.stack(out)
+
+
+def born_probabilities(rho: np.ndarray) -> np.ndarray:
+    """tr(rho Pi) per outcome projector, clipped at 0, one projector at a time:
+    the loop ``tomography._born_probabilities`` batches, shape (36, 4)."""
+    pis = tomography._projector_stack().reshape(len(tomography.SETTING_PAIRS), 4, 4, 4)
+    return np.stack([np.clip([np.real(np.trace(rho @ pi)) for pi in pair], 0.0, None)
+                     for pair in pis])
 
 
 def _lower_triangular(x: np.ndarray) -> np.ndarray:

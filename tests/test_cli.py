@@ -98,6 +98,7 @@ def test_config_rejects_bad_input():
     ("hom", "hom.window_points = 0"),
     ("tomo", "tomo.shots = 0"),
     ("curves", "curves.band_samples = -5"),
+    ("curves", "curves.band_samples = 1"),
     ("detailed", "detailed.mc_samples = 1"),
     ("detailed", "detailed.mc_samples = -1"),
     ("tomo", "run.seed = -1"),
@@ -427,6 +428,7 @@ def test_hom_and_validate_decompose_no_dense_fock_matrix(tmp_path, monkeypatch):
     for name in ("eig", "eigh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     fock.splitter_blocks.cache_clear()
+    fock.splitter_weights.cache_clear()
     assert cli.main(["hom", "--out", str(tmp_path)]) == 0
     assert cli.main(["validate"]) == 0
     assert max(sizes) == 13

@@ -132,6 +132,16 @@ def test_splitter_blocks_match_dense_reference(n_max):
     assert np.max(np.abs(blocks - dense)) < 1e-13
 
 
+@pytest.mark.parametrize("n_max", [1, 6, 12])
+def test_splitter_weights_are_the_squared_blocks(n_max):
+    weights = fock.splitter_weights(n_max)
+    assert fock.splitter_weights(n_max) is weights  # cached per cutoff
+    for (n_a, u), (n_w, w) in zip(fock.splitter_blocks(n_max), weights, strict=True):
+        assert n_w is n_a
+        assert w.tobytes() == (np.abs(u) ** 2).tobytes()
+        assert not w.flags.writeable
+
+
 @given(st.floats(0.0, 200.0), st.integers(0, 300))
 @example(0.0, 5)
 @settings(max_examples=60, deadline=None)

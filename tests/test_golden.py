@@ -2,14 +2,17 @@
 
 The default config and seed are used throughout, plus one ``detailed`` run
 with a small sampling oracle.  A refactor that changes any written number,
-even in the twelfth digit, changes a digest.  Any update to this table is a
+even in the twelfth digit, changes a digest.  Three layers below the CLI
+(the tomography MLE, the CHSH curve and the hom visibility) have digests of
+their raw float64 bytes as well.  Any update to these tables is a
 deliberate change of output and has to be stated with its reason.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
-from micromacro import cli
+from micromacro import cli, fock, hom, polarization, spdc, tomography
 
 GOLDEN = {
     "curves": {
@@ -57,6 +60,28 @@ GOLDEN_SVG = {
     },
 }
 
+#: the raw float64 bytes of three layers on the sweep_mix benchmark grids:
+#: the MLE state of ``tomo`` at 1e5 shots per (Werner w, rng_seed), the CHSH
+#: curve over 81 leak gains and V over 75 (eta_d, mu) points.  They pin every
+#: bit, where the CSVs pin 12 digits: a speedup that reorders one floating-
+#: point operation changes a digest here.  Bits may differ on another BLAS.
+GOLDEN_MLE = {
+    (1.0, 1): "fcc71be190666b7c09a5b737c64931c9e6c4ca6f452fee29209943c66a56d7d6",
+    (1.0, 2): "4e5fd7f2e8e88585ed3ab16cd07abd49cd1d4b421498cc3d1351538990aa89ea",
+    (1.0, 3): "38be84b32f0d16ec0a67620b9ce7bec9b74cafb2f6146e3cd060a9bdf602b41e",
+    (0.94, 1): "d271e78ed8626b105f9b9943588c0ad02e738542ec92b67fa44e2683ae314c18",
+    (0.94, 2): "99d9182186a304fad59b0cd21acdd8b4133975fe4f8efd5f9dc02d3b154508a7",
+    (0.94, 3): "20da42bb96f6f9fb9769669047761f7b58bc7020879b774243f33741a2c1e094",
+    (0.7, 1): "d46d114375b5e3bd7a772927670f036f2b7ae02f32106b5194752ec4ae7f87ef",
+    (0.7, 2): "4079a8bf3afec1c99af02be3acd9a7e175f89fc7e18665723a54d6d4d292b21c",
+    (0.7, 3): "6855d108297f5dd043ae6b3159152cf2ef297527cbe582477cf4b36f0f02ea5e",
+    (0.999, 1): "2caa6222fb0e05c66172a962c9e07a583d4eed2c3f35b1681a928d4a70163e52",
+    (0.999, 2): "e0d3830dfe3fbb19d733581a72c34393f845832c3cbe13496fb0d4b7e27008a4",
+    (0.999, 3): "02401f8342932e83e923d562af4ff27debc58fbbad0ef7de7a6d961af6828f0e",
+}
+GOLDEN_CHSH_CURVE = "fe4d5550f89e5c80e652fbc6796054cd5797463650544779eb00058894bbe327"
+GOLDEN_HOM_VISIBILITY = "dd1494d3da46097679bf991dc8fc148c4b89679358e4508bab523430ca76f9a5"
+
 
 def _digests(directory, pattern="*.csv") -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -83,3 +108,28 @@ def test_default_charts_match_golden_digests(command, tmp_path):
     assert cli.main([command, "--out", str(tmp_path), "--svg"]) == 0
     assert _digests(tmp_path, "*.svg") == GOLDEN_SVG[command]
     assert _digests(tmp_path) == GOLDEN[command]
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def test_mle_states_match_pinned_digests():
+    got = {}
+    for w, rng_seed in GOLDEN_MLE:
+        counts = tomography.simulate_tomography(polarization.werner_state(w),
+                                                shots=100_000, rng_seed=rng_seed)
+        got[w, rng_seed] = _sha256(tomography.reconstruct_mle(counts).matrix)
+    assert got == GOLDEN_MLE
+
+
+def test_chsh_curve_matches_pinned_digest():
+    curve = spdc.detailed_chsh_curve(np.linspace(0.0, 4.0, 81), spdc.DetailedParams())
+    assert _sha256(curve) == GOLDEN_CHSH_CURVE
+
+
+def test_hom_visibility_matches_pinned_digest():
+    v = np.array([hom.hom_visibility(hom.HomParams(
+                      mu_csp=float(mu), detector=fock.ClickDetector(eta_d, 0.0)))
+                  for eta_d in (0.3, 0.5, 0.8) for mu in np.linspace(0.001, 0.2, 25)])
+    assert _sha256(v) == GOLDEN_HOM_VISIBILITY

@@ -335,6 +335,23 @@ def test_size_analysis_rejects_negative_alpha():
         macro.size_analysis(-1.0)
 
 
+@pytest.mark.parametrize("call, match", [
+    # the bracket loop never ended on an infinite sigma
+    (lambda: macro.window_guessing_probability(3.0, math.inf), "sigma=inf must be finite"),
+    (lambda: macro.window_guessing_probability(3.0, math.nan), "sigma=nan must be finite"),
+    (lambda: macro.window_guessing_probability(3.0, -1.0), "sigma=-1.0 must be >= 0"),
+    (lambda: macro.window_guessing_probability(-1.0, 1.0), "lam=-1.0 must be >= 0"),
+    (lambda: macro.window_guessing_probability(math.nan, 1.0), "lam=nan must be finite"),
+    (lambda: macro.window_guessing_probability(math.inf, 0.0), "lam=inf must be finite"),
+    (lambda: macro.size_analysis(math.nan), "alpha must be real and >= 0, and finite"),
+    (lambda: macro.size_analysis(math.inf), "alpha must be real and >= 0, and finite"),
+], ids=["sigma_inf", "sigma_nan", "sigma_negative", "lam_negative", "lam_nan", "lam_inf",
+        "alpha_nan", "alpha_inf"])
+def test_window_form_rejects_bad_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_unattainable_targets_rejected():
     with pytest.raises(macro.UnattainableTargetError):
         macro.size_analysis(math.sqrt(2.0), 0.95)

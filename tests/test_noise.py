@@ -108,7 +108,7 @@ def test_band_sampling_is_order_independent():
 
 @settings(max_examples=150, deadline=None)
 @given(alpha_sq=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
-       band_samples=st.integers(1, 1000),
+       band_samples=st.integers(2, 1000),
        rng_seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**16))
 @example(alpha_sq=13.3, band_samples=1000, rng_seed=0, index=0)
 @example(alpha_sq=1e-20, band_samples=5, rng_seed=0, index=0)  # small-size limit
@@ -130,6 +130,14 @@ def test_band_point_matches_per_sample_loop(alpha_sq, band_samples, rng_seed, in
         assert got == (0.0, 0.0, 0.0) and max(expected) < 2e-15
         return
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha_sq", [0.0, 13.3])
+@pytest.mark.parametrize("band_samples", [0, 1])
+def test_band_point_needs_two_samples(alpha_sq, band_samples):
+    # one draw has no spread, and none gives NaN
+    with pytest.raises(ValueError, match=f"band_samples={band_samples} must be >= 2"):
+        noise.witness_band_point(alpha_sq, P, band_samples, rng_seed=0, index=0)
 
 
 def test_band_rejects_a_draw_with_no_click():

@@ -128,6 +128,24 @@ def test_blind_detectors_see_nothing():
         joints.renormalized()
 
 
+@pytest.mark.parametrize("name, th_a, th_b", [
+    ("th_a", math.nan, 0.9), ("th_b", 0.3, math.nan), ("th_a", math.inf, 0.9),
+    ("th_b", 0.3, -math.inf)])
+def test_non_finite_angles_are_rejected(name, th_a, th_b):
+    p = spdc.DetailedParams()
+    with pytest.raises(ValueError, match=f"{name}=.* must be finite"):
+        spdc.joint_probabilities(th_a, th_b, p)
+    with pytest.raises(ValueError, match=f"{name}=.* must be finite"):
+        spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=100)
+
+
+def test_a_nan_joint_fails_the_range_check(monkeypatch):
+    # the scalar range check is written so that NaN is out of range
+    monkeypatch.setattr(spdc, "_g_factor", lambda *args: math.nan)
+    with pytest.raises(spdc.ModelInconsistencyError, match="out of range"):
+        spdc.joint_probabilities(0.3, 0.9, spdc.DetailedParams())
+
+
 @pytest.mark.parametrize("th_a,th_b", [(0.3, 0.9), (np.pi / 4, -np.pi / 8)])
 def test_monte_carlo_agrees_with_closed_form(th_a, th_b):
     p = spdc.DetailedParams()

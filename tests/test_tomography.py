@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from micromacro import polarization as pol
 from micromacro import tomography as tomo
-from references import reference_mle, tomography_fit, tomography_projectors
+from references import (born_probabilities, reference_mle, tomography_fit,
+                        tomography_projectors)
 
 
 def test_projector_stack_is_complete():
@@ -81,3 +83,43 @@ def test_near_pure_state_certifies(rng_seed):
     elapsed = time.perf_counter() - start
     assert tomography_fit(counts, est.matrix)[0] <= 1e-9
     assert elapsed < 0.25
+
+
+def _random_density(rng) -> np.ndarray:
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g @ g.conj().T
+    return m / np.real(np.trace(m))
+
+
+def test_batched_born_probabilities_match_the_per_projector_loop():
+    # one stacked product and one batched trace run the loop's operations
+    # on every projector, so the probabilities agree to the last bit
+    rng = np.random.default_rng(2024)
+    states = [pol.werner_state(w).matrix for w in np.linspace(0.0, 1.0, 11)]
+    states += [_random_density(rng) for _ in range(40)]
+    for rho in states:
+        assert tomo._born_probabilities(rho).tobytes() == born_probabilities(rho).tobytes()
+
+
+@pytest.mark.parametrize("shots", [0, -3, 1.5, 2.0, "100"])
+def test_simulate_tomography_rejects_bad_shots(shots):
+    with pytest.raises(ValueError, match="shots=.* must be an integer >= 1"):
+        tomo.simulate_tomography(pol.werner_state(0.94), shots=shots)
+
+
+@pytest.mark.parametrize("fill, match", [
+    (0, "positive total"),
+    (-1, "non-negative integers"),
+    (0.5, "non-negative integers"),
+    (np.nan, "finite"),
+    (np.inf, "finite"),
+])
+def test_reconstruct_mle_rejects_bad_counts(fill, match):
+    # all-zero counts, and one bad entry among good ones otherwise
+    counts = tomo.simulate_tomography(pol.werner_state(0.94), shots=500, rng_seed=3)
+    counts = np.zeros(counts.shape) if fill == 0 else counts.astype(float)
+    counts[4, 1, 0] = fill
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # fails before any step warns
+        with pytest.raises(ValueError, match=match):
+            tomo.reconstruct_mle(counts)
