@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 from .hom import HomParams, TemporalProfiles
+from .macro import LAM
 from .noise import ExperimentParams
 from .ranges import NONNEGATIVE, POSITIVE, UNIT, Range
 from .spdc import DetailedParams
@@ -50,10 +51,10 @@ SCHEMA: dict[str, tuple] = {
     "curves.alpha_sq_max": (NONNEGATIVE, 100.0),
     "curves.points": (_COUNT, 41),
     "curves.band_samples": (NONNEGATIVE, 200),
-    "size.beta_sq_min": (NONNEGATIVE, 2.0),
-    "size.beta_sq_max": (NONNEGATIVE, 60.0),
+    "size.beta_sq_min": (LAM, 2.0),  # as macro's P_g bounds lam = beta^2
+    "size.beta_sq_max": (LAM, 60.0),
     "size.points": (_COUNT, 15),
-    "size.beta_sq_star": (NONNEGATIVE, 47.0),
+    "size.beta_sq_star": (LAM, 47.0),
     # P_g = 1/2 is a coin toss and P_g = 1 certainty; a target lies between
     "size.target_p_g": (Range(0.5, 1.0, "()"), 2.0 / 3.0),
     "hom.mu_min": (HomParams.range_of("mu_csp"), 0.001),

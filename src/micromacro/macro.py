@@ -11,10 +11,13 @@ P_g is 1/2 plus sqrt(lam) times the heaviest unit window of Poisson(lam)
 blurred by the detector, lam = alpha^2, so neither Fock amplitudes nor a
 smoothing lattice enter P_g, sigma_max or N_eff.  The lattice
 (``guessing_probability_dists``) serves only the loss-degraded mixture of
-``lossy_mixture_guessing``, whose components have no such form here.  The
-components come from closed forms: D(alpha)|0> = |alpha> and
-D(alpha)|1> = (a^dag - alpha*)|alpha> (see ``fock``), so no displacement
-matrix is built.
+``lossy_mixture_guessing``, whose components have no such form here.  It
+convolves p - q with a kernel band of WINDOW_SIGMAS sigma + 1 photons on
+each side, leaving out below 2 Q(9) = 2.3e-19 per unit of |p - q|.  Both
+forms take sigma <= 1/18 as sigma = 0, which moves L1 by at most
+4 Q(1 / (2 sigma)) L1_0 <= 4.5e-19 L1_0.  The components come from closed
+forms: D(alpha)|0> = |alpha> and D(alpha)|1> = (a^dag - alpha*)|alpha>
+(see ``fock``), so no displacement matrix is built.
 """
 from __future__ import annotations
 
@@ -25,15 +28,27 @@ import numpy as np
 
 from .fock import (TAU_TRUNC, TruncationError, coherent_amplitudes,
                    displaced_single_photon)
-from .ranges import NONNEGATIVE
+from .ranges import Range
 
 #: fewest lattice points per photon of the Gaussian smoothing integral
 GRID_POINTS = 20
 #: root tolerance (photons) of sigma_max, its only error
 SIGMA_MAX_TOL = 1e-12
-#: half-width, in standard deviations, of the erfc sum of the window: each
-#: term left out is below Q(9) = 1.1e-19 of its Poisson step
+#: half-width, in standard deviations, of the erfc sum of the window and of
+#: the lattice's kernel band: each term left out is below Q(9) = 1.1e-19 of
+#: its Poisson step, or of its |p - q| entry on each side
 WINDOW_SIGMAS = 9.0
+#: lam = alpha^2 up to 1e6 photons: the window form's rounding, eps lam
+#: log lam, stays below 1e-8 (3e-9 at 1e6), and the lossy mixture's lattice
+#: below 2e7 points (160 MB)
+LAM = Range(0.0, 1e6)
+#: alpha up to 1e3, the amplitude of LAM's bound
+ALPHA = Range(0.0, math.sqrt(LAM.hi))
+#: blur up to 1e6 photons, where sigma_max's bracket search gives up
+SIGMA = Range(0.0, 1e6)
+#: the lattice's blur up to 1e3 photons: its points and kernel band grow by
+#: about 320 and 360 per photon of sigma (2.6 and 2.9 MB at 1e3)
+LATTICE_SIGMA = Range(0.0, 1e3)
 
 
 class UnattainableTargetError(ValueError):
@@ -90,41 +105,58 @@ def macro_components(alpha: float, n_max: int) -> MacroComponentPair:
 def _l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     """L1 distance between the sigma-smoothed distributions.
 
-    sigma = 0 compares the raw distributions.  Smoothing places a Gaussian at
-    every outcome n and sums |difference| * h over mean +- 8 sigma +- 8 sqrt(mean)
-    widened to the support +- 8 sigma (no mass of a wide input is dropped), on
-    a lattice of m = ceil(6 / sigma) points per photon clipped to
-    [GRID_POINTS, 10000] (h = 1/20 for sigma >= 0.3).  Grid point k sees n
-    through entry k - m n of one sampled kernel, so m residue-class
-    correlations replace an exp per (n, k).  The error sits at the sign
-    changes x0 of the difference d, h^2 sum |d'(x0)| / 6 to leading order
-    (the tests allow 1.25 times that).  Against a 1/4000 grid, P_g is off by
-    up to 1.2e-4 at sigma = 0.29, 6e-5 at 0.5, 1.5e-5 at 1 and 5e-7 at 5 for
-    macro pairs with alpha in [0.3, 3]; point masses at 0 and N are off from
-    Phi(N / 2 sigma) by 4.0e-5 at (N, sigma) = (3, 1) and 1.9e-6 at (8, 5).
+    sigma <= 1 / (2 WINDOW_SIGMAS) = 1/18 compares the raw distributions.
+    A cellwise triangle inequality bounds what that drops:
+    0 <= L1_0 - L1_sigma <= 4 Q(1 / (2 sigma)) L1_0 <= 4.5e-19 L1_0, Q the
+    normal tail, since each cell [n - 1/2, n + 1/2) keeps all but 2 Q of its
+    own Gaussian and receives at most what its neighbours lose.
+
+    Above that, a Gaussian sits at every outcome n and |difference| * h is
+    summed over mean +- 8 sigma +- 8 sqrt(mean) widened to the support
+    +- 8 sigma (no mass of a wide input is dropped), on a lattice of
+    m = max(GRID_POINTS, ceil(6 / sigma)) points per photon, at most 108
+    (h = 1/20 for sigma >= 0.3).  Grid point k = r + m j (residue class r)
+    sees n through the offset u = j - n, at distance start + r/m + u, so each
+    class is one convolution of p - q with a row of one (m, B) kernel band:
+    the offsets within WINDOW_SIGMAS sigma + 1 of every class.  A term left
+    out weighs below 2 Q(9) = 2.3e-19 per unit of |p - q|, and the work per
+    class is len(p - q) (18 sigma + 3), not the whole support.  The error
+    sits at the sign changes x0 of the difference d, h^2 sum |d'(x0)| / 6
+    to leading order (the tests allow 1.25 times that).  Against a 1/4000
+    grid, P_g is off by up to 1.2e-4 at sigma = 0.29, 6e-5 at 0.5, 1.5e-5
+    at 1 and 5e-7 at 5 for macro pairs with alpha in [0.3, 3]; point masses
+    at 0 and N are off from Phi(N / 2 sigma) by 4.0e-5 at (N, sigma) = (3, 1)
+    and 1.9e-6 at (8, 5).
     """
     diff = np.zeros(max(p.size, q.size))
     diff[:p.size] = p; diff[:q.size] -= q
-    if sigma == 0.0:
+    if sigma <= 0.5 / WINDOW_SIGMAS:
         return float(np.abs(diff).sum())
     means = [mean_photon(p), mean_photon(q)]
     lo_mean, hi_mean = min(means), max(means)
     margin = 8.0 * sigma + 8.0 * math.sqrt(hi_mean + 1.0)
     # 1e-12 shave: sigma = 6/k keeps m = k despite rounding in 6/sigma
-    m = min(10_000, max(GRID_POINTS, math.ceil(6.0 / sigma * (1.0 - 1e-12))))
+    m = max(GRID_POINTS, math.ceil(6.0 / sigma * (1.0 - 1e-12)))
     spacing = 1.0 / m
     # reach the support +- 8 sigma in whole lattice steps: the points stay put
     start = lo_mean - margin
     start -= spacing * max(0, math.ceil((start + 8.0 * sigma) / spacing))
     stop = max(hi_mean + margin, diff.size - 1 + 8.0 * sigma)
     n_x = math.ceil((stop + spacing - start) / spacing)
-    kernel = spacing * np.arange(-m * (diff.size - 1), n_x)  # the largest array: in place
+    # one offset range u for all classes: each class's |start + r/m + u| <= reach
+    # and up to one offset more on either side
+    reach = WINDOW_SIGMAS * sigma + 1.0
+    u_lo = math.ceil(-reach - start - (m - 1) * spacing)
+    u = np.arange(u_lo, math.floor(reach - start) + 1)
+    kernel = spacing * (np.arange(m)[:, None] + m * u)   # lattice index r + m u
     kernel += start; kernel /= sigma; kernel *= -0.5 * kernel
     np.exp(kernel, out=kernel); kernel /= sigma * math.sqrt(2.0 * math.pi)
-    d = np.empty(n_x)
+    d = np.zeros(n_x)
     for r in range(m):
-        d[r::m] = np.correlate(kernel[r::m], diff[::-1], "valid")
-    return float(np.abs(d).sum() * spacing)
+        row = d[r::m]                       # point j of class r is entry j - u_lo
+        lo, hi = max(0, u_lo), min(row.size, u_lo + diff.size + u.size - 1)
+        row[lo:hi] = np.convolve(diff, kernel[r])[lo - u_lo:hi - u_lo]
+    return float(np.abs(d, out=d).sum() * spacing)
 
 
 def guessing_probability(pair: MacroComponentPair, sigma: float) -> float:
@@ -154,8 +186,11 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
     (1/2 + 2 sqrt(2) e^-2 = 0.882786 at lam = 2).  It is not monotone in lam:
     maxima at half-integer lam (0.9289 at 0.5, 0.9099 at 1.5) and kinked
     minima at integer lam, both tending to 1/2 + 1/sqrt(2 pi) = 0.898942.
+    It serves every sigma <= 1 / (2 WINDOW_SIGMAS) = 1/18 too, within
+    Q(1 / (2 sigma)) L1_0 <= 2.3e-19 (the cellwise bound of ``_l1_smoothed``),
+    where sigma^2 could underflow.
 
-    sigma > 0 keeps Pois(m) for |m - lam| <= 10 sqrt(lam + 1) + 25, built
+    Larger sigma keeps Pois(m) for |m - lam| <= 10 sqrt(lam + 1) + 25, built
     outward from the mode in log form, and:
 
     1. solves log f(r) = log f(r - 1) by Brent's method, each side a
@@ -172,14 +207,14 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
     (4e-13 at lam = 300): P_g is within 7e-14 of a 40-digit evaluation for
     lam up to 300 and sigma from 1e-3 to 37.
     """
-    NONNEGATIVE.check(lam, "lam")
-    NONNEGATIVE.check(sigma, "sigma")
+    LAM.check(lam, "lam")
+    SIGMA.check(sigma, "sigma")
     if lam == 0.0:
         return 0.5
     k = math.floor(lam)
     log_lam = math.log(lam)
     log_mode = -lam + k * log_lam - math.lgamma(k + 1)   # log Pois(k)
-    if sigma == 0.0:
+    if sigma <= 0.5 / WINDOW_SIGMAS:
         return 0.5 + math.exp(log_mode + 0.5 * log_lam)
     half = 10.0 * math.sqrt(lam + 1.0) + 25.0
     lo, hi = max(0, math.floor(lam - half)), math.ceil(lam + half)
@@ -222,8 +257,7 @@ def guessing_probability_dists(p: np.ndarray, q: np.ndarray, sigma: float) -> fl
     """Same figure for two arbitrary photon-number distributions, by the
     smoothing lattice of ``_l1_smoothed``; only ``lossy_mixture_guessing``
     needs it, since the pure pair has the window form."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    LATTICE_SIGMA.check(sigma, "sigma")
     return 0.5 + 0.25 * _l1_smoothed(np.asarray(p, float), np.asarray(q, float), sigma)
 
 
@@ -289,7 +323,7 @@ def _sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float, floa
     hi = max(2.0, 2.0 * alpha)
     while excess(hi) > 0.0:
         hi *= 2.0
-        if hi > 1e6:
+        if hi > SIGMA.hi:
             raise RuntimeError("sigma_max search did not bracket the target")
     return p0, _brentq(excess, 0.0, hi, xtol=tol)
 
@@ -302,8 +336,7 @@ def size_analysis(alpha: float, target_p_g: float = 2.0 / 3.0) -> SizeResult:
     Two point masses smoothed by the width-sigma Gaussian cross at N / 2, so
     their guessing probability is exactly Phi(N / 2 sigma).
     """
-    if not (alpha >= 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be real and >= 0, and finite, not {alpha}")
+    ALPHA.check(alpha, "alpha")
     p_g, s_max = _sigma_max(float(alpha), target_p_g, SIGMA_MAX_TOL)
     n = 1
     while 0.5 * math.erfc(-n / (2.0 * math.sqrt(2.0) * s_max)) < target_p_g:
@@ -318,11 +351,13 @@ def lossy_mixture_guessing(alpha: float, eta_h: float, eta_abs: float,
     Conditioned on the idler diagonal-basis outcome, the stored state is
     q D(a)|+-><+-|D^dag + (1-q) |a><a| with a = sqrt(eta_abs) alpha and
     q = eta_h * eta_abs; the two conditional states share the coherent
-    background and differ only in the entangled branch.
+    background and differ only in the entangled branch.  The stored
+    amplitude a lies in ALPHA, so ``size`` runs at every beta*^2 in LAM,
+    whatever eta_abs.
     """
     if not 0.0 <= eta_h <= 1.0 or not 0.0 <= eta_abs <= 1.0:
         raise ValueError("eta_h and eta_abs must be in [0, 1]")
-    a_mem = math.sqrt(eta_abs) * alpha
+    a_mem = ALPHA.check(math.sqrt(eta_abs) * alpha, "sqrt(eta_abs) alpha")
     n_max = default_n_max(a_mem**2 + 1.0)
     q = eta_h * eta_abs
     pair = macro_components(a_mem, n_max)

@@ -5,10 +5,10 @@ displacement as dense exponentials on the full truncated Fock space, the
 loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
 (and its rejected double-click reading), the phase-jitter average by
 Gauss-Hermite quadrature, the sampling oracle in complex arithmetic, the
-storage loop slot by slot, the effective size by a search over smoothed
-point masses, the tomography likelihood fit by scipy's L-BFGS-B and its
-Born probabilities one projector at a time.  The differential tests compare
-the closed forms with them.  Unlike ``oracles.py`` (standard library and
+storage loop slot by slot, the smoothing lattice with its whole kernel,
+the effective size by a search over smoothed point masses, the tomography
+likelihood fit by scipy's L-BFGS-B and its Born probabilities one projector
+at a time.  The differential tests compare the closed forms with them.  Unlike ``oracles.py`` (standard library and
 mpmath only), these use numpy and may take production parameter classes as
 input.
 """
@@ -348,7 +348,35 @@ def three_pulse_train(alpha: complex, params: memory.MemoryParams,
     return memory_pass(apply_phase(first, phi), params)
 
 
-# ---- macro: the point-mass lattice search for N_eff ----
+# ---- macro: the support-wide lattice and the point-mass search for N_eff ----
+
+def residue_class_l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
+    """The lattice L1 of ``macro._l1_smoothed`` before its kernel band: the
+    same points, but each grid point sums every outcome, each residue class
+    being one correlation of p - q with the whole sampled kernel.  m is
+    clipped to 10000 points per photon, which undersamples the kernel below
+    sigma = 6e-4, so compare above sigma = 1/18 only."""
+    diff = np.zeros(max(p.size, q.size))
+    diff[:p.size] = p; diff[:q.size] -= q
+    if sigma == 0.0:
+        return float(np.abs(diff).sum())
+    means = [macro.mean_photon(p), macro.mean_photon(q)]
+    lo_mean, hi_mean = min(means), max(means)
+    margin = 8.0 * sigma + 8.0 * math.sqrt(hi_mean + 1.0)
+    m = min(10_000, max(macro.GRID_POINTS, math.ceil(6.0 / sigma * (1.0 - 1e-12))))
+    spacing = 1.0 / m
+    start = lo_mean - margin
+    start -= spacing * max(0, math.ceil((start + 8.0 * sigma) / spacing))
+    stop = max(hi_mean + margin, diff.size - 1 + 8.0 * sigma)
+    n_x = math.ceil((stop + spacing - start) / spacing)
+    kernel = spacing * np.arange(-m * (diff.size - 1), n_x)
+    kernel += start; kernel /= sigma; kernel *= -0.5 * kernel
+    np.exp(kernel, out=kernel); kernel /= sigma * math.sqrt(2.0 * math.pi)
+    d = np.empty(n_x)
+    for r in range(m):
+        d[r::m] = np.correlate(kernel[r::m], diff[::-1], "valid")
+    return float(np.abs(d).sum() * spacing)
+
 
 def lattice_effective_size(sigma: float, target_p_g: float) -> int:
     """The N_eff search ``macro.size_analysis`` replaced: the smallest N for

@@ -107,6 +107,8 @@ def test_config_rejects_bad_input():
     ("size", "size.beta_sq_min = 70"),
     ("size", "size.beta_sq_min = -4"),
     ("size", "size.beta_sq_star = -2"),
+    ("size", "size.beta_sq_star = 1e300"),
+    ("size", "size.beta_sq_max = 2e6"),
     ("hom", "hom.mu_min = -0.5"),
     ("hom", "hom.mu_max = 0.001"),
     ("hom", "hom.mu_star = -1"),

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from scipy.stats import norm
 from micromacro import fock, macro
 from oracles import ideal_guessing_probability, sigma_max_root, window_guessing_probability
 from references import (coherent_density, displacement_operator, lattice_effective_size,
-                        loss_channel)
+                        loss_channel, residue_class_l1_smoothed)
 
 
 def reference_smoothed_difference(p, q, sigma, spacing):
@@ -153,7 +155,8 @@ def test_lattice_smoothing_matches_per_photon_loop(pair, sigma):
 @settings(max_examples=30, deadline=None)
 def test_fine_lattice_error_within_kink_bound(data, sigma):
     # below sigma = 0.3 the lattice has m = ceil(6 / sigma) points per photon,
-    # never coarser than the loop's sigma / 6 (up to the rule's 1e-12 shave).
+    # never coarser than the loop's sigma / 6 (up to the rule's 1e-12 shave);
+    # at sigma <= 1/18 it is the unblurred L1, within 4.5e-19 L1 of the truth.
     # The integrand |d| is smooth except at the sign changes x0 of d, where
     # the rectangle rule errs by at most h^2 |d'(x0)| / 6 (periodic Bernoulli
     # B2 <= 1/6, kink 2 |d'|).
@@ -171,10 +174,65 @@ def test_fine_lattice_error_within_kink_bound(data, sigma):
     fine = float(np.abs(d).sum() * h_ref)
     cross = np.flatnonzero(np.signbit(d[:-1]) != np.signbit(d[1:]))
     slopes = float(np.abs(d[cross + 1] - d[cross]).sum() / h_ref)
-    h = 1.0 / min(10_000, math.ceil(6.0 / sigma * (1.0 - 1e-12)))
+    h = 1.0 / math.ceil(6.0 / sigma * (1.0 - 1e-12))
     assert h <= reference_spacing(sigma) * (1.0 + 1e-12)
     bound = 1.25 * (h**2 + h_ref**2) / 6.0 * slopes + 1e-9 * fine
     assert abs(macro._l1_smoothed(p, q, sigma) - fine) <= bound
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 2.0, 10.0, 47.0, 150.0, 300.0])
+def test_banded_lattice_matches_the_support_wide_lattice(lam):
+    # the same lattice points; the band leaves out terms below 2 Q(9) per
+    # unit of |p - q|, so only rounding separates the two (worst 1.7e-16)
+    pair = macro.macro_components(math.sqrt(lam), macro.default_n_max(lam + 1.0))
+    for sigma in (0.0556, 0.1, 0.29, 0.5, 1.0, 2.0, 5.0, 8.0, 15.0, 37.0):
+        want = residue_class_l1_smoothed(pair.p_plus, pair.p_minus, sigma)
+        got = macro._l1_smoothed(pair.p_plus, pair.p_minus, sigma)
+        assert abs(got - want) <= 1e-12 * want, (lam, sigma, got, want)
+
+
+@given(pair=distribution_pairs(),
+       sigma=st.floats(1.0 / 18.0, 60.0, exclude_min=True))
+@example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=0.0556)
+@example(pair=(np.eye(300)[0], np.eye(300)[299]), sigma=0.3)
+@example(pair=(np.eye(300)[299], np.eye(300)[0]), sigma=60.0)
+@settings(max_examples=60, deadline=None)
+def test_banded_lattice_matches_on_random_pairs(pair, sigma):
+    p, q = pair
+    want = residue_class_l1_smoothed(p, q, sigma)
+    got = macro._l1_smoothed(p, q, sigma)
+    assert abs(got - want) <= 1e-12 * want, (sigma, got, want)
+
+
+def test_banded_lattice_peak_memory():
+    # the lattice itself (12,540 points, 100 KB) and a 20 x 147 kernel band;
+    # the support-wide kernel of 22,520 samples peaked at 431 KB
+    pair = macro.macro_components(math.sqrt(300.0), macro.default_n_max(301.0))
+    tracemalloc.start()
+    try:
+        macro._l1_smoothed(pair.p_plus, pair.p_minus, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160_000, peak
+
+
+@pytest.mark.parametrize("sigma", [1.0 / 18.0, 0.05, 1e-3, 3e-5, 1e-5, 1e-6, 1e-300])
+def test_small_blur_keeps_point_masses_apart(sigma):
+    # the exact P_g is Phi(1 / 2 sigma) = 1 to double precision; the lattice,
+    # clipped at 10,000 points per photon, read 0.832 at 3e-5, 1.53 at 1e-5
+    # and 0.5 at 1e-6 and 1e-300 (with a RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert macro.guessing_probability_dists([1.0, 0.0], [0.0, 1.0], sigma) == 1.0
+
+
+@given(pair=distribution_pairs(), sigma=st.floats(0.0, 1.0 / 18.0))
+@settings(max_examples=30, deadline=None)
+def test_small_blur_is_the_unblurred_l1(pair, sigma):
+    # |L1_sigma - L1_0| <= 4 Q(1 / 2 sigma) L1_0 <= 4.5e-19 L1_0 at sigma <= 1/18
+    p, q = pair
+    assert macro._l1_smoothed(p, q, sigma) == float(np.abs(p - q).sum())
 
 
 def test_wide_distribution_keeps_its_mass_under_blur():
@@ -331,7 +389,7 @@ def test_size_analysis_evaluates_each_sigma_once(monkeypatch, beta_sq):
 
 
 def test_size_analysis_rejects_negative_alpha():
-    with pytest.raises(ValueError, match="alpha must be real and >= 0"):
+    with pytest.raises(ValueError, match=r"alpha=-1.0 must be in \[0, 1000\]"):
         macro.size_analysis(-1.0)
 
 
@@ -339,17 +397,60 @@ def test_size_analysis_rejects_negative_alpha():
     # the bracket loop never ended on an infinite sigma
     (lambda: macro.window_guessing_probability(3.0, math.inf), "sigma=inf must be finite"),
     (lambda: macro.window_guessing_probability(3.0, math.nan), "sigma=nan must be finite"),
-    (lambda: macro.window_guessing_probability(3.0, -1.0), "sigma=-1.0 must be >= 0"),
-    (lambda: macro.window_guessing_probability(-1.0, 1.0), "lam=-1.0 must be >= 0"),
+    (lambda: macro.window_guessing_probability(3.0, -1.0), "sigma=-1.0 must be in"),
+    (lambda: macro.window_guessing_probability(-1.0, 1.0), "lam=-1.0 must be in"),
     (lambda: macro.window_guessing_probability(math.nan, 1.0), "lam=nan must be finite"),
     (lambda: macro.window_guessing_probability(math.inf, 0.0), "lam=inf must be finite"),
-    (lambda: macro.size_analysis(math.nan), "alpha must be real and >= 0, and finite"),
-    (lambda: macro.size_analysis(math.inf), "alpha must be real and >= 0, and finite"),
+    (lambda: macro.size_analysis(math.nan), "alpha=nan must be finite"),
+    (lambda: macro.size_analysis(math.inf), "alpha=inf must be finite"),
 ], ids=["sigma_inf", "sigma_nan", "sigma_negative", "lam_negative", "lam_nan", "lam_inf",
         "alpha_nan", "alpha_inf"])
 def test_window_form_rejects_bad_inputs(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("call, match", [
+    # finite but huge: sigma**2 and alpha**2 overflowed (OverflowError 34),
+    # lam = 1e300 built an object array, and sigma = 1e300 an n_x past any size
+    (lambda: macro.window_guessing_probability(3.0, 1e300), r"sigma=1e\+300 must be in"),
+    (lambda: macro.window_guessing_probability(1e300, 1.0), r"lam=1e\+300 must be in"),
+    (lambda: macro.size_analysis(1e200), r"alpha=1e\+200 must be in"),
+    (lambda: macro.lossy_mixture_guessing(1e200, 0.5, 0.5, [0.0]),
+     r"sqrt\(eta_abs\) alpha=7.07\d*e\+199 must be in"),
+    (lambda: macro.guessing_probability_dists([1.0], [0.0, 1.0], 1e300),
+     r"sigma=1e\+300 must be in"),
+    (lambda: macro.guessing_probability_dists([1.0], [0.0, 1.0], 2e3),
+     r"sigma=2000.0 must be in \[0, 1000\]"),
+    (lambda: macro.lossy_mixture_guessing(3.0, 0.5, 0.5, [0.0, math.inf]),
+     "sigma=inf must be finite"),
+    (lambda: macro.window_guessing_probability(1e6 + 1.0, 1.0), r"in \[0, 1e\+06\]"),
+    (lambda: macro.size_analysis(1e3 * (1.0 + 1e-15)), r"in \[0, 1000\]"),
+], ids=["window_sigma", "window_lam", "size_alpha", "lossy_alpha", "lattice_sigma",
+        "lattice_sigma_above_bound", "lossy_sigma_inf", "lam_above_bound",
+        "alpha_above_bound"])
+def test_huge_inputs_are_rejected_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("lam, sigma", [(1e6, 0.0), (1e6, 1.0), (1e6, 1e6), (0.25, 1e6),
+                                        (2.0, 1e-160), (1e-300, 1e-300)])
+def test_window_form_runs_at_its_bounds(lam, sigma):
+    # below sigma = 1/18 it is the sigma = 0 closed form: 1e-160 squared to a
+    # subnormal, and 1e-300 to zero, which used to divide by zero
+    got = macro.window_guessing_probability(lam, sigma)
+    assert 0.5 <= got < 1.0
+    if sigma <= 1.0 / 18.0:
+        assert got == macro.window_guessing_probability(lam, 0.0)
+
+
+def test_lossy_mixture_bounds_the_stored_amplitude():
+    # size passes alpha = sqrt(beta*^2 / eta_abs), past ALPHA for small
+    # eta_abs; what the arrays hold is the stored a = sqrt(eta_abs) alpha
+    got = macro.lossy_mixture_guessing(2000.0, 0.19, 0.01, [0.0])
+    want = macro.lossy_mixture_guessing(200.0, 0.19 * 0.01, 1.0, [0.0])
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_unattainable_targets_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import threading
@@ -246,9 +247,51 @@ def test_herald_table_keeps_pairs_1_and_2_apart():
         assert plus[0] != 0.0 and minus[0] != 0.0
 
 
+#: sha256 of the joints' and errors' float64 bytes at (0.3, 0.9), seed 17,
+#: recorded when every call still ran pair 0 on a worker thread
+ORACLE_DIGESTS = {
+    (2, "default"): "118af26a4f31151ba8a049bcf909a555e9d3026ca93e43dbd04613629eda7d1e",
+    (2, "strong_leak"): "76714ae5e121bb119f655c45491bf47e664bcd2cfcf65dd4b320c18baa6f48c8",
+    (1000, "default"): "84f0d8873e8afce23ecb35160eefc5436548752ef6a9e8699c2901871e05db34",
+    (1000, "strong_leak"): "7ea2c7f872348acade277e3db14c3b122bc5f89785d9dc6a7142b39d3dfe26e2",
+    (2**14, "default"): "3f4efa97b0d1a6d1028d3230bba0c1248fb59bb18cd69e3fc606c58953db8807",
+    (2**14, "strong_leak"): "091d68df63bab0a15a3813f926e211088777cb52f5cf77279684da086ec7cf47",
+    (2**14 + 1, "default"): "abd7312d4cc771427cf227ff97ae043f3526f851496d43b0700ee9cc2b3081e4",
+    (2**14 + 1, "strong_leak"): "a30c781e2bd4c702ad976569d3c534a3b34a79d15768499eb497c4bb377251e4",
+}
+
+
+@pytest.mark.parametrize("n_samples, name", sorted(ORACLE_DIGESTS))
+def test_inline_and_threaded_oracle_give_the_pinned_bytes(n_samples, name):
+    # within one block the caller runs both streams itself; each stream keeps
+    # its one owner, so every bit is what the worker thread gave
+    assert spdc.ORACLE_BLOCK == 2**14
+    p = STRONG_LEAK if name == "strong_leak" else spdc.DetailedParams()
+    est = spdc.monte_carlo_oracle(0.3, 0.9, p, n_samples=n_samples, seed=17)
+    raw = np.concatenate([est.joints.as_array(), est.errors.as_array()]).tobytes()
+    assert hashlib.sha256(raw).hexdigest() == ORACLE_DIGESTS[n_samples, name]
+
+
+@pytest.mark.parametrize("n_samples, threads", [(2, 0), (1000, 0), (2**14, 0),
+                                                (2**14 + 1, 1), (3 * 2**14, 1)])
+def test_oracle_starts_a_thread_only_past_one_block(monkeypatch, n_samples, threads):
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(spdc.threading, "Thread", CountingThread)
+    spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=n_samples)
+    assert len(started) == threads
+
+
+@pytest.mark.parametrize("n_samples", [1000, spdc.ORACLE_BLOCK + 1], ids=["inline", "threaded"])
 @pytest.mark.parametrize("failing_rows", [4, 8], ids=["worker_stream", "caller_stream"])
-def test_monte_carlo_raises_what_a_stream_raises(monkeypatch, failing_rows):
-    # the worker thread maps pair 0 (4 rows), the caller pairs 1 and 2 (8 rows)
+def test_monte_carlo_raises_what_a_stream_raises(monkeypatch, failing_rows, n_samples):
+    # pair 0 (4 rows) runs on the worker thread past one block, pairs 1 and 2
+    # (8 rows) on the caller
     class StreamFailure(RuntimeError):
         pass
 
@@ -262,7 +305,7 @@ def test_monte_carlo_raises_what_a_stream_raises(monkeypatch, failing_rows):
     before = threading.active_count()
     monkeypatch.setattr(spdc, "_sampled_pairs", failing)
     with pytest.raises(StreamFailure, match=f"{failing_rows}-row stream failed"):
-        spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=1000)
+        spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=n_samples)
     assert threading.active_count() == before
 
 
