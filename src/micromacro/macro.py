@@ -14,14 +14,15 @@ smoothing lattice enter P_g, sigma_max or N_eff.  The lattice
 ``lossy_mixture_guessing``, whose components have no such form here.  It
 convolves p - q with a kernel band of WINDOW_SIGMAS sigma + 1 photons on
 each side, leaving out below 2 Q(9) = 2.3e-19 per unit of |p - q|.  Both
-forms take sigma <= 1/18 as sigma = 0, which moves L1 by at most
-4 Q(1 / (2 sigma)) L1_0 <= 4.5e-19 L1_0.  The components come from closed
+forms take sigma <= SMALL_BLUR = 1/18 as sigma = 0, which moves L1 by at
+most 4 Q(1 / (2 sigma)) L1_0 <= 4.5e-19 L1_0.  The components come from closed
 forms: D(alpha)|0> = |alpha> and D(alpha)|1> = (a^dag - alpha*)|alpha>
 (see ``fock``), so no displacement matrix is built.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,22 @@ SIGMA_MAX_TOL = 1e-12
 #: the lattice's kernel band: each term left out is below Q(9) = 1.1e-19 of
 #: its Poisson step, or of its |p - q| entry on each side
 WINDOW_SIGMAS = 9.0
+#: blur at or below which both P_g forms take sigma = 0: each outcome n then
+#: lies WINDOW_SIGMAS sigma or more from both edges of its cell
+#: [n - 1/2, n + 1/2), so L1 moves by at most 4 Q(1 / (2 sigma)) L1_0
+#: <= 4 Q(9) L1_0 = 4.5e-19 L1_0
+SMALL_BLUR = 0.5 / WINDOW_SIGMAS
 #: lam = alpha^2 up to 1e6 photons: the window form's rounding, eps lam
 #: log lam, stays below 1e-8 (3e-9 at 1e6), and the lossy mixture's lattice
 #: below 2e7 points (160 MB)
 LAM = Range(0.0, 1e6)
 #: alpha up to 1e3, the amplitude of LAM's bound
 ALPHA = Range(0.0, math.sqrt(LAM.hi))
+#: the lossy mixture's stored amplitude sqrt(eta_abs) alpha: ALPHA's bound
+#: plus 2 eps, above the 3.5 half-ulps by which sqrt(eta_abs)
+#: sqrt(beta^2 / eta_abs) can round past sqrt(beta^2), so ``size`` runs at
+#: every beta*^2 in LAM whatever eta_abs
+STORED_ALPHA = Range(0.0, ALPHA.hi * (1.0 + 2.0 * sys.float_info.epsilon))
 #: blur up to 1e6 photons, where sigma_max's bracket search gives up
 SIGMA = Range(0.0, 1e6)
 #: the lattice's blur up to 1e3 photons: its points and kernel band grow by
@@ -105,8 +116,8 @@ def macro_components(alpha: float, n_max: int) -> MacroComponentPair:
 def _l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     """L1 distance between the sigma-smoothed distributions.
 
-    sigma <= 1 / (2 WINDOW_SIGMAS) = 1/18 compares the raw distributions.
-    A cellwise triangle inequality bounds what that drops:
+    sigma <= SMALL_BLUR = 1/18 compares the raw distributions.  A cellwise
+    triangle inequality bounds what that drops:
     0 <= L1_0 - L1_sigma <= 4 Q(1 / (2 sigma)) L1_0 <= 4.5e-19 L1_0, Q the
     normal tail, since each cell [n - 1/2, n + 1/2) keeps all but 2 Q of its
     own Gaussian and receives at most what its neighbours lose.
@@ -130,7 +141,7 @@ def _l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     """
     diff = np.zeros(max(p.size, q.size))
     diff[:p.size] = p; diff[:q.size] -= q
-    if sigma <= 0.5 / WINDOW_SIGMAS:
+    if sigma <= SMALL_BLUR:
         return float(np.abs(diff).sum())
     means = [mean_photon(p), mean_photon(q)]
     lo_mean, hi_mean = min(means), max(means)
@@ -186,7 +197,7 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
     (1/2 + 2 sqrt(2) e^-2 = 0.882786 at lam = 2).  It is not monotone in lam:
     maxima at half-integer lam (0.9289 at 0.5, 0.9099 at 1.5) and kinked
     minima at integer lam, both tending to 1/2 + 1/sqrt(2 pi) = 0.898942.
-    It serves every sigma <= 1 / (2 WINDOW_SIGMAS) = 1/18 too, within
+    It serves every sigma <= SMALL_BLUR = 1/18 too, within
     Q(1 / (2 sigma)) L1_0 <= 2.3e-19 (the cellwise bound of ``_l1_smoothed``),
     where sigma^2 could underflow.
 
@@ -214,7 +225,7 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
     k = math.floor(lam)
     log_lam = math.log(lam)
     log_mode = -lam + k * log_lam - math.lgamma(k + 1)   # log Pois(k)
-    if sigma <= 0.5 / WINDOW_SIGMAS:
+    if sigma <= SMALL_BLUR:
         return 0.5 + math.exp(log_mode + 0.5 * log_lam)
     half = 10.0 * math.sqrt(lam + 1.0) + 25.0
     lo, hi = max(0, math.floor(lam - half)), math.ceil(lam + half)
@@ -352,12 +363,12 @@ def lossy_mixture_guessing(alpha: float, eta_h: float, eta_abs: float,
     q D(a)|+-><+-|D^dag + (1-q) |a><a| with a = sqrt(eta_abs) alpha and
     q = eta_h * eta_abs; the two conditional states share the coherent
     background and differ only in the entangled branch.  The stored
-    amplitude a lies in ALPHA, so ``size`` runs at every beta*^2 in LAM,
-    whatever eta_abs.
+    amplitude a lies in STORED_ALPHA, so ``size`` runs at every beta*^2 in
+    LAM, whatever eta_abs.
     """
     if not 0.0 <= eta_h <= 1.0 or not 0.0 <= eta_abs <= 1.0:
         raise ValueError("eta_h and eta_abs must be in [0, 1]")
-    a_mem = ALPHA.check(math.sqrt(eta_abs) * alpha, "sqrt(eta_abs) alpha")
+    a_mem = STORED_ALPHA.check(math.sqrt(eta_abs) * alpha, "sqrt(eta_abs) alpha")
     n_max = default_n_max(a_mem**2 + 1.0)
     q = eta_h * eta_abs
     pair = macro_components(a_mem, n_max)

@@ -242,13 +242,10 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     Two streams, children 0 and 1 of ``SeedSequence([seed]).spawn(2)``
     through SFC64 generators, feed pair 0 and pairs 1 and 2, in blocks of
     (5, ORACLE_BLOCK) standard normals with rows Re a, Im a, Re b, Im b, phi:
-    10 draws per sample.  Past one block, pair 0 runs on one worker thread
-    while the caller runs the other stream; within one block the caller runs
-    both, since starting the thread costs more than it overlaps (0.80 against
-    0.46 ms at 1e3 samples on 2 vCPU).  Each stream has one owner, so the
-    result depends neither on scheduling nor on the path.  The two detector
-    amplitudes are linear in the draws; with t the amplitude transmission and
-    k = t2 gamma sigma_phi,
+    10 draws per sample.  Pair 0 runs on one worker thread while the caller
+    runs the other stream; each stream has one owner, so the result does not
+    depend on scheduling.  The two detector amplitudes are linear in the
+    draws; with t the amplitude transmission and k = t2 gamma sigma_phi,
 
         c_main = t (cos th_b a + sin th_b b) + i k cos(th_a - th_b) phi
         c_orth = t (sin th_b a - cos th_b b) + i k sin(th_b - th_a) phi,
@@ -280,16 +277,12 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
         except BaseException as exc:  # handed to the caller, which raises it
             worker_out.append(exc)
 
-    if n_samples <= ORACLE_BLOCK:
-        run()
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
         shared = _sampled_pairs(rngs[1], amp[4:], n_samples, p)
-    else:
-        worker = threading.Thread(target=run)
-        worker.start()
-        try:
-            shared = _sampled_pairs(rngs[1], amp[4:], n_samples, p)
-        finally:
-            worker.join()
+    finally:
+        worker.join()
     if isinstance(worker_out[0], BaseException):
         raise worker_out[0]
     plus, minus = zip(*worker_out, *shared)  # (mean, standard error) of P(B = +-1) per pair

@@ -355,7 +355,7 @@ def residue_class_l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> flo
     same points, but each grid point sums every outcome, each residue class
     being one correlation of p - q with the whole sampled kernel.  m is
     clipped to 10000 points per photon, which undersamples the kernel below
-    sigma = 6e-4, so compare above sigma = 1/18 only."""
+    sigma = 6e-4, so compare above macro.SMALL_BLUR = 1/18 only."""
     diff = np.zeros(max(p.size, q.size))
     diff[:p.size] = p; diff[:q.size] -= q
     if sigma == 0.0:

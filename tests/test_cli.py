@@ -305,6 +305,17 @@ def test_size_command_summary(tmp_path):
     assert abs(summary["p_g_mixture_sigma0"] - 0.541616) < 1e-4
 
 
+@pytest.mark.parametrize("eta_abs", [0.55, 0.1, 0.7])
+def test_size_runs_at_the_largest_stored_size(tmp_path, eta_abs):
+    # at 0.1 and 0.7, sqrt(eta_abs) sqrt(1e6 / eta_abs) rounds one ulp above 1000
+    cfg = write_config(tmp_path, f"size.beta_sq_star = 1e6\nsize.points = 2\n"
+                                 f"noise.eta_abs = {eta_abs}\n")
+    assert run(["size", "--config", cfg, "--out", tmp_path]) == 0
+    _, _, srows = read_table(tmp_path / "size_summary.csv")
+    summary = dict(srows)
+    assert 0.5 < summary["p_g_mixture_sigma0"] < summary["p_g_ideal"] < 1.0
+
+
 def test_hom_command_tables(tmp_path):
     cfg = write_config(tmp_path, "hom.points = 4\nhom.window_points = 4\n")
     assert run(["hom", "--config", cfg, "--out", tmp_path]) == 0

@@ -15,6 +15,9 @@ from oracles import ideal_guessing_probability, sigma_max_root, window_guessing_
 from references import (coherent_density, displacement_operator, lattice_effective_size,
                         loss_channel, residue_class_l1_smoothed)
 
+#: the least blur that runs the lattice
+JUST_ABOVE_SMALL_BLUR = math.nextafter(macro.SMALL_BLUR, 1.0)
+
 
 def reference_smoothed_difference(p, q, sigma, spacing):
     """The sigma-smoothed p - q on the grid of the per-photon loop: one
@@ -150,20 +153,22 @@ def test_lattice_smoothing_matches_per_photon_loop(pair, sigma):
     assert abs(got - want) <= 1e-12 * want
 
 
-@given(data=st.data(), sigma=st.floats(1e-3, 0.3, exclude_max=True))
+@given(data=st.data(), sigma=st.floats(macro.SMALL_BLUR, 0.3, exclude_min=True,
+                                       exclude_max=True))
 @example(data=None, sigma=0.29)
 @settings(max_examples=30, deadline=None)
 def test_fine_lattice_error_within_kink_bound(data, sigma):
-    # below sigma = 0.3 the lattice has m = ceil(6 / sigma) points per photon,
-    # never coarser than the loop's sigma / 6 (up to the rule's 1e-12 shave);
-    # at sigma <= 1/18 it is the unblurred L1, within 4.5e-19 L1 of the truth.
+    # between SMALL_BLUR and 0.3 the lattice has m = ceil(6 / sigma) points
+    # per photon, never coarser than the loop's sigma / 6 (up to the rule's
+    # 1e-12 shave); at or below SMALL_BLUR no lattice runs, and
+    # test_small_blur_is_the_unblurred_l1 covers it.
     # The integrand |d| is smooth except at the sign changes x0 of d, where
     # the rectangle rule errs by at most h^2 |d'(x0)| / 6 (periodic Bernoulli
     # B2 <= 1/6, kink 2 |d'|).
     # The reference runs at a tenth of the loop's spacing; its cost grows as
     # size^2 / sigma, hence the size cap.  Its np.arange steps by
     # (start + h) - start, which stretches the grid by up to ulp(start) / h,
-    # 1e-10 relative at sigma = 1e-3: the 1e-9 relative floor.
+    # below 1e-10 relative here: the 1e-9 relative floor.
     if data is None:  # the 0.3-photon pair of macro_components at alpha = 0.3
         pair = macro.macro_components(0.3, 40)
         p, q = pair.p_plus, pair.p_minus
@@ -185,15 +190,15 @@ def test_banded_lattice_matches_the_support_wide_lattice(lam):
     # the same lattice points; the band leaves out terms below 2 Q(9) per
     # unit of |p - q|, so only rounding separates the two (worst 1.7e-16)
     pair = macro.macro_components(math.sqrt(lam), macro.default_n_max(lam + 1.0))
-    for sigma in (0.0556, 0.1, 0.29, 0.5, 1.0, 2.0, 5.0, 8.0, 15.0, 37.0):
+    for sigma in (JUST_ABOVE_SMALL_BLUR, 0.1, 0.29, 0.5, 1.0, 2.0, 5.0, 8.0, 15.0, 37.0):
         want = residue_class_l1_smoothed(pair.p_plus, pair.p_minus, sigma)
         got = macro._l1_smoothed(pair.p_plus, pair.p_minus, sigma)
         assert abs(got - want) <= 1e-12 * want, (lam, sigma, got, want)
 
 
 @given(pair=distribution_pairs(),
-       sigma=st.floats(1.0 / 18.0, 60.0, exclude_min=True))
-@example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=0.0556)
+       sigma=st.floats(macro.SMALL_BLUR, 60.0, exclude_min=True))
+@example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=JUST_ABOVE_SMALL_BLUR)
 @example(pair=(np.eye(300)[0], np.eye(300)[299]), sigma=0.3)
 @example(pair=(np.eye(300)[299], np.eye(300)[0]), sigma=60.0)
 @settings(max_examples=60, deadline=None)
@@ -217,7 +222,7 @@ def test_banded_lattice_peak_memory():
     assert peak < 160_000, peak
 
 
-@pytest.mark.parametrize("sigma", [1.0 / 18.0, 0.05, 1e-3, 3e-5, 1e-5, 1e-6, 1e-300])
+@pytest.mark.parametrize("sigma", [macro.SMALL_BLUR, 0.05, 1e-3, 3e-5, 1e-5, 1e-6, 1e-300])
 def test_small_blur_keeps_point_masses_apart(sigma):
     # the exact P_g is Phi(1 / 2 sigma) = 1 to double precision; the lattice,
     # clipped at 10,000 points per photon, read 0.832 at 3e-5, 1.53 at 1e-5
@@ -227,10 +232,10 @@ def test_small_blur_keeps_point_masses_apart(sigma):
         assert macro.guessing_probability_dists([1.0, 0.0], [0.0, 1.0], sigma) == 1.0
 
 
-@given(pair=distribution_pairs(), sigma=st.floats(0.0, 1.0 / 18.0))
+@given(pair=distribution_pairs(), sigma=st.floats(0.0, macro.SMALL_BLUR))
 @settings(max_examples=30, deadline=None)
 def test_small_blur_is_the_unblurred_l1(pair, sigma):
-    # |L1_sigma - L1_0| <= 4 Q(1 / 2 sigma) L1_0 <= 4.5e-19 L1_0 at sigma <= 1/18
+    # |L1_sigma - L1_0| <= 4 Q(1 / 2 sigma) L1_0 <= 4.5e-19 L1_0 at SMALL_BLUR
     p, q = pair
     assert macro._l1_smoothed(p, q, sigma) == float(np.abs(p - q).sum())
 
@@ -437,11 +442,11 @@ def test_huge_inputs_are_rejected_by_name(call, match):
 @pytest.mark.parametrize("lam, sigma", [(1e6, 0.0), (1e6, 1.0), (1e6, 1e6), (0.25, 1e6),
                                         (2.0, 1e-160), (1e-300, 1e-300)])
 def test_window_form_runs_at_its_bounds(lam, sigma):
-    # below sigma = 1/18 it is the sigma = 0 closed form: 1e-160 squared to a
+    # at or below SMALL_BLUR it is the sigma = 0 closed form: 1e-160 squared to a
     # subnormal, and 1e-300 to zero, which used to divide by zero
     got = macro.window_guessing_probability(lam, sigma)
     assert 0.5 <= got < 1.0
-    if sigma <= 1.0 / 18.0:
+    if sigma <= macro.SMALL_BLUR:
         assert got == macro.window_guessing_probability(lam, 0.0)
 
 

@@ -248,7 +248,7 @@ def test_herald_table_keeps_pairs_1_and_2_apart():
 
 
 #: sha256 of the joints' and errors' float64 bytes at (0.3, 0.9), seed 17,
-#: recorded when every call still ran pair 0 on a worker thread
+#: on both sides of one ORACLE_BLOCK
 ORACLE_DIGESTS = {
     (2, "default"): "118af26a4f31151ba8a049bcf909a555e9d3026ca93e43dbd04613629eda7d1e",
     (2, "strong_leak"): "76714ae5e121bb119f655c45491bf47e664bcd2cfcf65dd4b320c18baa6f48c8",
@@ -262,9 +262,7 @@ ORACLE_DIGESTS = {
 
 
 @pytest.mark.parametrize("n_samples, name", sorted(ORACLE_DIGESTS))
-def test_inline_and_threaded_oracle_give_the_pinned_bytes(n_samples, name):
-    # within one block the caller runs both streams itself; each stream keeps
-    # its one owner, so every bit is what the worker thread gave
+def test_oracle_gives_the_pinned_bytes(n_samples, name):
     assert spdc.ORACLE_BLOCK == 2**14
     p = STRONG_LEAK if name == "strong_leak" else spdc.DetailedParams()
     est = spdc.monte_carlo_oracle(0.3, 0.9, p, n_samples=n_samples, seed=17)
@@ -272,26 +270,9 @@ def test_inline_and_threaded_oracle_give_the_pinned_bytes(n_samples, name):
     assert hashlib.sha256(raw).hexdigest() == ORACLE_DIGESTS[n_samples, name]
 
 
-@pytest.mark.parametrize("n_samples, threads", [(2, 0), (1000, 0), (2**14, 0),
-                                                (2**14 + 1, 1), (3 * 2**14, 1)])
-def test_oracle_starts_a_thread_only_past_one_block(monkeypatch, n_samples, threads):
-    started = []
-
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(spdc.threading, "Thread", CountingThread)
-    spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=n_samples)
-    assert len(started) == threads
-
-
-@pytest.mark.parametrize("n_samples", [1000, spdc.ORACLE_BLOCK + 1], ids=["inline", "threaded"])
 @pytest.mark.parametrize("failing_rows", [4, 8], ids=["worker_stream", "caller_stream"])
-def test_monte_carlo_raises_what_a_stream_raises(monkeypatch, failing_rows, n_samples):
-    # pair 0 (4 rows) runs on the worker thread past one block, pairs 1 and 2
-    # (8 rows) on the caller
+def test_monte_carlo_raises_what_a_stream_raises(monkeypatch, failing_rows):
+    # the worker thread maps pair 0 (4 rows), the caller pairs 1 and 2 (8 rows)
     class StreamFailure(RuntimeError):
         pass
 
@@ -305,7 +286,7 @@ def test_monte_carlo_raises_what_a_stream_raises(monkeypatch, failing_rows, n_sa
     before = threading.active_count()
     monkeypatch.setattr(spdc, "_sampled_pairs", failing)
     with pytest.raises(StreamFailure, match=f"{failing_rows}-row stream failed"):
-        spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=n_samples)
+        spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=1000)
     assert threading.active_count() == before
 
 
