@@ -1,10 +1,10 @@
 """Run configuration: plain text, one ``section.key = value`` per line.
 
 ``#`` starts a comment, blank lines are ignored, and any key outside the
-schema is rejected, as is any value outside the key's range.  A key that sets
-a model parameter takes its range and default from the dataclass field it
-maps to (``FIELD_KEYS``, ``ranges``); every other key declares its range in
-``SCHEMA``.  Two rules apply to the final values: the oracle and band sample
+schema is rejected, as is a key set twice or a value outside the key's
+range.  A key that sets a model parameter takes its range and default from
+the dataclass field it maps to (``FIELD_KEYS``, ``ranges``); every other key
+declares its range in ``SCHEMA``.  Two rules apply across lines: the oracle and band sample
 counts are each 0 (off) or at least 2, and each grid's ``*_min`` lies below
 its ``*_max``.
 Every key is checked at parse time, before any command computes.  Defaults
@@ -29,7 +29,15 @@ class ConfigError(ValueError):
     pass
 
 
-_COUNT = Range(1.0)
+#: a grid point is one CSV row
+_POINTS = Range(1.0, 1e6)
+#: a band point holds its (draws, 3) normals at once: 240 MB at 1e7
+_BAND_SAMPLES = Range(0.0, 1e7)
+#: the oracle draws about 5.5e6 samples/s on a 2-vCPU machine, so 1e9 takes
+#: some 3 min per grid point
+_ORACLE_SAMPLES = Range(0.0, 1e9)
+#: the 36 setting pairs' counts sum to 36 shots in int64
+_SHOTS = Range(1.0, (2**63 - 1) // 36)
 
 
 _NOISE, _DETAILED = ExperimentParams(), DetailedParams()
@@ -49,22 +57,22 @@ SCHEMA: dict[str, tuple] = {
     "run.seed": (NONNEGATIVE, 0),
     "curves.alpha_sq_min": (NONNEGATIVE, 0.0),
     "curves.alpha_sq_max": (NONNEGATIVE, 100.0),
-    "curves.points": (_COUNT, 41),
-    "curves.band_samples": (NONNEGATIVE, 200),
+    "curves.points": (_POINTS, 41),
+    "curves.band_samples": (_BAND_SAMPLES, 200),
     "size.beta_sq_min": (LAM, 2.0),  # as macro's P_g bounds lam = beta^2
     "size.beta_sq_max": (LAM, 60.0),
-    "size.points": (_COUNT, 15),
+    "size.points": (_POINTS, 15),
     "size.beta_sq_star": (LAM, 47.0),
     # P_g = 1/2 is a coin toss and P_g = 1 certainty; a target lies between
     "size.target_p_g": (Range(0.5, 1.0, "()"), 2.0 / 3.0),
     "hom.mu_min": (HomParams.range_of("mu_csp"), 0.001),
     "hom.mu_max": (HomParams.range_of("mu_csp"), 0.2),
-    "hom.points": (_COUNT, 25),
+    "hom.points": (_POINTS, 25),
     "hom.window_min": (POSITIVE, 0.5),
     "hom.window_max": (POSITIVE, 6.0),
-    "hom.window_points": (_COUNT, 23),
-    "detailed.mc_samples": (NONNEGATIVE, 0),
-    "tomo.shots": (_COUNT, 100_000),
+    "hom.window_points": (_POINTS, 23),
+    "detailed.mc_samples": (_ORACLE_SAMPLES, 0),
+    "tomo.shots": (_SHOTS, 100_000),
     "tomo.werner_w": (UNIT, 0.94),  # as polarization.werner_state checks it
     **{key: (obj.range_of(name), getattr(obj, name))
        for key, (obj, name) in FIELD_KEYS.items()},
@@ -92,6 +100,9 @@ def parse_config_text(text: str) -> dict:
                               f"not {line!r}")
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} is already set on line "
+                              f"{set_on[key][0]}")
         rng, default = SCHEMA[key]
         set_on[key] = (lineno, val)
         try:

@@ -204,10 +204,13 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
     Larger sigma keeps Pois(m) for |m - lam| <= 10 sqrt(lam + 1) + 25, built
     outward from the mode in log form, and:
 
-    1. solves log f(r) = log f(r - 1) by Brent's method, each side a
-       log-sum-exp, so a small sigma cannot underflow into spurious zeros.
-       W = P(r - 1 < Y <= r) is stationary at r, |W''| <= 1 / (2 sigma^2),
-       so a root good to 1e-8 sigma moves W by under 3e-17;
+    1. solves f(r) = f(r - 1) by Brent's method on the gap
+       sum_m (Pois(m) - Pois(m - 1)) exp(-(x - m)^2 / 2 sigma^2), which is
+       f(x) - f(x - 1) times sigma sqrt(2 pi).  Plain probabilities are safe
+       for sigma > 1/18: the outcome nearest any x lies within 1/2, so its
+       Gaussian factor is at least e^-40.5 = 2.6e-18.  W = P(r - 1 < Y <= r)
+       is stationary at r, |W''| <= 1 / (2 sigma^2), so a root good to
+       1e-8 sigma moves W by under 3e-17;
     2. sums by parts, W = sum_m d_m Phi((r - m) / sigma) with
        d_m = Pois(m) - Pois(m - 1): the d_m below r telescope to
        Pois(ceil(r) - 1), and every Phi left is a normal tail erfc(|z|) / 2,
@@ -236,31 +239,26 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
     log_p[mode + 1:-1] = log_mode + np.cumsum(log_lam - np.log(np.arange(k + 1, hi + 1)))
     log_p[mode - 1:0:-1] = log_mode + np.cumsum(np.log(np.arange(k, lo, -1)) - log_lam)
     m = np.arange(lo, hi + 2)                   # window edge m
-    edges = np.stack([log_p[1:], log_p[:-1]])   # log Pois(m), log Pois(m - 1)
+    p = np.exp(log_p)
+    d = np.diff(p)                              # Pois(m) - Pois(m - 1)
     scale = -0.5 / sigma**2
 
-    def log_ratio(x):                           # log f(x) - log f(x - 1)
+    def gap(x):                                 # f(x) - f(x - 1), scaled
         t = m - x; t *= t; t *= scale
-        u = edges + t
-        top = u.max(axis=1)
-        u -= top[:, None]
-        log_f = np.log(np.exp(u, out=u).sum(axis=1)) + top
-        return float(log_f[0] - log_f[1])
+        return float(np.dot(d, np.exp(t, out=t)))
 
     xa, xb = lam - 1.0, lam + 1.5
-    while log_ratio(xa) <= 0.0:
+    while gap(xa) <= 0.0:
         xa -= 1.0
-    while log_ratio(xb) >= 0.0:
+    while gap(xb) >= 0.0:
         xb += 1.0
-    r = _brentq(log_ratio, xa, xb, xtol=1e-8 * sigma)
-    p = np.exp(log_p)
+    r = _brentq(gap, xa, xb, xtol=1e-8 * sigma)
     w = float(p[math.ceil(r) - lo])             # Pois(ceil(r) - 1)
     near = slice(max(0, math.floor(r - WINDOW_SIGMAS * sigma) - lo),
                  max(0, math.ceil(r + WINDOW_SIGMAS * sigma) - lo + 1))
     z = (r - m[near]) / (sigma * math.sqrt(2.0))
-    d = np.diff(p)[near]                        # Pois(m) - Pois(m - 1)
     tails = np.array(list(map(math.erfc, np.abs(z).tolist())))
-    w += 0.5 * float(np.dot(np.where(z > 0.0, -d, d), tails))
+    w += 0.5 * float(np.dot(np.where(z > 0.0, -d[near], d[near]), tails))
     return 0.5 + math.sqrt(lam) * w
 
 

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ranges import NONNEGATIVE, POSITIVE, UNIT, Range, Ranged, ranged
+from .ranges import POSITIVE, UNIT, Range, Ranged, ranged
+
+#: the SD of a quantity confined to [0, 1] is at most 1/2 (half its mass at
+#: each end), so a band draw mean + sd z stays finite
+SPREAD = Range(0.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -38,9 +42,9 @@ class ExperimentParams(Ranged):
     #: above 0: the size analysis divides the stored size by it
     eta_abs: float = ranged(Range(0.0, 1.0, "(]"), 0.55)
     kappa: float = ranged(POSITIVE, 1.0)
-    sd_eta_h: float = ranged(NONNEGATIVE, 0.02)
-    sd_eta: float = ranged(NONNEGATIVE, 0.002)
-    sd_vis: float = ranged(NONNEGATIVE, 0.0002)
+    sd_eta_h: float = ranged(SPREAD, 0.02)
+    sd_eta: float = ranged(SPREAD, 0.002)
+    sd_vis: float = ranged(SPREAD, 0.0002)
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,23 @@ def no_leak_prob(mu: float, eta, vis):
 
 
 def _noise_fraction(mu: float, bs_t: float, eta_h, eta, vis):
-    """p_n / (p_s + p_n) with p_s = eta_h bs_t eta pbar_n; arrays allowed."""
+    """p_n / (p_s + p_n) with p_s = eta_h bs_t eta pbar_n; arrays allowed.
+
+    Both carry a factor eta, so at eta = 0 (a band draw clipped there) the
+    ratio takes its limit, p_n / eta -> 2 mu (1 - vis) and
+    p_s / eta -> eta_h bs_t pbar_n.
+    """
     p_n = noise_click_prob(mu, eta, vis)
-    p_s = eta_h * bs_t * eta * no_leak_prob(mu, eta, vis)
+    pbar_n = no_leak_prob(mu, eta, vis)
+    p_s = eta_h * bs_t * eta * pbar_n
     denom = p_s + p_n
-    if np.any(denom == 0.0):
-        raise ValueError("p_s + p_n = 0: noise fraction undefined at this input")
+    if np.any(denom == 0.0):  # so is every eta = 0 entry: p_s = p_n = 0
+        dark = eta == 0.0
+        p_n = np.where(dark, 2.0 * mu * (1.0 - vis), p_n)
+        p_s = np.where(dark, eta_h * bs_t * pbar_n, p_s)
+        denom = p_s + p_n
+        if np.any(denom == 0.0):
+            raise ValueError("p_s + p_n = 0: noise fraction undefined at this input")
     return p_n / denom
 
 
@@ -108,7 +123,7 @@ def werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vis
     is no operation at all and contributes no noise, so alpha_sq = 0 maps to
     W = v_mm exactly (the noise formulas themselves condition on at least one
     displacement photon and are undefined there).  A mu that overflows to
-    infinity is refused.
+    infinity is refused, and so is a mean eta of 0, which retrieves nothing.
     """
     if alpha_sq < 0:
         raise ValueError("alpha_sq must be >= 0")
@@ -118,6 +133,8 @@ def werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vis
     if not math.isfinite(mu):
         raise ValueError(f"mu = kappa * alpha_sq = {params.kappa:g} * {alpha_sq:g} "
                          "is not finite")
+    if params.eta == 0.0:
+        raise ValueError("p_s + p_n = 0: noise fraction undefined at eta = 0")
     return params.v_mm * (1.0 - _noise_fraction(mu, params.bs_t, eta_h, eta, vis))
 
 

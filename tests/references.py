@@ -5,12 +5,12 @@ displacement as dense exponentials on the full truncated Fock space, the
 loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
 (and its rejected double-click reading), the phase-jitter average by
 Gauss-Hermite quadrature, the sampling oracle in complex arithmetic, the
-storage loop slot by slot, the smoothing lattice with its whole kernel,
-the effective size by a search over smoothed point masses, the tomography
-likelihood fit by scipy's L-BFGS-B and its Born probabilities one projector
-at a time.  The differential tests compare the closed forms with them.  Unlike ``oracles.py`` (standard library and
-mpmath only), these use numpy and may take production parameter classes as
-input.
+storage loop slot by slot, the window's root in log space, the smoothing
+lattice with its whole kernel, the effective size by a search over smoothed
+point masses, the tomography likelihood fit by scipy's L-BFGS-B and its Born
+probabilities one projector at a time.  The differential tests compare the
+closed forms with them.  Unlike ``oracles.py`` (standard library and mpmath
+only), these use numpy and may take production parameter classes as input.
 """
 import cmath
 import math
@@ -348,7 +348,8 @@ def three_pulse_train(alpha: complex, params: memory.MemoryParams,
     return memory_pass(apply_phase(first, phi), params)
 
 
-# ---- macro: the support-wide lattice and the point-mass search for N_eff ----
+# ---- macro: the log-space window, the support-wide lattice and the
+#      point-mass search for N_eff ----
 
 def residue_class_l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     """The lattice L1 of ``macro._l1_smoothed`` before its kernel band: the
@@ -376,6 +377,52 @@ def residue_class_l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> flo
     for r in range(m):
         d[r::m] = np.correlate(kernel[r::m], diff[::-1], "valid")
     return float(np.abs(d).sum() * spacing)
+
+
+def log_space_window_guessing_probability(lam: float, sigma: float) -> float:
+    """``macro.window_guessing_probability`` as it solved for the window's
+    end before the small-blur rule: on log f(x) - log f(x - 1), each side a
+    max-shifted log-sum-exp, so that no sigma could underflow the gap.  The
+    by-parts sum is the package's."""
+    k = math.floor(lam)
+    log_lam = math.log(lam)
+    log_mode = -lam + k * log_lam - math.lgamma(k + 1)
+    if sigma <= macro.SMALL_BLUR:
+        return 0.5 + math.exp(log_mode + 0.5 * log_lam)
+    half = 10.0 * math.sqrt(lam + 1.0) + 25.0
+    lo, hi = max(0, math.floor(lam - half)), math.ceil(lam + half)
+    log_p = np.full(hi - lo + 3, -np.inf)
+    mode = k - lo + 1
+    log_p[mode] = log_mode
+    log_p[mode + 1:-1] = log_mode + np.cumsum(log_lam - np.log(np.arange(k + 1, hi + 1)))
+    log_p[mode - 1:0:-1] = log_mode + np.cumsum(np.log(np.arange(k, lo, -1)) - log_lam)
+    m = np.arange(lo, hi + 2)
+    edges = np.stack([log_p[1:], log_p[:-1]])   # log Pois(m), log Pois(m - 1)
+    scale = -0.5 / sigma**2
+
+    def log_ratio(x):                           # log f(x) - log f(x - 1)
+        t = m - x; t *= t; t *= scale
+        u = edges + t
+        top = u.max(axis=1)
+        u -= top[:, None]
+        log_f = np.log(np.exp(u, out=u).sum(axis=1)) + top
+        return float(log_f[0] - log_f[1])
+
+    xa, xb = lam - 1.0, lam + 1.5
+    while log_ratio(xa) <= 0.0:
+        xa -= 1.0
+    while log_ratio(xb) >= 0.0:
+        xb += 1.0
+    r = macro._brentq(log_ratio, xa, xb, xtol=1e-8 * sigma)
+    p = np.exp(log_p)
+    w = float(p[math.ceil(r) - lo])
+    near = slice(max(0, math.floor(r - macro.WINDOW_SIGMAS * sigma) - lo),
+                 max(0, math.ceil(r + macro.WINDOW_SIGMAS * sigma) - lo + 1))
+    z = (r - m[near]) / (sigma * math.sqrt(2.0))
+    d = np.diff(p)[near]
+    tails = np.array(list(map(math.erfc, np.abs(z).tolist())))
+    w += 0.5 * float(np.dot(np.where(z > 0.0, -d, d), tails))
+    return 0.5 + math.sqrt(lam) * w
 
 
 def lattice_effective_size(sigma: float, target_p_g: float) -> int:

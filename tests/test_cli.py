@@ -68,12 +68,28 @@ def test_config_parsing_basics():
     assert values["run.seed"] == 3
     # untouched keys keep their defaults
     assert values["tomo.werner_w"] == 0.94
-    # later assignments win
-    again = parse_config_text("run.seed = 1\nrun.seed = 9\n")
-    assert again["run.seed"] == 9
-    # the oracle-count rule, like the grid order, applies to the final value
-    again = parse_config_text("detailed.mc_samples = 1\ndetailed.mc_samples = 4\n")
-    assert again["detailed.mc_samples"] == 4
+
+
+def test_config_rejects_a_repeated_key():
+    # the second line is the error, and it names the first
+    with pytest.raises(ConfigError, match="line 3: run.seed is already set on line 1"):
+        parse_config_text("run.seed = 1\ncurves.points = 4\nrun.seed = 9\n")
+    with pytest.raises(ConfigError, match="line 2: detailed.mc_samples is already set on line 1"):
+        parse_config_text("detailed.mc_samples = 1\ndetailed.mc_samples = 4\n")
+
+
+@pytest.mark.parametrize("key, top", [
+    ("curves.points", 10**6), ("size.points", 10**6), ("hom.points", 10**6),
+    ("hom.window_points", 10**6), ("curves.band_samples", 10**7),
+    ("detailed.mc_samples", 10**9), ("tomo.shots", (2**63 - 1) // 36),
+])
+def test_count_keys_have_an_upper_bound(key, top):
+    # parsed only: no grid is built and no oracle runs at these counts
+    assert parse_config_text(f"{key} = {top}\n")[key] == top
+    for value in (v for v in (top + 1, 10**15, 10**21, 2**63 - 1, 2**63) if v > top):
+        with pytest.raises(ConfigError, match=f"line 1: bad value '{value}' for {key}: "
+                                              "must be in"):
+            parse_config_text(f"{key} = {value}\n")
 
 
 def test_config_rejects_bad_input():
@@ -125,6 +141,8 @@ def test_config_rejects_bad_input():
     ("curves", "noise.sd_eta_h = -0.02"),
     ("curves", "noise.sd_eta = -0.002"),
     ("curves", "noise.sd_vis = -0.0002"),
+    ("curves", "noise.sd_eta = 5.648257270759618e+307"),
+    ("curves", "noise.sd_eta_h = 0.6"),
     # ranges declared on the parameter dataclasses, checked at parse time
     ("size", "noise.eta_abs = 0"),
     ("hom", "hom.csp_fwhm = -1"),
@@ -224,6 +242,19 @@ def test_curves_run_at_a_vanishing_size(tmp_path):
     assert first["alpha_sq"] == 1e-20
     assert abs(first["chsh_s"] - 2.0 * math.sqrt(2.0) * 0.94 * (1.0 - 0.015623054352)) < 1e-9
     assert all(math.isfinite(v) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("sd_eta", [0.012, 0.05])
+def test_curves_bands_take_draws_clipped_to_no_retrieval(tmp_path, sd_eta):
+    # some band draws clip to eta = 0 (at 0.012 on seed 1 here, at 0.05 on
+    # every seed); they take the eta -> 0 limit of the noise fraction
+    cfg = write_config(tmp_path, f"noise.sd_eta = {sd_eta}\n")
+    for seed in range(4):
+        out = tmp_path / f"seed{seed}"
+        assert run(["curves", "--config", cfg, "--out", out, "--seed", seed]) == 0
+        _, cols, rows = read_table(out / "witness_curves.csv")
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert all(dict(zip(cols, row))["chsh_s_band"] > 0.0 for row in rows[1:])
 
 
 def test_overflowing_photon_number_is_an_error(tmp_path, capsys):

@@ -13,7 +13,8 @@ from scipy.stats import norm
 from micromacro import fock, macro
 from oracles import ideal_guessing_probability, sigma_max_root, window_guessing_probability
 from references import (coherent_density, displacement_operator, lattice_effective_size,
-                        loss_channel, residue_class_l1_smoothed)
+                        log_space_window_guessing_probability, loss_channel,
+                        residue_class_l1_smoothed)
 
 #: the least blur that runs the lattice
 JUST_ABOVE_SMALL_BLUR = math.nextafter(macro.SMALL_BLUR, 1.0)
@@ -301,6 +302,29 @@ def test_window_form_matches_40_digit_oracle(lam):
         want, _ = window_guessing_probability(lam, sigma)
         got = macro.window_guessing_probability(lam, sigma)
         assert abs(got - float(want)) <= 1e-12, (lam, sigma, got, want)
+
+
+@pytest.mark.parametrize("lam", [10.0**k for k in np.arange(-6.0, 6.5, 0.5)])
+def test_window_form_matches_the_log_space_root(lam):
+    # the gap in plain probabilities against the log-sum-exp it replaced,
+    # from just above the small-blur rule to SIGMA's bound: 2.2e-16 at worst
+    for sigma in (JUST_ABOVE_SMALL_BLUR, 0.06, 0.1, 0.29, 0.5, 1.0, 3.0, 10.0, 37.0,
+                  100.0, 1e3, 1e4, 1e5, 1e6):
+        want = log_space_window_guessing_probability(lam, sigma)
+        got = macro.window_guessing_probability(lam, sigma)
+        assert abs(got - want) <= 1e-15 * want, (lam, sigma, got, want)
+
+
+@pytest.mark.parametrize("beta_sq", [10.0, 47.0, 150.0, 300.0])
+def test_size_analysis_matches_the_log_space_root(beta_sq, monkeypatch):
+    # perfbench's size points: sigma_max within its root tolerance (7e-15 at
+    # 300, bit-identical below), N_eff and P_g(0) unchanged
+    got = macro.size_analysis(math.sqrt(beta_sq))
+    monkeypatch.setattr(macro, "window_guessing_probability",
+                        log_space_window_guessing_probability)
+    want = macro.size_analysis(math.sqrt(beta_sq))
+    assert abs(got.sigma_max - want.sigma_max) <= macro.SIGMA_MAX_TOL, (got, want)
+    assert (got.n_eff, got.p_g) == (want.n_eff, want.p_g)
 
 
 @pytest.mark.parametrize("beta_sq", [10.0, 47.0])

@@ -149,6 +149,19 @@ def test_band_rejects_a_draw_with_no_click():
         reference_band_point(13.3, dark, 10, rng_seed=1, index=0)
 
 
+@pytest.mark.parametrize("mu", [1e-6, 13.3, 500.0])
+def test_noise_fraction_takes_its_limit_at_no_retrieval(mu):
+    # p_s and p_n both carry a factor eta: at eta = 0 the fraction is
+    # x / (x + eta_h bs_t (1 - e^-mu)), x = 2 mu (1 - vis), and it is
+    # continuous there
+    eta = np.array([0.0, 1e-300, 1e-12])
+    got = noise._noise_fraction(mu, P.bs_t, P.eta_h, eta, P.vis)
+    x = 2.0 * mu * (1.0 - P.vis)
+    limit = x / (x - P.eta_h * P.bs_t * math.expm1(-mu))
+    np.testing.assert_allclose(got, limit, rtol=1e-9, atol=0.0)
+    assert got[0] == noise._noise_fraction(mu, P.bs_t, P.eta_h, 0.0, P.vis)
+
+
 def test_curve_container_shapes():
     grid = np.array([0.0, 10.0, 40.0])
     curve = noise.predict_witness_curves(grid, P, band_samples=0)
@@ -161,6 +174,7 @@ def test_curve_container_shapes():
 
 @pytest.mark.parametrize("name", ["sd_eta_h", "sd_eta", "sd_vis"])
 def test_negative_band_width_is_rejected(name):
-    with pytest.raises(ValueError, match=f"{name}=-0.002 must be >= 0"):
+    with pytest.raises(ValueError, match=rf"{name}=-0.002 must be in \[0, 0.5\]"):
         noise.ExperimentParams(**{name: -0.002})
     assert getattr(noise.ExperimentParams(**{name: 0.0}), name) == 0.0
+    assert getattr(noise.ExperimentParams(**{name: 0.5}), name) == 0.5
