@@ -23,10 +23,9 @@ from . import __version__, macro, noise, polarization, spdc, tomography
 from . import hom as hom_mod
 from . import validate as validate_mod
 from .config import SCHEMA, RunConfig
+from .spdc import GRID_DEG
 from .svgplot import line_chart
 from .tables import ResultTable
-
-GRID_DEG = (0.0, 22.5, 45.0, 67.5)
 
 #: fixed comparison points measured on the reference setup
 REFERENCE_POINTS = (

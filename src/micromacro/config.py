@@ -4,9 +4,9 @@
 schema is rejected, as is a key set twice or a value outside the key's
 range.  A key that sets a model parameter takes its range and default from
 the dataclass field it maps to (``FIELD_KEYS``, ``ranges``); every other key
-declares its range in ``SCHEMA``.  Two rules apply across lines: the oracle and band sample
-counts are each 0 (off) or at least 2, and each grid's ``*_min`` lies below
-its ``*_max``.
+declares its range in ``SCHEMA``.  Rules across lines: the oracle and band
+sample counts are each 0 (off) or at least 2, each grid's ``*_min`` lies below
+its ``*_max``, and ``noise.eta`` is at most ``noise.eta_abs``.
 Every key is checked at parse time, before any command computes.  Defaults
 reproduce the reference experiment, so an empty config is a valid complete
 run.  The resolved key/value map has a canonical text form whose SHA-256 is
@@ -77,8 +77,13 @@ SCHEMA: dict[str, tuple] = {
     **{key: (obj.range_of(name), getattr(obj, name))
        for key, (obj, name) in FIELD_KEYS.items()},
 }
-#: grids whose ``_min`` key must lie below their ``_max`` key
-_GRIDS = ("curves.alpha_sq", "size.beta_sq", "hom.mu", "hom.window")
+#: (lower key, upper key, strict): each grid's ``_min`` lies below its
+#: ``_max``, and the memory retrieves no more than it absorbs
+_ORDERED = [
+    *((f"{grid}_min", f"{grid}_max", True)
+      for grid in ("curves.alpha_sq", "size.beta_sq", "hom.mu", "hom.window")),
+    ("noise.eta", "noise.eta_abs", False),
+]
 
 
 def parse_config_text(text: str) -> dict:
@@ -109,14 +114,14 @@ def parse_config_text(text: str) -> dict:
             values[key] = rng.check(type(default)(val))
         except ValueError as exc:
             raise bad(key, exc) from exc
-    for grid in _GRIDS:
-        lo, hi = values[f"{grid}_min"], values[f"{grid}_max"]
-        if lo >= hi:
+    for lo_key, hi_key, strict in _ORDERED:
+        lo, hi = values[lo_key], values[hi_key]
+        if lo > hi or (strict and lo == hi):
             # blame the later of the two lines: it made the pair inconsistent
-            key = max((k for k in (f"{grid}_min", f"{grid}_max") if k in set_on),
+            key = max((k for k in (lo_key, hi_key) if k in set_on),
                       key=lambda k: set_on[k][0])
-            raise bad(key, f"{grid}_min ({lo:.12g}) must be below "
-                           f"{grid}_max ({hi:.12g})")
+            raise bad(key, f"{lo_key} ({lo:.12g}) must be "
+                           f"{'below' if strict else 'at most'} {hi_key} ({hi:.12g})")
     if values["detailed.mc_samples"] == 1:
         raise bad("detailed.mc_samples", "must be 0 (no oracle) or >= 2 for a standard error")
     if values["curves.band_samples"] == 1:

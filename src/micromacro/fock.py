@@ -65,16 +65,10 @@ class ClickDetector(Ranged):
 
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """Coefficients e^{-|a|^2/2} a^n / sqrt(n!), computed in log space."""
-    if alpha == 0:
-        c = np.zeros(n_max + 1, dtype=complex)
-        c[0] = 1.0
-        return c
-    n = np.arange(n_max + 1)
-    logmag = (-abs(alpha) ** 2 / 2 + n * math.log(abs(alpha))
-              - 0.5 * log_factorials(n_max))
-    phase = np.exp(1j * n * np.angle(alpha))
-    return np.exp(logmag) * phase
+    """Coefficients e^{-|a|^2/2} a^n / sqrt(n!): the root of the Poisson(|a|^2)
+    probabilities times the phase e^{i n arg a}."""
+    phase = np.exp(1j * np.arange(n_max + 1) * np.angle(alpha))
+    return np.sqrt(poisson_pmf(abs(alpha) ** 2, n_max)) * phase
 
 
 def log_factorials(n_max: int) -> np.ndarray:

@@ -5,6 +5,14 @@ mode; the state is approximated as a Werner state whose visibility is the
 product of the displacement-free entanglement visibility and (1 - noise
 fraction).  All click/leak probabilities below have closed forms that tests
 verify against the defining Poisson series to 1e-12.
+
+The leak comes from the memory's storage loop, a beam splitter in time: a
+pass transmits a pulse in its own slot (eta_t = 1 - eta_abs) and re-emits it
+(eta) one storage time later.  Two passes with phase phi on the delayed pulse
+leave 4 eta_t eta |alpha|^2 cos^2(phi / 2) photons in the middle slot, the
+back-displacement residual; the slot-by-slot bookkeeping behind it is the
+test reference (``tests/references.py``).  Re-absorption of the retrieved
+pulse is outside the model.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ class ExperimentParams(Ranged):
 
     eta_h      heralding efficiency of the signal photon
     bs_t       transmittance of the displacement beam splitter
-    eta        memory storage-retrieval efficiency
+    eta        memory storage-retrieval efficiency, at most eta_abs
     vis        back-displacement interference visibility
     v_mm       entanglement visibility without displacement
     eta_abs    memory absorption probability
@@ -95,6 +103,33 @@ def no_leak_prob(mu: float, eta, vis):
     return np.expm1(-2.0 * mu * eta * (1.0 - vis)) - math.expm1(-mu)
 
 
+def back_displacement_residual(alpha: complex, phi: float,
+                               params: ExperimentParams) -> float:
+    """Mean photon number left in the middle slot: 4 eta_t eta |alpha|^2 cos^2(phi/2)."""
+    eta_t = 1.0 - params.eta_abs
+    return 4.0 * eta_t * params.eta * abs(alpha) ** 2 * math.cos(phi / 2.0) ** 2
+
+
+def mean_residual_photons(alpha: complex, sigma_phi: float,
+                          params: ExperimentParams) -> float:
+    """back_displacement_residual averaged over phi ~ N(pi, sigma_phi^2),
+    where <cos^2(phi/2)> = (1 - e^(-sigma_phi^2 / 2)) / 2."""
+    return back_displacement_residual(alpha, 0.0, params) \
+        * (1.0 - math.exp(-sigma_phi**2 / 2.0)) / 2.0
+
+
+def visibility_from_errors(delta_a: float, sigma_phi: float) -> float:
+    """Interference visibility under amplitude mismatch and phase jitter.
+
+    V = 1 - <I(pi + x)> / I(0) with I(phi) = |1 + r e^{i phi}|^2, r = 1 + delta_a
+    and x ~ N(0, sigma_phi^2), the jitter-averaged dark-port power relative to
+    the bright fringe; <cos x> = e^(-sigma_phi^2 / 2) gives the closed form
+    V = 1 - (1 + r^2 - 2 r e^(-sigma_phi^2 / 2)) / (1 + r)^2.
+    """
+    r = 1.0 + delta_a
+    return 1.0 - (1.0 + r * r - 2.0 * r * math.exp(-sigma_phi**2 / 2.0)) / (1.0 + r) ** 2
+
+
 def _noise_fraction(mu: float, bs_t: float, eta_h, eta, vis):
     """p_n / (p_s + p_n) with p_s = eta_h bs_t eta pbar_n; arrays allowed.
 
@@ -112,7 +147,11 @@ def _noise_fraction(mu: float, bs_t: float, eta_h, eta, vis):
         p_s = np.where(dark, eta_h * bs_t * pbar_n, p_s)
         denom = p_s + p_n
         if np.any(denom == 0.0):
-            raise ValueError("p_s + p_n = 0: noise fraction undefined at this input")
+            raise ValueError(
+                "p_s + p_n = 0: noise fraction undefined: eta_h bs_t = 0 gives no "
+                "signal click and vis = 1 no noise click; raise noise.eta_h and "
+                "noise.bs_t or lower noise.vis, or, if band draws clip there, "
+                "noise.sd_eta_h or noise.sd_vis")
     return p_n / denom
 
 

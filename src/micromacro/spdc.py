@@ -24,6 +24,11 @@ from .polarization import chsh
 from .ranges import UNIT, Range, Ranged, ranged
 
 
+#: the detailed analyzer grid, in degrees: ``detailed`` tabulates the joints
+#: at every (theta_a, theta_b) pair of it
+GRID_DEG = (0.0, 22.5, 45.0, 67.5)
+
+
 class ModelInconsistencyError(ArithmeticError):
     """A quantity that must be a probability fell materially outside [0, 1]."""
 

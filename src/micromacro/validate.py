@@ -5,8 +5,8 @@ tolerance); any failure means a broken build rather than a bad parameter
 choice.  Most checks exercise code the subcommands run: the splitter's
 photon-number blocks, the closed-form displaced states, the hom coincidence
 function and the model's closed forms.  ``memory-null-residual`` and
-``loop-noise-ratio`` exercise ``memory``, which only ``validate`` runs.  The
-whole battery runs in well under a second.
+``loop-noise-ratio`` exercise the storage-loop closed forms in ``noise``,
+which only ``validate`` runs.  The whole battery runs in well under a second.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, hom, macro, memory, noise, polarization, spdc
+from . import fock, hom, macro, noise, polarization, spdc
 
 RT2 = math.sqrt(2.0)
 
@@ -88,18 +88,18 @@ def _guessing_monotone():
 
 
 def _memory_null_residual():
-    resid = memory.back_displacement_residual(1.3 + 0.2j, math.pi,
-                                              memory.MemoryParams())
+    resid = noise.back_displacement_residual(1.3 + 0.2j, math.pi,
+                                             noise.ExperimentParams())
     return resid < 1e-12, f"residual at phi = pi is {resid:.3e}"
 
 
 def _loop_noise_ratio():
-    params = memory.MemoryParams()
+    params = noise.ExperimentParams()
     alpha, sigma = 2.0, 0.2
-    mean_resid = memory.mean_residual_photons(alpha, sigma, params)
-    one_minus_v = 1.0 - memory.visibility_from_errors(0.0, sigma)
+    mean_resid = noise.mean_residual_photons(alpha, sigma, params)
+    one_minus_v = 1.0 - noise.visibility_from_errors(0.0, sigma)
     ratio = mean_resid / (2.0 * alpha**2 * params.eta * one_minus_v)
-    target = 2.0 * params.eta_t
+    target = 2.0 * (1.0 - params.eta_abs)
     ok = abs(ratio - target) <= 0.1 * target
     return ok, f"residual/leak-rate ratio = {ratio:.4f}, expected {target:.4f}"
 
@@ -107,8 +107,8 @@ def _loop_noise_ratio():
 def _detailed_joints():
     p = spdc.DetailedParams()
     worst = 0.0
-    for th_a in np.deg2rad([0.0, 22.5, 45.0, 67.5]):
-        for th_b in np.deg2rad([0.0, 22.5, 45.0, 67.5]):
+    for th_a in np.deg2rad(spdc.GRID_DEG):
+        for th_b in np.deg2rad(spdc.GRID_DEG):
             j = spdc.joint_probabilities(float(th_a), float(th_b), p)
             worst = max(worst, abs(j.renormalized().total() - 1.0))
     return worst < 1e-12, f"worst renormalized-sum deviation = {worst:.3e}"

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.optimize import minimize
 
-from micromacro import fock, hom, macro, memory, spdc, tomography
+from micromacro import fock, hom, macro, noise, spdc, tomography
 from micromacro.polarization import TwoQubitDensity
 
 
@@ -298,7 +298,7 @@ def complex_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedParams,
                                spdc.JointProbabilities(*errors))
 
 
-# ---- memory: the storage loop slot by slot ----
+# ---- noise: the memory's storage loop slot by slot ----
 
 class PulseTrain:
     """Amplitudes on integer time slots (units of the storage time); pulses
@@ -317,9 +317,10 @@ class PulseTrain:
         return dict(self.pulses).get(slot, 0.0)
 
 
-def memory_pass(train: PulseTrain, params: memory.MemoryParams) -> PulseTrain:
-    """One traversal: sqrt(eta_t) transmitted in place, sqrt(eta) delayed by one slot."""
-    rt = math.sqrt(params.eta_t)
+def memory_pass(train: PulseTrain, params: noise.ExperimentParams) -> PulseTrain:
+    """One traversal: sqrt(eta_t) transmitted in place, sqrt(eta) delayed by
+    one slot, with eta_t = 1 - eta_abs."""
+    rt = math.sqrt(1.0 - params.eta_abs)
     rr = math.sqrt(params.eta)
     out = []
     for slot, amp in train.pulses:
@@ -337,7 +338,7 @@ def apply_phase(train: PulseTrain, phi: float, min_slot: int = 1) -> PulseTrain:
     return PulseTrain((s, a * rot if s >= min_slot else a) for s, a in train.pulses)
 
 
-def three_pulse_train(alpha: complex, params: memory.MemoryParams,
+def three_pulse_train(alpha: complex, params: noise.ExperimentParams,
                       phi: float) -> PulseTrain:
     """Two memory passes with the programmed phase on the stored component.
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from micromacro import cli, hom, macro, memory, noise, polarization, spdc, tomography
+from micromacro import cli, hom, macro, noise, polarization, spdc, tomography
 from micromacro.noise import ExperimentParams
 from oracles import ideal_guessing_probability
 from references import displacement_operator, overlap_ratio
@@ -136,9 +136,9 @@ def test_criterion_6d_tomography_round_trip():
 
 
 def test_criterion_6e_back_displacement_null():
-    params = memory.MemoryParams()
+    params = ExperimentParams()
     for alpha in (0.5, 2.0, 1.0 + 1.0j):
-        assert memory.back_displacement_residual(alpha, math.pi, params) < 1e-12
+        assert noise.back_displacement_residual(alpha, math.pi, params) < 1e-12
 
 
 def test_criterion_6f_guessing_probability_monotone():

@@ -280,6 +280,37 @@ def test_grid_bounds_must_be_ordered():
     assert (values["hom.window_min"], values["hom.window_max"]) == (0.1, 0.2)
 
 
+@pytest.mark.parametrize("command", ["curves", "size", "hom", "detailed", "tomo"])
+def test_every_command_rejects_retrieval_above_absorption(tmp_path, capsys, command):
+    # noise.eta_abs is 0.55 by default; hom, detailed and tomo read no noise
+    # key, yet fail before writing anything
+    cfg = write_config(tmp_path, "# memory\nnoise.eta = 0.6\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert ("line 2: bad value '0.6' for noise.eta: noise.eta (0.6) must be at "
+            "most noise.eta_abs (0.55)") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_curves_run_at_retrieval_equal_to_absorption(tmp_path):
+    cfg = write_config(tmp_path, FAST_CURVES + "noise.eta = 0.55\n")
+    assert run(["curves", "--config", cfg, "--out", tmp_path]) == 0
+    _, _, rows = read_table(tmp_path / "witness_curves.csv")
+    assert len(rows) == 4 and all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_band_draw_clipped_to_no_click_is_an_error(tmp_path, capsys):
+    # at these spreads some band draw clips eta_h to 0 and vis to 1 together,
+    # so it has neither a signal nor a noise click
+    cfg = write_config(tmp_path, "noise.sd_eta_h = 0.5\nnoise.sd_vis = 0.5\n")
+    out = tmp_path / "out"
+    assert run(["curves", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "error: p_s + p_n = 0: noise fraction undefined: " in err
+    assert "if band draws clip there, noise.sd_eta_h or noise.sd_vis" in err
+    assert not out.exists()
+
+
 def test_config_hash_ignores_formatting():
     a = RunConfig.from_text("run.seed = 3\ncurves.points = 4\n")
     b = RunConfig.from_text("# comment\ncurves.points=4\n\nrun.seed   =  3")

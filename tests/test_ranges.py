@@ -4,7 +4,9 @@ Every ``FIELD_KEYS`` key is probed at each finite end of its field's declared
 range, one float step inside and one float step outside.  The parser and the
 dataclass constructor must agree on every probe, and both must follow the
 declared ends: a closed end is accepted, an open end and every outside
-value rejected.
+value rejected.  A key whose value is ordered against another key's is
+probed with that partner set to the end that keeps every in-range probe
+ordered.
 """
 import math
 from dataclasses import replace
@@ -14,6 +16,10 @@ import pytest
 from micromacro import fock, hom, noise, spdc
 from micromacro.config import FIELD_KEYS, SCHEMA, ConfigError, parse_config_text
 from micromacro.ranges import NONNEGATIVE, Range
+
+
+#: key -> the config line that sets its ordered partner out of the way
+PARTNER = {"noise.eta": "noise.eta_abs = 1.0", "noise.eta_abs": "noise.eta = 0.0"}
 
 
 def _probes(rng):
@@ -33,6 +39,7 @@ def test_parser_and_constructor_agree_at_the_bounds(key):
     assert SCHEMA[key] == (rng, getattr(obj, name))
     probes = list(_probes(rng))
     assert any(not ok for _, ok in probes)  # every key has a value it rejects
+    partner = [PARTNER[key]] if key in PARTNER else []
     for value, ok in probes:
         try:
             built = getattr(replace(obj, **{name: value}), name)
@@ -40,9 +47,10 @@ def test_parser_and_constructor_agree_at_the_bounds(key):
             assert str(exc).startswith(f"{name}={value} must be "), exc
             built = None
         try:
-            parsed = parse_config_text(f"{key} = {value!r}")[key]
+            parsed = parse_config_text("\n".join([*partner, f"{key} = {value!r}"]))[key]
         except ConfigError as exc:
-            assert f"line 1: bad value '{value!r}' for {key}: must be " in str(exc)
+            assert (f"line {len(partner) + 1}: bad value '{value!r}' for {key}: "
+                    "must be ") in str(exc)
             parsed = None
         assert parsed == built == (value if ok else None), (key, value)
 
