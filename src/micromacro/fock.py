@@ -30,12 +30,13 @@ from functools import cache
 
 import numpy as np
 
-from .ranges import UNIT, Range, Ranged, ranged
+from .ranges import NONNEGATIVE, UNIT, Range, Ranged, ranged
 
 #: numerical tolerance for unitarity / hermiticity / eigenvalue checks
 TAU_NUM = 1e-10
 #: acceptable probability mass lost to photon-number truncation
 TAU_TRUNC = 1e-8
+_log_factorial_table = np.empty(0)   # log(n!), grown by ``log_factorials``
 
 
 class TruncationError(ValueError):
@@ -72,18 +73,28 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 
 
 def log_factorials(n_max: int) -> np.ndarray:
-    """log(n!) for n = 0..n_max."""
-    return np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)])
+    """log(n!) = ``math.lgamma(n + 1.0)`` for n = 0..n_max, a read-only prefix
+    view of one table built on first use, not at import.  A request past its
+    end grows it to max(n_max + 1, twice its size), so it keeps at most
+    2 (n_max + 1) floats: 16 MB at the cutoff of ``macro.LAM``'s bound."""
+    global _log_factorial_table
+    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise ValueError(f"n_max={n_max!r} must be an integer >= 0")
+    if n_max >= (size := _log_factorial_table.size):
+        _log_factorial_table = np.append(_log_factorial_table, [
+            math.lgamma(n + 1.0) for n in range(size, max(n_max + 1, 2 * size))])
+        _log_factorial_table.flags.writeable = False
+    return _log_factorial_table[:n_max + 1]
 
 
 def poisson_pmf(mean: float, n_max: int) -> np.ndarray:
     """Poisson(mean) probabilities of n = 0..n_max, evaluated in log form."""
-    if mean == 0:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-        return p
+    NONNEGATIVE.check(mean, "mean")
+    log_fact = log_factorials(n_max)
     n = np.arange(n_max + 1)
-    return np.exp(-mean + n * math.log(mean) - log_factorials(n_max))
+    if mean == 0:
+        return (n == 0) * 1.0
+    return np.exp(-mean + n * math.log(mean) - log_fact)
 
 
 def displaced_single_photon(alpha: complex, n_max: int) -> np.ndarray:
@@ -94,9 +105,13 @@ def displaced_single_photon(alpha: complex, n_max: int) -> np.ndarray:
     |1>.  Raises TruncationError when the mass beyond ``n_max`` exceeds
     ``TAU_TRUNC``.
     """
-    c = coherent_amplitudes(alpha, n_max)
+    return _displaced_single_photon(alpha, coherent_amplitudes(alpha, n_max))
+
+
+def _displaced_single_photon(alpha: complex, c: np.ndarray) -> np.ndarray:
+    """``displaced_single_photon`` from the amplitudes c of |alpha>."""
     vec = -np.conj(alpha) * c
-    vec[1:] += np.sqrt(np.arange(1, n_max + 1)) * c[:-1]
+    vec[1:] += np.sqrt(np.arange(1, c.size)) * c[:-1]
     nrm2 = float(np.sum(np.abs(vec) ** 2))
     if not nrm2 >= 1.0 - TAU_TRUNC:
         raise TruncationError(f"squared norm {nrm2:.12g} below 1 - {TAU_TRUNC}; "

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (TAU_TRUNC, TruncationError, coherent_amplitudes,
-                   displaced_single_photon)
+from .fock import (TAU_TRUNC, TruncationError, _displaced_single_photon,
+                   coherent_amplitudes)
 from .ranges import Range
 
 #: fewest lattice points per photon of the Gaussian smoothing integral
@@ -107,7 +107,7 @@ def macro_components(alpha: float, n_max: int) -> MacroComponentPair:
     if alpha < 0:
         raise ValueError("alpha must be real and >= 0")
     zero = coherent_amplitudes(alpha, n_max)
-    one = displaced_single_photon(alpha, n_max)
+    one = _displaced_single_photon(alpha, zero)
     pp = np.abs((zero + one) / math.sqrt(2)) ** 2
     pm = np.abs((zero - one) / math.sqrt(2)) ** 2
     return MacroComponentPair(pp, pm, float(alpha))
@@ -219,47 +219,62 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
 
     What is left is the rounding of log Pois(k), up to eps lam log lam
     (4e-13 at lam = 300): P_g is within 7e-14 of a 40-digit evaluation for
-    lam up to 300 and sigma from 1e-3 to 37.
+    lam up to 300 and sigma from 1e-3 to 37.  The sigma_max search keeps
+    one ``_Window``, so it builds the Poisson table once per lam.
     """
     LAM.check(lam, "lam")
     SIGMA.check(sigma, "sigma")
-    if lam == 0.0:
-        return 0.5
-    k = math.floor(lam)
-    log_lam = math.log(lam)
-    log_mode = -lam + k * log_lam - math.lgamma(k + 1)   # log Pois(k)
-    if sigma <= SMALL_BLUR:
-        return 0.5 + math.exp(log_mode + 0.5 * log_lam)
-    half = 10.0 * math.sqrt(lam + 1.0) + 25.0
-    lo, hi = max(0, math.floor(lam - half)), math.ceil(lam + half)
-    # log Pois(m) for m = lo - 1 .. hi + 1, -inf at both ends (dropped mass)
-    log_p = np.full(hi - lo + 3, -np.inf)
-    mode = k - lo + 1
-    log_p[mode] = log_mode
-    log_p[mode + 1:-1] = log_mode + np.cumsum(log_lam - np.log(np.arange(k + 1, hi + 1)))
-    log_p[mode - 1:0:-1] = log_mode + np.cumsum(np.log(np.arange(k, lo, -1)) - log_lam)
-    m = np.arange(lo, hi + 2)                   # window edge m
-    p = np.exp(log_p)
-    d = np.diff(p)                              # Pois(m) - Pois(m - 1)
-    scale = -0.5 / sigma**2
+    return _Window(lam)(sigma)
 
-    def gap(x):                                 # f(x) - f(x - 1), scaled
-        t = m - x; t *= t; t *= scale
-        return float(np.dot(d, np.exp(t, out=t)))
 
-    xa, xb = lam - 1.0, lam + 1.5
-    while gap(xa) <= 0.0:
-        xa -= 1.0
-    while gap(xb) >= 0.0:
-        xb += 1.0
-    r = _brentq(gap, xa, xb, xtol=1e-8 * sigma)
-    w = float(p[math.ceil(r) - lo])             # Pois(ceil(r) - 1)
-    near = slice(max(0, math.floor(r - WINDOW_SIGMAS * sigma) - lo),
-                 max(0, math.ceil(r + WINDOW_SIGMAS * sigma) - lo + 1))
-    z = (r - m[near]) / (sigma * math.sqrt(2.0))
-    tails = np.array(list(map(math.erfc, np.abs(z).tolist())))
-    w += 0.5 * float(np.dot(np.where(z > 0.0, -d[near], d[near]), tails))
-    return 0.5 + math.sqrt(lam) * w
+class _Window:
+    """``window_guessing_probability`` at one lam, sigma -> P_g: k and
+    log Pois(k) up front, the Poisson table on the first sigma > SMALL_BLUR."""
+
+    def __init__(self, lam: float):
+        self.lam, self.table = lam, None
+        if lam != 0.0:
+            self.k, self.log_lam = math.floor(lam), math.log(lam)
+            self.log_mode = -lam + self.k * self.log_lam - math.lgamma(self.k + 1)
+
+    def _poisson_table(self) -> tuple:
+        lam, k, log_lam, log_mode = self.lam, self.k, self.log_lam, self.log_mode
+        half = 10.0 * math.sqrt(lam + 1.0) + 25.0
+        lo, hi = max(0, math.floor(lam - half)), math.ceil(lam + half)
+        # log Pois(m) for m = lo - 1 .. hi + 1, -inf at both ends (dropped mass)
+        log_p = np.full(hi - lo + 3, -np.inf)
+        mode = k - lo + 1
+        log_p[mode] = log_mode
+        log_p[mode + 1:-1] = log_mode + np.cumsum(log_lam - np.log(np.arange(k + 1, hi + 1)))
+        log_p[mode - 1:0:-1] = log_mode + np.cumsum(np.log(np.arange(k, lo, -1)) - log_lam)
+        p = np.exp(log_p)
+        return lo, np.arange(lo, hi + 2), p, np.diff(p)  # edges m, Pois(m) - Pois(m - 1)
+
+    def __call__(self, sigma: float) -> float:
+        if self.lam == 0.0:
+            return 0.5
+        if sigma <= SMALL_BLUR:
+            return 0.5 + math.exp(self.log_mode + 0.5 * self.log_lam)
+        lo, m, p, d = self.table = self.table or self._poisson_table()
+        scale = -0.5 / sigma**2
+
+        def gap(x):                             # f(x) - f(x - 1), scaled
+            t = m - x; t *= t; t *= scale
+            return float(np.dot(d, np.exp(t, out=t)))
+
+        xa, xb = self.lam - 1.0, self.lam + 1.5
+        while gap(xa) <= 0.0:
+            xa -= 1.0
+        while gap(xb) >= 0.0:
+            xb += 1.0
+        r = _brentq(gap, xa, xb, xtol=1e-8 * sigma)
+        w = float(p[math.ceil(r) - lo])         # Pois(ceil(r) - 1)
+        near = slice(max(0, math.floor(r - WINDOW_SIGMAS * sigma) - lo),
+                     max(0, math.ceil(r + WINDOW_SIGMAS * sigma) - lo + 1))
+        z = (r - m[near]) / (sigma * math.sqrt(2.0))
+        tails = np.array(list(map(math.erfc, np.abs(z).tolist())))
+        w += 0.5 * float(np.dot(np.where(z > 0.0, -d[near], d[near]), tails))
+        return 0.5 + math.sqrt(self.lam) * w
 
 
 def guessing_probability_dists(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
@@ -315,8 +330,8 @@ def _sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float, floa
     P_g(sigma) is the window form, smooth and exact to rounding, so the
     root's only error is ``tol`` (plus Brent's 4 eps relative).
     """
-    lam = alpha**2
-    p0 = window_guessing_probability(lam, 0.0)
+    window = _Window(alpha**2)
+    p0 = window(0.0)
     if not 0.5 < target_p_g < p0:
         raise UnattainableTargetError(
             f"target {target_p_g} outside (1/2, P_g(0) = {p0:.6f})"
@@ -326,7 +341,7 @@ def _sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float, floa
 
     def excess(s):
         if s not in seen:
-            seen[s] = window_guessing_probability(lam, s) - target_p_g
+            seen[s] = window(s) - target_p_g
         return seen[s]
 
     hi = max(2.0, 2.0 * alpha)

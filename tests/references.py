@@ -5,10 +5,11 @@ displacement as dense exponentials on the full truncated Fock space, the
 loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
 (and its rejected double-click reading), the phase-jitter average by
 Gauss-Hermite quadrature, the sampling oracle in complex arithmetic, the
-storage loop slot by slot, the window's root in log space, the smoothing
-lattice with its whole kernel, the effective size by a search over smoothed
-point masses, the tomography likelihood fit by scipy's L-BFGS-B and its Born
-probabilities one projector at a time.  The differential tests compare the
+storage loop slot by slot, the window form built afresh for every sigma and
+its root in log space, the smoothing lattice with its whole kernel, the
+effective size by a search over smoothed point masses, the tomography
+likelihood fit by scipy's L-BFGS-B and its Born probabilities one projector
+at a time.  The differential tests compare the
 closed forms with them.  Unlike ``oracles.py`` (standard library and mpmath
 only), these use numpy and may take production parameter classes as input.
 """
@@ -349,8 +350,50 @@ def three_pulse_train(alpha: complex, params: noise.ExperimentParams,
     return memory_pass(apply_phase(first, phi), params)
 
 
-# ---- macro: the log-space window, the support-wide lattice and the
-#      point-mass search for N_eff ----
+# ---- macro: the per-call and log-space windows, the support-wide lattice
+#      and the point-mass search for N_eff ----
+
+def per_call_window_guessing_probability(lam: float, sigma: float) -> float:
+    """``macro.window_guessing_probability`` as it was before ``macro._Window``
+    kept the Poisson table across the sigma of one lam: every call builds
+    log Pois(m), Pois(m) and the steps d_m afresh, in the same operations."""
+    if lam == 0.0:
+        return 0.5
+    k = math.floor(lam)
+    log_lam = math.log(lam)
+    log_mode = -lam + k * log_lam - math.lgamma(k + 1)
+    if sigma <= macro.SMALL_BLUR:
+        return 0.5 + math.exp(log_mode + 0.5 * log_lam)
+    half = 10.0 * math.sqrt(lam + 1.0) + 25.0
+    lo, hi = max(0, math.floor(lam - half)), math.ceil(lam + half)
+    log_p = np.full(hi - lo + 3, -np.inf)
+    mode = k - lo + 1
+    log_p[mode] = log_mode
+    log_p[mode + 1:-1] = log_mode + np.cumsum(log_lam - np.log(np.arange(k + 1, hi + 1)))
+    log_p[mode - 1:0:-1] = log_mode + np.cumsum(np.log(np.arange(k, lo, -1)) - log_lam)
+    m = np.arange(lo, hi + 2)
+    p = np.exp(log_p)
+    d = np.diff(p)
+    scale = -0.5 / sigma**2
+
+    def gap(x):
+        t = m - x; t *= t; t *= scale
+        return float(np.dot(d, np.exp(t, out=t)))
+
+    xa, xb = lam - 1.0, lam + 1.5
+    while gap(xa) <= 0.0:
+        xa -= 1.0
+    while gap(xb) >= 0.0:
+        xb += 1.0
+    r = macro._brentq(gap, xa, xb, xtol=1e-8 * sigma)
+    w = float(p[math.ceil(r) - lo])
+    near = slice(max(0, math.floor(r - macro.WINDOW_SIGMAS * sigma) - lo),
+                 max(0, math.ceil(r + macro.WINDOW_SIGMAS * sigma) - lo + 1))
+    z = (r - m[near]) / (sigma * math.sqrt(2.0))
+    tails = np.array(list(map(math.erfc, np.abs(z).tolist())))
+    w += 0.5 * float(np.dot(np.where(z > 0.0, -d[near], d[near]), tails))
+    return 0.5 + math.sqrt(lam) * w
+
 
 def residue_class_l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     """The lattice L1 of ``macro._l1_smoothed`` before its kernel band: the

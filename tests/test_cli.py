@@ -460,6 +460,16 @@ def test_add_row_refuses_non_finite_floats(bad):
     assert table.rows == []
 
 
+def run_fresh_python(script):
+    """Standard output of ``script`` run in a fresh interpreter on this
+    package's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 def test_no_subcommand_loads_scipy(tmp_path):
     # the package is numpy-only: importing the CLI and running every
     # subcommand must not load scipy.  No subcommand starts worker
@@ -478,14 +488,16 @@ def test_no_subcommand_loads_scipy(tmp_path):
         "cli.main(['validate'])\n"
         "report()\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    lines = [line for line in proc.stdout.splitlines()
+    lines = [line for line in run_fresh_python(script).splitlines()
              if line.startswith(("scipy ", "pool "))]
     assert lines == ["scipy []", "pool []"] * 2
+
+
+def test_cli_import_builds_no_log_factorial_table():
+    # the table is built on first use: a fresh process that imports the CLI,
+    # as every cold invocation does, has computed no log(n!) yet
+    script = "import micromacro.cli, micromacro.fock as f; print(f._log_factorial_table.size)"
+    assert run_fresh_python(script).split() == ["0"]
 
 
 def test_hom_and_validate_decompose_no_dense_fock_matrix(tmp_path, monkeypatch):

@@ -155,6 +155,44 @@ def test_log_factorials_match_gammaln():
     assert np.max(np.abs(fock.log_factorials(500) - ref) / (1.0 + ref)) < 1e-15
 
 
+@pytest.mark.parametrize("orders", [(500, 7, 5000, 0), (0, 5000), (500, 600, 7)])
+def test_log_factorials_table_is_bit_identical_and_built_once(monkeypatch, orders):
+    # a fresh table grown in these request orders holds exactly the lgamma
+    # list, its views are read-only, and a repeated request computes nothing
+    monkeypatch.setattr(fock, "_log_factorial_table", np.empty(0))
+    for n_max in orders:
+        got = fock.log_factorials(n_max)
+        assert got.tobytes() == np.array([math.lgamma(n + 1.0)
+                                          for n in range(n_max + 1)]).tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got.flags.writeable = True
+    assert fock._log_factorial_table.size <= 2 * (max(orders) + 1)
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    for n_max in orders:
+        fock.log_factorials(n_max)
+    assert calls == []
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fock.poisson_pmf(-1.0, 3), r"mean=-1.0 must be >= 0"),
+    (lambda: fock.poisson_pmf(math.nan, 3), "mean=nan must be finite"),
+    (lambda: fock.poisson_pmf(math.inf, 3), "mean=inf must be finite"),
+    (lambda: fock.poisson_pmf(2.0, -1), "n_max=-1 must be an integer >= 0"),
+    (lambda: fock.poisson_pmf(0.0, -1), "n_max=-1 must be an integer >= 0"),
+    (lambda: fock.poisson_pmf(2.0, 3.0), "n_max=3.0 must be an integer >= 0"),
+    (lambda: fock.log_factorials(-5), "n_max=-5 must be an integer >= 0"),
+    (lambda: fock.log_factorials(2.5), "n_max=2.5 must be an integer >= 0"),
+], ids=["mean_negative", "mean_nan", "mean_inf", "n_max_negative", "n_max_negative_at_0",
+        "n_max_float", "log_factorials_negative", "log_factorials_float"])
+def test_poisson_inputs_are_rejected_by_name(call, match):
+    # these raised "math domain error" or returned NaNs, [] or a wrong prefix
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_beam_splitter_unitary_on_fock_space():
     u = beam_splitter(0.37).fock_unitary(10)
     assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12

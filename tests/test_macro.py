@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ from micromacro import fock, macro
 from oracles import ideal_guessing_probability, sigma_max_root, window_guessing_probability
 from references import (coherent_density, displacement_operator, lattice_effective_size,
                         log_space_window_guessing_probability, loss_channel,
-                        residue_class_l1_smoothed)
+                        per_call_window_guessing_probability, residue_class_l1_smoothed)
 
 #: the least blur that runs the lattice
 JUST_ABOVE_SMALL_BLUR = math.nextafter(macro.SMALL_BLUR, 1.0)
@@ -320,8 +321,8 @@ def test_size_analysis_matches_the_log_space_root(beta_sq, monkeypatch):
     # perfbench's size points: sigma_max within its root tolerance (7e-15 at
     # 300, bit-identical below), N_eff and P_g(0) unchanged
     got = macro.size_analysis(math.sqrt(beta_sq))
-    monkeypatch.setattr(macro, "window_guessing_probability",
-                        log_space_window_guessing_probability)
+    monkeypatch.setattr(macro, "_Window",
+                        lambda lam: functools.partial(log_space_window_guessing_probability, lam))
     want = macro.size_analysis(math.sqrt(beta_sq))
     assert abs(got.sigma_max - want.sigma_max) <= macro.SIGMA_MAX_TOL, (got, want)
     assert (got.n_eff, got.p_g) == (want.n_eff, want.p_g)
@@ -403,18 +404,49 @@ def test_brentq_port_rejects_an_unbracketed_root():
 @pytest.mark.parametrize("beta_sq", [10.0, 47.0, 150.0, 300.0])
 def test_size_analysis_evaluates_each_sigma_once(monkeypatch, beta_sq):
     # Brent's bracket ends are P_g(0) and the doubling search's last sigma,
-    # both already evaluated; the search must not compute them again
-    sigmas = []
-    original = macro.window_guessing_probability
+    # both already evaluated; the search must not compute them again, and
+    # every sigma it tries shares one Poisson table
+    sigmas, tables = [], []
+    call, build = macro._Window.__call__, macro._Window._poisson_table
 
-    def counting(lam, sigma):
+    def counting_call(window, sigma):
         sigmas.append(sigma)
-        return original(lam, sigma)
+        return call(window, sigma)
 
-    monkeypatch.setattr(macro, "window_guessing_probability", counting)
+    def counting_build(window):
+        tables.append(window.lam)
+        return build(window)
+
+    monkeypatch.setattr(macro._Window, "__call__", counting_call)
+    monkeypatch.setattr(macro._Window, "_poisson_table", counting_build)
     macro.size_analysis(math.sqrt(beta_sq))
     assert sigmas.count(0.0) == 1
     assert len(set(sigmas)) == len(sigmas), sorted(sigmas)
+    assert len(tables) == 1
+
+
+WINDOW_LAMS = (0.0, 1e-6, 0.5, 2.0, 47.0, 47.0 / 0.55, 150.0, 300.0, 1e4, 1e6)
+WINDOW_SIGMAS = (0.0, 1e-3, 1.0 / 18.0, 0.06, 0.3, 1.0, 8.0, 37.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("lam", WINDOW_LAMS)
+def test_window_form_is_bit_identical_to_the_per_call_form(lam):
+    # one table per lam changes no operation: the same floats, also when one
+    # evaluator serves every sigma in turn, as in the sigma_max search
+    window = macro._Window(lam)
+    for sigma in WINDOW_SIGMAS:
+        want = per_call_window_guessing_probability(lam, sigma)
+        assert macro.window_guessing_probability(lam, sigma) == want, (lam, sigma)
+        assert window(sigma) == want, (lam, sigma)
+
+
+@pytest.mark.parametrize("beta_sq", [2.0, 10.0, 47.0, 150.0, 300.0])
+@pytest.mark.parametrize("target", [0.6, 2.0 / 3.0, 0.75])
+def test_size_analysis_is_bit_identical_to_the_per_call_form(monkeypatch, beta_sq, target):
+    got = macro.size_analysis(math.sqrt(beta_sq), target)
+    monkeypatch.setattr(macro, "_Window",
+                        lambda lam: functools.partial(per_call_window_guessing_probability, lam))
+    assert got == macro.size_analysis(math.sqrt(beta_sq), target)
 
 
 def test_size_analysis_rejects_negative_alpha():
