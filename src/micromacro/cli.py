@@ -153,16 +153,17 @@ def cmd_hom(cfg, seed, meta):
 def cmd_detailed(cfg, seed, meta):
     params = cfg.detailed_params()
     grid = [(ta, tb) for ta in GRID_DEG for tb in GRID_DEG]
-    joints = [spdc.joint_probabilities(math.radians(ta), math.radians(tb), params)
-              for ta, tb in grid]
+    th = np.radians(GRID_DEG)
+    joints = spdc.joints(th[:, None], th[None, :], params).reshape(-1, 4)
+    corr = spdc.correlator(joints)
     table = ResultTable(
         "detailed_grid",
         ["theta_a_deg", "theta_b_deg", "p_pp", "p_pm", "p_mp", "p_mm",
          "correlator"],
         meta=meta,
     )
-    for (ta, tb), j in zip(grid, joints):
-        table.add_row(ta, tb, j.p_pp, j.p_pm, j.p_mp, j.p_mm, j.correlator())
+    for (ta, tb), j, e in zip(grid, joints.tolist(), corr.tolist()):
+        table.add_row(ta, tb, *j, e)
 
     summary = ResultTable(
         "detailed_summary", ["key", "value"],
@@ -185,15 +186,14 @@ def cmd_detailed(cfg, seed, meta):
         for i, ((ta, tb), joint) in enumerate(zip(grid, joints)):
             est = spdc.monte_carlo_oracle(math.radians(ta), math.radians(tb), params,
                                           samples, _point_seed(seed, i))
-            for name, ana, val, se in zip(("pp", "pm", "mp", "mm"), joint.as_array(),
+            for name, ana, val, se in zip(("pp", "pm", "mp", "mm"), joint,
                                           est.joints.as_array(), est.errors.as_array()):
                 dev = abs(ana - val) / se if se > 0 else 0.0
                 oracle.add_row(ta, tb, name, float(ana), float(val), float(se), float(dev))
         tables.append(oracle)
 
-    series = {f"theta_a={ta}": [j.correlator() for (a, _), j in zip(grid, joints)
-                                if a == ta]
-              for ta in GRID_DEG}
+    series = {f"theta_a={ta}": row
+              for ta, row in zip(GRID_DEG, corr.reshape(len(GRID_DEG), -1).tolist())}
     chart = ("detailed_grid", np.array(GRID_DEG), series,
              "Correlator vs analyzer angle", "theta_b_deg", "E")
     return tables, [chart]

@@ -8,14 +8,15 @@ strength gamma and phase spread sigma_phi) and is analyzed with click
 detectors at angle theta_b.  Outcome +1 on either side means "orthogonal
 detector fired, main detector silent"; outcome -1 means the main detector
 fired.  The Gaussian averages over thermal modes and phase jitter have exact
-closed forms, so ``joint_probabilities`` is analytic; ``monte_carlo_oracle``
-re-estimates the same four joints by direct sampling.
+closed forms, so ``joints`` gives the four joints analytically, broadcast
+over arrays of (theta_a, theta_b, gamma); ``monte_carlo_oracle`` re-estimates
+them by direct sampling.
 """
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +58,20 @@ class DetailedParams(Ranged):
     sigma_phi: float = ranged(Range(0.0, math.pi), math.sqrt(2.0 * 0.0015))
 
 
+def renormalized(joints: np.ndarray) -> np.ndarray:
+    """(..., 4) raw joints divided by their sum."""
+    s = joints.sum(axis=-1, keepdims=True)
+    if np.any(s <= 0):
+        raise ModelInconsistencyError("joint probabilities sum to zero")
+    return joints / s
+
+
+def correlator(joints: np.ndarray) -> np.ndarray:
+    """E = P(++) + P(--) - P(+-) - P(-+) of (..., 4) raw joints, renormalized."""
+    q = renormalized(joints)
+    return q[..., 0] + q[..., 3] - q[..., 1] - q[..., 2]
+
+
 @dataclass(frozen=True)
 class JointProbabilities:
     p_pp: float
@@ -66,19 +81,6 @@ class JointProbabilities:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
-
-    def total(self) -> float:
-        return self.p_pp + self.p_pm + self.p_mp + self.p_mm
-
-    def renormalized(self) -> "JointProbabilities":
-        s = self.total()
-        if s <= 0:
-            raise ModelInconsistencyError("joint probabilities sum to zero")
-        return JointProbabilities(self.p_pp / s, self.p_pm / s, self.p_mp / s, self.p_mm / s)
-
-    def correlator(self) -> float:
-        p = self.renormalized()
-        return p.p_pp + p.p_mm - p.p_pm - p.p_mp
 
 
 def thermal_means(g: float, r: float) -> tuple[float, float]:
@@ -105,77 +107,80 @@ def herald_probability(g: float, r: float, p_dc: float) -> float:
     return w1 - w2
 
 
-def _herald_rows(w1: float, w2: float) -> tuple:
-    """Herald table: rows A = +1 and A = -1 of the joints, columns weighing
-    side B's thermal pairs (nbar, mbar), (mbar, mbar), (nbar, nbar)."""
-    return (w1, -w2, 0.0), (-w1, 0.0, 1.0)
-
-
-def _weigh(row, vals):
-    """Entries of ``vals`` weighed by one herald row, summed in column order."""
-    return row[0] * vals[0] + row[1] * vals[1] + row[2] * vals[2]
-
-
-def _derived(p: DetailedParams):
-    """Thermal pairs, herald table, efficiency, jitter exponent, amplitude."""
+def _derived(p: DetailedParams) -> tuple[np.ndarray, np.ndarray]:
+    """Side B's thermal pairs, (nu_b, nu_p) per row, and the herald table:
+    rows A = +1 and A = -1 of the joints, columns weighing the pairs."""
     nbar, mbar = thermal_means(p.g, p.r)
-    pairs = ((nbar, mbar), (mbar, mbar), (nbar, nbar))
+    w1, w2 = herald_weights(p.g, p.r, p.p_dc)
+    return (np.array([[nbar, mbar], [mbar, mbar], [nbar, nbar]]),
+            np.array([[w1, -w2, 0.0], [-w1, 0.0, 1.0]]))
+
+
+def _herald_sum(plus, minus, rows: np.ndarray, quadrature: bool = False) -> np.ndarray:
+    """The joints pp, pm, mp, mm (..., 4) from side B's per-pair P(B = +1)
+    and P(B = -1) (..., 3), weighed by the herald ``rows`` and summed in pair
+    order; with ``quadrature``, standard errors: root of the summed squares."""
+    terms = np.repeat(rows, 2, axis=0) * np.stack([plus, minus] * 2, axis=-2)
+    if quadrature:
+        return np.sqrt(_sq(terms).sum(axis=-1))
+    return terms.sum(axis=-1)
+
+
+def _sq(x):
+    """x**2 rounded as Python's float power rounds it (C ``pow``), which
+    np.square's x * x misses in the last bit about once in a thousand."""
+    return np.float_power(x, 2)
+
+
+def _no_click(nu_b, nu_p, th_a, th_b, p: DetailedParams, gamma):
+    """F = E[no click on the main detector] and G = E[no click on either
+    detector] over side B's thermal modes of means ``nu_b``, ``nu_p`` and the
+    phase jitter, broadcast over all arguments but ``p``.  In G each thermal
+    mode damps the leak exponent on its own axis, as sampling confirms."""
     eta = p.eta_d * p.t1**2 * p.t2**2 * p.eta_c
     eps = p.sigma_phi**2 / 2.0
-    t_amp = p.t1 * p.t2 * math.sqrt(p.eta_c)
-    return pairs, _herald_rows(*herald_weights(p.g, p.r, p.p_dc)), eta, eps, t_amp
+    leak = p.t2**2 * _sq(gamma) * p.eta_d
+    d = 1.0 + (_sq(np.cos(th_b)) * nu_b + _sq(np.sin(th_b)) * nu_p) * eta
+    f = (1.0 / d) / np.sqrt(1.0 + 4.0 * (leak * _sq(np.cos(th_a - th_b)) / d) * eps)
+    d_b, d_p = 1.0 + nu_b * eta, 1.0 + nu_p * eta
+    z = leak * (_sq(np.cos(th_a)) / d_b + _sq(np.sin(th_a)) / d_p)
+    return f, (1.0 / (d_b * d_p)) / np.sqrt(1.0 + 4.0 * z * eps)
 
 
-def _f_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams, eta: float,
-              eps: float) -> float:
-    """E[no-click on the main detector] over thermal modes and phase jitter.
-
-    ``eta`` and ``eps`` are the overall efficiency and the phase-jitter
-    exponent of ``_derived(p)``.
-    """
-    d = 1.0 + (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
-    zeta = p.t2**2 * p.gamma**2 * p.eta_d * math.cos(th_a - th_b) ** 2 / d
-    return (1.0 / d) / math.sqrt(1.0 + 4.0 * zeta * eps)
+def _finite(th, name: str) -> np.ndarray:
+    th = np.asarray(th, dtype=float)
+    if not np.isfinite(th).all():
+        raise ValueError(f"{name}={th[~np.isfinite(th)][0]} must be finite")
+    return th
 
 
-def _g_factor(nu_b, nu_p, th_a, th_b, p: DetailedParams, eta: float,
-              eps: float) -> float:
-    """E[no click on either detector]; arguments as for ``_f_factor``.  Each
-    thermal mode damps the leak exponent on its own axis, as sampling confirms."""
-    gg = 1.0 / ((1.0 + nu_b * eta) * (1.0 + nu_p * eta))
-    z = p.t2**2 * p.gamma**2 * p.eta_d * (
-        math.cos(th_a) ** 2 / (1.0 + nu_b * eta)
-        + math.sin(th_a) ** 2 / (1.0 + nu_p * eta)
-    )
-    return gg / math.sqrt(1.0 + 4.0 * z * eps)
-
-
-def _check_angles(th_a: float, th_b: float) -> None:
-    for name, th in (("th_a", th_a), ("th_b", th_b)):
-        if not math.isfinite(th):
-            raise ValueError(f"{name}={th} must be finite")
-
-
-def joint_probabilities(th_a: float, th_b: float,
-                        p: DetailedParams) -> JointProbabilities:
-    """Raw joint outcome probabilities P(A = +-1, B = +-1).
+def joints(th_a, th_b, p: DetailedParams, gamma=None) -> np.ndarray:
+    """Raw joint outcome probabilities P(A = +-1, B = +-1), in the order pp,
+    pm, mp, mm along the last axis, broadcast over arrays of ``th_a``,
+    ``th_b`` and the leak gain ``gamma`` (``p.gamma`` when None).
 
     ``th_a`` is the displacement axis on side A, ``th_b`` the analyzer angle
     on side B measured in the displacement-matched frame.  The four raw
     joints need not sum to one because double-no-click rounds are dropped.
     """
-    _check_angles(th_a, th_b)
-    pairs, rows, eta, eps, _ = _derived(p)
-    plus, minus = [], []  # P(B = +1) = F - G and P(B = -1) = 1 - F per pair
-    for nb, np_ in pairs:
-        f = _f_factor(nb, np_, th_a, th_b, p, eta, eps)
-        plus.append(f - _g_factor(nb, np_, th_a, th_b, p, eta, eps))
-        minus.append(1.0 - f)
-    vals = [_weigh(row, b) for row in rows for b in (plus, minus)]
+    th_a, th_b = _finite(th_a, "th_a"), _finite(th_b, "th_b")
+    gamma = np.asarray(p.gamma if gamma is None else gamma, dtype=float)
+    if gamma.size:  # the range holds every gain if it holds the extremes, which NaN takes
+        for gm in (gamma.min(), gamma.max()):
+            DetailedParams.range_of("gamma").check(float(gm), "gamma")
+    pairs, rows = _derived(p)
+    f, g = _no_click(pairs[:, 0], pairs[:, 1], th_a[..., None], th_b[..., None], p,
+                     gamma[..., None])
+    vals = _herald_sum(f - g, 1.0 - f, rows)
     # written so that a NaN joint fails the check too
-    if not all(-TAU_NUM <= v <= 1.0 + TAU_NUM for v in vals):
+    if not np.all((-TAU_NUM <= vals) & (vals <= 1.0 + TAU_NUM)):
         raise ModelInconsistencyError(f"joint probabilities out of range: {vals}")
-    return JointProbabilities(*(min(max(v, 0.0), 1.0) for v in vals))
+    return np.clip(vals, 0.0, 1.0)
+
+
+def joint_probabilities(th_a: float, th_b: float, p: DetailedParams) -> JointProbabilities:
+    """``joints`` at one setting."""
+    return JointProbabilities(*joints(th_a, th_b, p).tolist())
 
 
 @dataclass(frozen=True)
@@ -190,11 +195,12 @@ class OracleEstimate:
 ORACLE_BLOCK = 2**14
 
 
-def _sampled_pairs(rng, amp: np.ndarray, n_samples: int, p: DetailedParams) -> list:
-    """(mean, standard error) of P(B = +1) and of P(B = -1) for each of the k
-    thermal pairs that share one stream: ``amp`` stacks their (4, 5) maps,
-    each taking the same blocks of (5, ORACLE_BLOCK) standard normals onto
-    the real and imaginary parts of the main and orthogonal detector amplitudes.
+def _sampled_pairs(rng, amp: np.ndarray, n_samples: int, p: DetailedParams) -> tuple:
+    """Means and standard errors, two (2k,) arrays, of P(B = -1) and P(B = +1)
+    for each of the k thermal pairs that share one stream: ``amp`` stacks
+    their (4, 5) maps, each taking the same blocks of (5, ORACLE_BLOCK)
+    standard normals onto the real and imaginary parts of the main and
+    orthogonal detector amplitudes.
 
     Each block's means and summed squared deviations are merged into running
     totals (Chan, Golub & LeVeque 1979), so only two buffers are allocated.
@@ -226,8 +232,7 @@ def _sampled_pairs(rng, amp: np.ndarray, n_samples: int, p: DetailedParams) -> l
         delta = block_mean - mean
         mean += delta * (m / (start + m))
         m2 += pnc.sum(axis=1) + delta**2 * (start * m / (start + m))
-    se = np.sqrt(m2 / (n_samples - 1) / n_samples)
-    return [((mean[i + 1], se[i + 1]), (mean[i], se[i])) for i in range(0, mean.size, 2)]
+    return mean, np.sqrt(m2 / (n_samples - 1) / n_samples)
 
 
 def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
@@ -260,8 +265,9 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     """
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: a standard error needs >= 2")
-    _check_angles(th_a, th_b)
-    pairs, rows, _, _, t_amp = _derived(p)
+    _finite(th_a, "th_a"), _finite(th_b, "th_b")
+    pairs, rows = _derived(p)
+    t_amp = p.t1 * p.t2 * math.sqrt(p.eta_c)
     cb, sb = math.cos(th_b), math.sin(th_b)
     k = p.t2 * p.gamma * p.sigma_phi
     k_main, k_orth = k * math.cos(th_a - th_b), k * math.sin(th_b - th_a)
@@ -278,7 +284,7 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
 
     def run():
         try:
-            worker_out.extend(_sampled_pairs(rngs[0], amp[:4], n_samples, p))
+            worker_out.append(_sampled_pairs(rngs[0], amp[:4], n_samples, p))
         except BaseException as exc:  # handed to the caller, which raises it
             worker_out.append(exc)
 
@@ -290,16 +296,11 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
         worker.join()
     if isinstance(worker_out[0], BaseException):
         raise worker_out[0]
-    plus, minus = zip(*worker_out, *shared)  # (mean, standard error) of P(B = +-1) per pair
-
-    joints, errors = [], []
-    for row in rows:
-        for est in (plus, minus):
-            means, ses = zip(*est)
-            joints.append(_weigh(row, means))
-            sq = [(w * se) ** 2 for w, se in zip(row, ses)]
-            errors.append(math.sqrt(sq[0] + sq[1] + sq[2]))
-    return OracleEstimate(JointProbabilities(*joints), JointProbabilities(*errors))
+    # columns P(B = -1), P(B = +1), rows pairs 0, 1, 2
+    mean, se = (np.concatenate(x).reshape(3, 2) for x in zip(worker_out[0], shared))
+    return OracleEstimate(
+        JointProbabilities(*_herald_sum(mean[:, 1], mean[:, 0], rows).tolist()),
+        JointProbabilities(*_herald_sum(se[:, 1], se[:, 0], rows, quadrature=True).tolist()))
 
 
 def chsh_from_detailed(p: DetailedParams) -> float:
@@ -308,9 +309,10 @@ def chsh_from_detailed(p: DetailedParams) -> float:
     Lab angles map onto the model as th_a = a and th_b = b - a (side B is
     analyzed in the frame of side A's displacement axis).
     """
-    return chsh(lambda a, b: joint_probabilities(a, b - a, p).correlator())
+    return float(detailed_chsh_curve(p.gamma, p))
 
 
 def detailed_chsh_curve(gammas, p: DetailedParams) -> np.ndarray:
-    """CHSH S at the lab settings for every leak gain of ``gammas``."""
-    return np.array([chsh_from_detailed(replace(p, gamma=float(gm))) for gm in gammas])
+    """CHSH S at the lab settings for every leak gain of ``gammas``: each
+    setting's correlators come from one ``joints`` call over all of them."""
+    return chsh(lambda a, b: correlator(joints(a, b - a, p, gammas)))

@@ -105,12 +105,9 @@ def _loop_noise_ratio():
 
 
 def _detailed_joints():
-    p = spdc.DetailedParams()
-    worst = 0.0
-    for th_a in np.deg2rad(spdc.GRID_DEG):
-        for th_b in np.deg2rad(spdc.GRID_DEG):
-            j = spdc.joint_probabilities(float(th_a), float(th_b), p)
-            worst = max(worst, abs(j.renormalized().total() - 1.0))
+    th = np.deg2rad(spdc.GRID_DEG)
+    joints = spdc.joints(th[:, None], th[None, :], spdc.DetailedParams())
+    worst = float(np.max(np.abs(spdc.renormalized(joints).sum(axis=-1) - 1.0)))
     return worst < 1e-12, f"worst renormalized-sum deviation = {worst:.3e}"
 
 

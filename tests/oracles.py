@@ -141,3 +141,55 @@ def hom_visibility_truncated(mu: float, p_pair: float, eta_h: float, eta_d: floa
 
         r_perp = coincidence(mp.mpf(0))
         return (r_perp - coincidence(xi)) / r_perp
+
+
+def detailed_joints(th_a: float, th_b: float, p) -> list:
+    """The raw joints pp, pm, mp, mm of the double-pair model at DPS digits,
+    by the determinant form of its Gaussian averages.
+
+    ``p`` carries g, r, eta_d, p_dc, t1, t2, eta_c, gamma and sigma_phi.  For
+    side B's thermal modes a, b of means (nu_b, nu_p), the two detector
+    amplitudes are linear in five standard normals z = (Re a, Im a, Re b,
+    Im b, phi), with t = t1 t2 sqrt(eta_c) and k = t2 gamma sigma_phi:
+
+        c_main = t (cos th_b a + sin th_b b) + i k cos(th_a - th_b) phi
+        c_orth = t (sin th_b a - cos th_b b) + i k sin(th_b - th_a) phi.
+
+    With A the real and imaginary rows of the silent detectors' amplitudes,
+    c = A z, E[exp(-eta_d |c|^2)] = det(I + 2 eta_d A^T A)^(-1/2), times
+    (1 - p_dc) per silent detector.  On side A, analyzer output a stays
+    silent with probability w1 = (1 - p_dc)(1 - T)/(1 - r^2 T), T = tanh^2 g,
+    and leaves its partner b_perp thermal of mean mbar = r^2 T/(1 - r^2 T)
+    instead of nbar = T/(1 - T).  Herald A = +1 (a silent, a_perp clicks)
+    weighs the pairs (nbar, mbar) and (mbar, mbar) by w1 and -w1^2; A = -1
+    (a clicks) weighs (nbar, mbar) and (nbar, nbar) by -w1 and 1.  The float
+    inputs are taken exactly.
+    """
+    with mp.workdps(DPS):
+        g, r, eta_d, p_dc, t1, t2, eta_c, gamma, sigma_phi, th_a, th_b = (
+            mp.mpf(x) for x in (p.g, p.r, p.eta_d, p.p_dc, p.t1, p.t2, p.eta_c,
+                                p.gamma, p.sigma_phi, th_a, th_b))
+        tt = mp.tanh(g) ** 2
+        nbar, mbar = tt / (1 - tt), r**2 * tt / (1 - r**2 * tt)
+        w1 = (1 - p_dc) * (1 - tt) / (1 - r**2 * tt)
+        t, k = t1 * t2 * mp.sqrt(eta_c), t2 * gamma * sigma_phi
+        cb, sb = mp.cos(th_b), mp.sin(th_b)
+
+        def silent(rows):
+            a = mp.matrix(rows)
+            det = mp.det(mp.eye(5) + 2 * eta_d * a.T * a)
+            return (1 - p_dc) ** (len(rows) // 2) / mp.sqrt(det)
+
+        def outcomes(nu_b, nu_p):
+            """P(B = +1) and P(B = -1) for side B's thermal pair."""
+            ta, tb = t * mp.sqrt(nu_b / 2), t * mp.sqrt(nu_p / 2)
+            main = [[cb * ta, 0, sb * tb, 0, 0],
+                    [0, cb * ta, 0, sb * tb, k * mp.cos(th_a - th_b)]]
+            orth = [[sb * ta, 0, -cb * tb, 0, 0],
+                    [0, sb * ta, 0, -cb * tb, k * mp.sin(th_b - th_a)]]
+            f = silent(main)
+            return f - silent(main + orth), 1 - f
+
+        mixed, cold, hot = outcomes(nbar, mbar), outcomes(mbar, mbar), outcomes(nbar, nbar)
+        return [w1 * mixed[b] - w1**2 * cold[b] for b in (0, 1)] \
+            + [hot[b] - w1 * mixed[b] for b in (0, 1)]

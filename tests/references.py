@@ -3,7 +3,8 @@
 Each one computes a production figure the long way: the splitter and the
 displacement as dense exponentials on the full truncated Fock space, the
 loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
-(and its rejected double-click reading), the phase-jitter average by
+(and its rejected double-click reading), its closed form one thermal
+pair at a time in scalar arithmetic, the phase-jitter average by
 Gauss-Hermite quadrature, the sampling oracle in complex arithmetic, the
 storage loop slot by slot, the window form built afresh for every sigma and
 its root in log space, the smoothing lattice with its whole kernel, the
@@ -243,14 +244,63 @@ def conditional_state_coeffs(g: float, r: float, p_dc: float,
     return w1 * np.outer(pn, pm) - w2 * np.outer(pm, pm)
 
 
+def _pairs_and_rows(p: spdc.DetailedParams) -> tuple:
+    """Side B's thermal pairs (nu_b, nu_p) and the herald rows A = +1, A = -1
+    that weigh them."""
+    nbar, mbar = spdc.thermal_means(p.g, p.r)
+    w1, w2 = spdc.herald_weights(p.g, p.r, p.p_dc)
+    return ((nbar, mbar), (mbar, mbar), (nbar, nbar)), ((w1, -w2, 0.0), (-w1, 0.0, 1.0))
+
+
+def _weigh(row, vals):
+    """Entries of ``vals`` weighed by one herald row, summed in column order."""
+    return row[0] * vals[0] + row[1] * vals[1] + row[2] * vals[2]
+
+
+def f_factor(nu_b, nu_p, th_a, th_b, p, eta: float, eps: float) -> float:
+    """E[no-click on the main detector] over thermal modes and phase jitter,
+    with ``eta`` the overall efficiency and ``eps`` = sigma_phi^2 / 2."""
+    d = 1.0 + (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
+    zeta = p.t2**2 * p.gamma**2 * p.eta_d * math.cos(th_a - th_b) ** 2 / d
+    return (1.0 / d) / math.sqrt(1.0 + 4.0 * zeta * eps)
+
+
+def g_factor(nu_b, nu_p, th_a, th_b, p, eta: float, eps: float) -> float:
+    """E[no click on either detector]; arguments as for ``f_factor``.  Each
+    thermal mode damps the leak exponent on its own axis."""
+    gg = 1.0 / ((1.0 + nu_b * eta) * (1.0 + nu_p * eta))
+    z = p.t2**2 * p.gamma**2 * p.eta_d * (
+        math.cos(th_a) ** 2 / (1.0 + nu_b * eta)
+        + math.sin(th_a) ** 2 / (1.0 + nu_p * eta)
+    )
+    return gg / math.sqrt(1.0 + 4.0 * z * eps)
+
+
 def projected_g_factor(nu_b, nu_p, th_a, th_b, p, eta, eps) -> float:
-    """The rejected reading of ``spdc._g_factor``: the leak exponent damped
-    by the analyzer-projected thermal mean, as in ``spdc._f_factor``, not
-    mode by mode.  Same arguments; the sampling test shows it wrong."""
+    """The rejected reading of ``g_factor``: the leak exponent damped by the
+    analyzer-projected thermal mean, as in ``f_factor``, not mode by mode.
+    Same arguments; the sampling test shows it wrong."""
     gg = 1.0 / ((1.0 + nu_b * eta) * (1.0 + nu_p * eta))
     d = 1.0 + (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
     z = p.t2**2 * p.gamma**2 * p.eta_d * math.cos(th_a - th_b) ** 2 / d
     return gg / math.sqrt(1.0 + 4.0 * z * eps)
+
+
+def scalar_joints(th_a: float, th_b: float, p: spdc.DetailedParams,
+                  g_factor=g_factor) -> np.ndarray:
+    """The joints pp, pm, mp, mm of ``spdc.joints`` one thermal pair at a time
+    in scalar arithmetic, clipped to [0, 1]; ``g_factor`` picks the reading
+    of the double no-click factor."""
+    pairs, rows = _pairs_and_rows(p)
+    eta = p.eta_d * p.t1**2 * p.t2**2 * p.eta_c
+    eps = p.sigma_phi**2 / 2.0
+    plus, minus = [], []  # P(B = +1) = F - G and P(B = -1) = 1 - F per pair
+    for nb, np_ in pairs:
+        f = f_factor(nb, np_, th_a, th_b, p, eta, eps)
+        plus.append(f - g_factor(nb, np_, th_a, th_b, p, eta, eps))
+        minus.append(1.0 - f)
+    return np.array([min(max(_weigh(row, b), 0.0), 1.0) for row in rows
+                     for b in (plus, minus)])
 
 
 def gauss_hermite_phase_average(fn, sigma: float, n_nodes: int = 61) -> float:
@@ -269,7 +319,8 @@ def complex_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedParams,
     from SFC64 child 0 of the seed, pairs 1 and 2 both from child 1, in
     ``ORACLE_BLOCK`` blocks, concatenated), displaced by the leak, rotated
     onto the two detectors, and reduced by whole-array mean and ``std(ddof=1)``."""
-    pairs, rows, _, _, t_amp = spdc._derived(p)
+    pairs, rows = _pairs_and_rows(p)
+    t_amp = p.t1 * p.t2 * math.sqrt(p.eta_c)
     children = np.random.SeedSequence([seed]).spawn(2)
     plus, minus = [], []  # (mean, standard error) of P(B = +-1) per pair
     for (vb, vp), child in zip(pairs, (children[0], children[1], children[1])):
@@ -293,7 +344,7 @@ def complex_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedParams,
     for row in rows:
         for est in (plus, minus):
             means, ses = zip(*est)
-            joints.append(spdc._weigh(row, means))
+            joints.append(_weigh(row, means))
             errors.append(math.sqrt(sum((w * se) ** 2 for w, se in zip(row, ses))))
     return spdc.OracleEstimate(spdc.JointProbabilities(*joints),
                                spdc.JointProbabilities(*errors))

@@ -2,9 +2,9 @@
 
 The default config and seed are used throughout, plus one ``detailed`` run
 with a small sampling oracle.  A refactor that changes any written number,
-even in the twelfth digit, changes a digest.  Three layers below the CLI
-(the tomography MLE, the CHSH curve and the hom visibility) have digests of
-their raw float64 bytes as well.  Any update to these tables is a
+even in the twelfth digit, changes a digest.  Four layers below the CLI
+(the tomography MLE, the detailed joints and CHSH S, the CHSH curve and the
+hom visibility) have digests of their raw float64 bytes as well.  Any update to these tables is a
 deliberate change of output and has to be stated with its reason.
 """
 import hashlib
@@ -79,6 +79,9 @@ GOLDEN_MLE = {
     (0.999, 2): "e0d3830dfe3fbb19d733581a72c34393f845832c3cbe13496fb0d4b7e27008a4",
     (0.999, 3): "02401f8342932e83e923d562af4ff27debc58fbbad0ef7de7a6d961af6828f0e",
 }
+#: the default (4, 4, 4) joint grid over ``spdc.GRID_DEG`` and the default S
+GOLDEN_JOINT_GRID = "cc1de59a8b021118e8731977022faeb758c36230535ed2c3d2a3287a4b611111"
+GOLDEN_CHSH = "4966c6c1684a43cbf6b4d462fc034694d9cecbce59702e111aa1d58b2c71aef9"
 GOLDEN_CHSH_CURVE = "fe4d5550f89e5c80e652fbc6796054cd5797463650544779eb00058894bbe327"
 GOLDEN_HOM_VISIBILITY = "dd1494d3da46097679bf991dc8fc148c4b89679358e4508bab523430ca76f9a5"
 
@@ -121,6 +124,13 @@ def test_mle_states_match_pinned_digests():
                                                 shots=100_000, rng_seed=rng_seed)
         got[w, rng_seed] = _sha256(tomography.reconstruct_mle(counts).matrix)
     assert got == GOLDEN_MLE
+
+
+def test_joint_grid_and_chsh_match_pinned_digests():
+    p = spdc.DetailedParams()
+    th = np.radians(spdc.GRID_DEG)
+    assert _sha256(spdc.joints(th[:, None], th[None, :], p)) == GOLDEN_JOINT_GRID
+    assert _sha256(np.float64(spdc.chsh_from_detailed(p))) == GOLDEN_CHSH
 
 
 def test_chsh_curve_matches_pinned_digest():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -8,10 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from micromacro import spdc
+from micromacro import polarization, spdc
+from oracles import detailed_joints
 from references import (complex_monte_carlo_oracle, conditional_state_coeffs,
                         gauss_hermite_phase_average, projected_g_factor,
-                        spdc_amplitudes, thermal_dist)
+                        scalar_joints, spdc_amplitudes, thermal_dist)
 
 #: the regime of ``test_sampling_arbitrates_double_click_reading``
 STRONG_LEAK = spdc.DetailedParams(g=0.8, r=0.1, eta_d=0.9, p_dc=0.0, t1=1.0,
@@ -78,7 +80,7 @@ def test_jitter_factor_matches_the_phase_average(gamma, sigma_phi, eta_d):
         amp = p.t2 * p.gamma * math.cos(th_a - th_b)
         want = gauss_hermite_phase_average(
             lambda phi: math.exp(-p.eta_d * (amp * phi) ** 2 / d) / d, p.sigma_phi, 181)
-        got = spdc._f_factor(nu_b, nu_p, th_a, th_b, p, eta, p.sigma_phi**2 / 2.0)
+        got, _ = spdc._no_click(nu_b, nu_p, th_a, th_b, p, p.gamma)
         assert abs(got - want) < 1e-12
 
 
@@ -114,19 +116,19 @@ def test_chsh_decreases_with_leak_gain():
 
 def test_joint_probability_structure():
     p = spdc.DetailedParams()
-    joints = spdc.joint_probabilities(0.3, 0.9, p)
-    assert np.all(joints.as_array() >= 0.0)
-    assert joints.total() < 1.0  # double no-click rounds are dropped
-    assert abs(joints.renormalized().total() - 1.0) < 1e-12
-    assert -1.0 <= joints.correlator() <= 1.0
+    joints = spdc.joints(0.3, 0.9, p)
+    assert joints.shape == (4,) and np.all(joints >= 0.0)
+    assert joints.sum() < 1.0  # double no-click rounds are dropped
+    assert abs(spdc.renormalized(joints).sum() - 1.0) < 1e-12
+    assert -1.0 <= spdc.correlator(joints) <= 1.0
 
 
 def test_blind_detectors_see_nothing():
     p = replace(spdc.DetailedParams(), eta_d=0.0, p_dc=0.0)
-    joints = spdc.joint_probabilities(0.3, 0.9, p)
-    assert np.max(joints.as_array()) <= 1e-15
+    joints = spdc.joints(0.3, 0.9, p)
+    assert np.max(joints) <= 1e-15
     with pytest.raises(spdc.ModelInconsistencyError):
-        joints.renormalized()
+        spdc.correlator(joints)
 
 
 @pytest.mark.parametrize("name, th_a, th_b", [
@@ -140,9 +142,79 @@ def test_non_finite_angles_are_rejected(name, th_a, th_b):
         spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=100)
 
 
+@pytest.mark.parametrize("gamma, message", [
+    (-3.0, "gamma=-3.0 must be in [0, 1000]"),
+    (2e3, "gamma=2000.0 must be in [0, 1000]"),
+    (math.nan, "gamma=nan must be finite")])
+def test_curve_checks_each_leak_gain(gamma, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spdc.detailed_chsh_curve([1.0, gamma], spdc.DetailedParams())
+
+
+#: parameter sets on which the array form must give the scalar reference's bits
+REFERENCE_PARAMS = {"default": spdc.DetailedParams(), "strong_leak": STRONG_LEAK,
+                    **{f"p_dc={x:g}": replace(spdc.DetailedParams(), p_dc=x)
+                       for x in (0.0, 0.05, 0.3)}}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PARAMS))
+def test_joints_match_the_scalar_reference(name):
+    p = REFERENCE_PARAMS[name]
+    th = np.radians(spdc.GRID_DEG)
+    got = spdc.joints(th[:, None], th[None, :], p)
+    want = np.array([[scalar_joints(a, b, p) for b in th] for a in th])
+    assert got.shape == (4, 4, 4) and got.tobytes() == want.tobytes()
+
+    a1, a2, b1, b2 = polarization.CHSH_SETTINGS
+    a, b = np.array([a1, a1, a2, a2]), np.array([b1, b2, b1, b2])
+    gammas = np.linspace(0.0, 4.0, 81)
+    got = spdc.joints(a, b - a, p, gammas[:, None])
+    want = np.array([[scalar_joints(x, y - x, replace(p, gamma=gm)) for x, y in zip(a, b)]
+                     for gm in gammas])
+    assert got.shape == (81, 4, 4) and got.tobytes() == want.tobytes()
+
+    # a square rounded as x * x instead of C pow moves the strong-leak
+    # joints in the last bit at about 1 in 1000 random settings
+    th_a, th_b = np.random.default_rng(29).uniform(-7.0, 7.0, (2, 5000))
+    got = spdc.joints(th_a, th_b, p)
+    want = np.array([scalar_joints(x, y, p) for x, y in zip(th_a, th_b)])
+    assert got.shape == (5000, 4) and got.tobytes() == want.tobytes()
+
+
+def _determinant_oracle_gap(p) -> float:
+    """Worst relative gap between the joints and the determinant oracle on
+    the 16-point grid."""
+    th = np.radians(spdc.GRID_DEG)
+    got = spdc.joints(th[:, None], th[None, :], p)
+    want = np.array([[[float(v) for v in detailed_joints(a, b, p)] for b in th]
+                     for a in th])
+    return float(np.max(np.abs(got - want) / want))
+
+
+@pytest.mark.parametrize("p", [replace(spdc.DetailedParams(), p_dc=0.0), STRONG_LEAK],
+                         ids=["default_without_dark_counts", "strong_leak"])
+def test_joints_match_the_determinant_oracle_without_dark_counts(p):
+    # 4.1e-12 at the default parameters
+    assert _determinant_oracle_gap(p) < 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4, side B's dark counts in the closed form: spdc._no_click "
+    "lacks one factor (1 - p_dc) per silent detector of side B, so at the "
+    "default p_dc = 1e-4 the joints miss the oracle by 1.75e-2 relative"))
+def test_joints_match_the_determinant_oracle():
+    assert _determinant_oracle_gap(spdc.DetailedParams()) < 1e-10
+
+
 def test_a_nan_joint_fails_the_range_check(monkeypatch):
-    # the scalar range check is written so that NaN is out of range
-    monkeypatch.setattr(spdc, "_g_factor", lambda *args: math.nan)
+    # the range check is written so that NaN is out of range
+    no_click = spdc._no_click
+
+    def nan_g(*args):
+        f, g = no_click(*args)
+        return f, g * math.nan
+
+    monkeypatch.setattr(spdc, "_no_click", nan_g)
     with pytest.raises(spdc.ModelInconsistencyError, match="out of range"):
         spdc.joint_probabilities(0.3, 0.9, spdc.DetailedParams())
 
@@ -158,7 +230,7 @@ def test_monte_carlo_agrees_with_closed_form(th_a, th_b):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "_f_factor/_g_factor leave out side B's dark counts, while "
+    "spdc._no_click leaves out side B's dark counts, while "
     "monte_carlo_oracle multiplies each sampled no-click probability by "
     "1 - p_dc: the closed form's F lacks a factor (1 - p_dc) and its G a "
     "factor (1 - p_dc)^2"))
@@ -182,7 +254,7 @@ def test_monte_carlo_error_scaling():
     assert np.all(ratio > 0.3) and np.all(ratio < 0.7)
 
 
-def test_sampling_arbitrates_double_click_reading(monkeypatch):
+def test_sampling_arbitrates_double_click_reading():
     """The two printed no-click-damping coefficients disagree; only the
     per-mode one, the package's, survives a direct sampling check in a
     regime that amplifies the difference (asymmetric thermal means, strong
@@ -191,11 +263,9 @@ def test_sampling_arbitrates_double_click_reading(monkeypatch):
     th_a, th_b = 0.0, math.pi / 3
     est = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=100_000, seed=11)
     se = np.maximum(est.errors.as_array(), 1e-12)
-    dev_pm = np.abs(est.joints.as_array()
-                    - spdc.joint_probabilities(th_a, th_b, p).as_array())
-    monkeypatch.setattr(spdc, "_g_factor", projected_g_factor)
+    dev_pm = np.abs(est.joints.as_array() - spdc.joints(th_a, th_b, p))
     dev_pr = np.abs(est.joints.as_array()
-                    - spdc.joint_probabilities(th_a, th_b, p).as_array())
+                    - scalar_joints(th_a, th_b, p, g_factor=projected_g_factor))
     assert np.all(dev_pm <= 4.0 * se)
     assert np.max(dev_pr / se) > 20.0
 
@@ -257,8 +327,8 @@ def test_monte_carlo_is_reproducible_across_threads():
 def test_herald_table_keeps_pairs_1_and_2_apart():
     # the oracle feeds pairs 1 and 2 the same normals, which is sound only
     # while no joint weighs both; pair 0 is in every joint
-    tables = [spdc._herald_rows(0.3, 0.09), spdc._herald_rows(0.9, 0.81)]
-    tables += [spdc._derived(p)[1] for p in (spdc.DetailedParams(), STRONG_LEAK)]
+    tables = [spdc._derived(p)[1] for p in (spdc.DetailedParams(), STRONG_LEAK,
+                                            spdc.DetailedParams(g=2.0, r=0.3))]
     for plus, minus in tables:  # rows A = +1, A = -1
         assert plus[2] == 0.0 and minus[1] == 0.0
         assert plus[0] != 0.0 and minus[0] != 0.0
