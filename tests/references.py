@@ -7,11 +7,11 @@ loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
 pair at a time in scalar arithmetic, the phase-jitter average by
 Gauss-Hermite quadrature, the sampling oracle in complex arithmetic, the
 storage loop slot by slot, the window form built afresh for every sigma and
-its root in log space, the smoothing lattice with its whole kernel, the
-effective size by a search over smoothed point masses, the tomography
-likelihood fit by scipy's L-BFGS-B and its Born probabilities one projector
-at a time.  The differential tests compare the
-closed forms with them.  Unlike ``oracles.py`` (standard library and mpmath
+its root in log space, the Brent search for sigma_max, the smoothing
+lattice with its whole kernel, the effective size by a search over smoothed
+point masses, the tomography likelihood fit by scipy's L-BFGS-B and its
+Born probabilities one projector at a time.  The differential tests compare
+the closed forms with them.  Unlike ``oracles.py`` (standard library and mpmath
 only), these use numpy and may take production parameter classes as input.
 """
 import cmath
@@ -401,8 +401,8 @@ def three_pulse_train(alpha: complex, params: noise.ExperimentParams,
     return memory_pass(apply_phase(first, phi), params)
 
 
-# ---- macro: the per-call and log-space windows, the support-wide lattice
-#      and the point-mass search for N_eff ----
+# ---- macro: the per-call and log-space windows, the Brent search for
+#      sigma_max, the support-wide lattice and the point-mass search for N_eff ----
 
 def per_call_window_guessing_probability(lam: float, sigma: float) -> float:
     """``macro.window_guessing_probability`` as it was before ``macro._Window``
@@ -518,6 +518,32 @@ def log_space_window_guessing_probability(lam: float, sigma: float) -> float:
     tails = np.array(list(map(math.erfc, np.abs(z).tolist())))
     w += 0.5 * float(np.dot(np.where(z > 0.0, -d, d), tails))
     return 0.5 + math.sqrt(lam) * w
+
+
+def brent_sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float, float]:
+    """``macro._sigma_max`` as it was before its Newton search: Brent's method
+    on P_g(sigma) - target over [0, hi], hi doubled from max(2, 2 alpha) until
+    the excess is <= 0, each sigma's excess memoized so that Brent reuses
+    P_g(0) and the last bracket end.  Same signature and result."""
+    window = macro._Window(alpha**2)
+    p0 = window(0.0)
+    if not 0.5 < target_p_g < p0:
+        raise macro.UnattainableTargetError(
+            f"target {target_p_g} outside (1/2, P_g(0) = {p0:.6f})"
+        )
+    seen = {0.0: p0 - target_p_g}
+
+    def excess(s):
+        if s not in seen:
+            seen[s] = window(s) - target_p_g
+        return seen[s]
+
+    hi = max(2.0, 2.0 * alpha)
+    while excess(hi) > 0.0:
+        hi *= 2.0
+        if hi > macro.SIGMA.hi:
+            raise RuntimeError("sigma_max search did not bracket the target")
+    return p0, macro._brentq(excess, 0.0, hi, xtol=tol)
 
 
 def lattice_effective_size(sigma: float, target_p_g: float) -> int:

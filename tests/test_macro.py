@@ -1,5 +1,5 @@
-import functools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -13,9 +13,10 @@ from scipy.stats import norm
 
 from micromacro import fock, macro
 from oracles import ideal_guessing_probability, sigma_max_root, window_guessing_probability
-from references import (coherent_density, displacement_operator, lattice_effective_size,
-                        log_space_window_guessing_probability, loss_channel,
-                        per_call_window_guessing_probability, residue_class_l1_smoothed)
+from references import (brent_sigma_max, coherent_density, displacement_operator,
+                        lattice_effective_size, log_space_window_guessing_probability,
+                        loss_channel, per_call_window_guessing_probability,
+                        residue_class_l1_smoothed)
 
 #: the least blur that runs the lattice
 JUST_ABOVE_SMALL_BLUR = math.nextafter(macro.SMALL_BLUR, 1.0)
@@ -316,25 +317,112 @@ def test_window_form_matches_the_log_space_root(lam):
         assert abs(got - want) <= 1e-15 * want, (lam, sigma, got, want)
 
 
+def window_of(form):
+    """A stand-in for ``macro._Window`` whose P_g is ``form(lam, sigma)`` and
+    whose slope comes from a fresh evaluator at each sigma, so that the
+    sigma_max search runs on ``form``'s values."""
+    evaluator = macro._Window
+
+    class Window:
+        def __init__(self, lam):
+            self.lam = lam
+
+        def __call__(self, sigma):
+            fresh = evaluator(self.lam)
+            fresh(sigma)
+            self.slope = fresh.slope
+            return form(self.lam, sigma)
+
+    return Window
+
+
 @pytest.mark.parametrize("beta_sq", [10.0, 47.0, 150.0, 300.0])
 def test_size_analysis_matches_the_log_space_root(beta_sq, monkeypatch):
-    # perfbench's size points: sigma_max within its root tolerance (7e-15 at
-    # 300, bit-identical below), N_eff and P_g(0) unchanged
+    # perfbench's size points: sigma_max within its root tolerance, N_eff and
+    # P_g(0) unchanged, when every P_g of the search solves for the window's
+    # end in log space
     got = macro.size_analysis(math.sqrt(beta_sq))
-    monkeypatch.setattr(macro, "_Window",
-                        lambda lam: functools.partial(log_space_window_guessing_probability, lam))
+    monkeypatch.setattr(macro, "_Window", window_of(log_space_window_guessing_probability))
     want = macro.size_analysis(math.sqrt(beta_sq))
     assert abs(got.sigma_max - want.sigma_max) <= macro.SIGMA_MAX_TOL, (got, want)
     assert (got.n_eff, got.p_g) == (want.n_eff, want.p_g)
 
 
-@pytest.mark.parametrize("beta_sq", [10.0, 47.0])
+@pytest.mark.parametrize("beta_sq", [10.0, 47.0, 150.0, 300.0])
 def test_sigma_max_matches_the_oracle_root(beta_sq):
-    # the root tolerance SIGMA_MAX_TOL = 1e-12 is sigma_max's only error;
-    # the oracle solves P_g(sigma) = 2/3 at 40 digits, at the pair's lam
+    # the oracle solves P_g(sigma) = 2/3 at 40 digits, at the pair's lam; the
+    # package's P_g errs by the rounding of log Pois(floor(lam)), which moves
+    # the root by that error over |slope|: 5.7e-12 at 150, 3.0e-12 at 300
     result = macro.size_analysis(math.sqrt(beta_sq))
     root = sigma_max_root(math.sqrt(beta_sq) ** 2, 2.0 / 3.0, result.sigma_max)
     assert abs(result.sigma_max - float(root)) <= 1e-10, (result.sigma_max, root)
+
+
+def slope_at(lam, sigma):
+    window = macro._Window(lam)
+    window(sigma)
+    return window.slope
+
+
+@pytest.mark.parametrize("lam", [1e-6, 0.5, 2.0, 47.0, 300.0, 1e4, 1e6])
+def test_window_slope_matches_a_central_difference(lam):
+    # dP_g/dsigma at the window's end r, by the envelope theorem; the central
+    # difference at h = 1e-4 sigma errs by h^2 |P_g'''| / 6 and eps / h
+    for sigma in (0.06, 0.2, 1.0, 8.0, 37.0, 1e3, 1e5):
+        h = 1e-4 * sigma
+        want = (macro.window_guessing_probability(lam, sigma + h)
+                - macro.window_guessing_probability(lam, sigma - h)) / (2.0 * h)
+        got = slope_at(lam, sigma)
+        assert got < 0.0
+        assert abs(got - want) <= 1e-6 * abs(want) + 1e-15 / h, (lam, sigma, got, want)
+    for sigma in (0.0, macro.SMALL_BLUR):
+        assert slope_at(lam, sigma) == 0.0
+    assert slope_at(0.0, 1.0) == 0.0
+
+
+def brent_result(alpha, target):
+    """``size_analysis`` on the Brent search it replaced, or the type of the
+    exception that search raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(macro, "_sigma_max", brent_sigma_max)
+        try:
+            return macro.size_analysis(alpha, target)
+        except (ValueError, RuntimeError) as error:
+            return type(error)
+
+
+def assert_matches_brent(lam, target):
+    # the same P_g(0) and N_eff, and sigma_max within the root tolerance plus
+    # the root's conditioning, 8 eps of P_g over |dP_g/dsigma|: near t = 1/2
+    # and t = P_g(0) either search may land anywhere in P_g's rounding noise
+    want = brent_result(math.sqrt(lam), target)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            macro.size_analysis(math.sqrt(lam), target)
+        return
+    got = macro.size_analysis(math.sqrt(lam), target)
+    bound = (1e-12 * max(1.0, want.sigma_max)
+             + 8.0 * math.ulp(1.0) / abs(slope_at(lam, want.sigma_max)))
+    assert abs(got.sigma_max - want.sigma_max) <= bound, (got, want, bound)
+    assert (got.n_eff, got.p_g) == (want.n_eff, want.p_g), (got, want)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 0.25, 0.5, 2.0, 10.0, 47.0, 150.0, 300.0, 1e4, 1e6])
+def test_sigma_max_matches_the_brent_search(lam):
+    # 0.5001 at lam = 1e6, and every target at or above P_g(0), raise in both
+    for target in (0.5001, 0.55, 0.6, 2.0 / 3.0, 0.75, 0.85, 0.89):
+        assert_matches_brent(lam, target)
+
+
+@given(log_lam=st.floats(-3.0, 6.0), u=st.floats(0.0, 1.0, exclude_min=True,
+                                                 exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_sigma_max_matches_the_brent_search_anywhere(log_lam, u):
+    # lam log-uniform, the target uniform in (1/2 + 1e-3, P_g(0) - 1e-6):
+    # 300 random points came to 0.21 of the bound at worst
+    lam = 10.0**log_lam
+    lo, hi = 0.5 + 1e-3, macro.window_guessing_probability(lam, 0.0) - 1e-6
+    assert_matches_brent(lam, lo + u * (hi - lo))
 
 
 @pytest.mark.parametrize("lam, sigma", [(0.25, 0.29), (1.0, 1.0), (2.0, 5.0)])
@@ -388,12 +476,12 @@ def test_brentq_port_matches_scipy(kind, root, a, b, sign, below, above, log_xto
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-12])
-def test_brentq_port_matches_scipy_on_the_size_solver(tol):
+def test_sigma_max_matches_scipy_brentq_within_tol(tol):
     alpha = math.sqrt(47.0)
     def excess(s):  # the window form at lam = alpha^2, as _sigma_max solves it
         return macro.window_guessing_probability(alpha**2, s) - 2.0 / 3.0
-    hi = 4.0 * alpha  # _sigma_max's bracket: 2 alpha, doubled once
-    assert macro._sigma_max(alpha, 2.0 / 3.0, tol)[1] == brentq(excess, 0.0, hi, xtol=tol)
+    want = brentq(excess, 0.0, 4.0 * alpha, xtol=1e-300)
+    assert abs(macro._sigma_max(alpha, 2.0 / 3.0, tol)[1] - want) <= tol
 
 
 def test_brentq_port_rejects_an_unbracketed_root():
@@ -403,9 +491,9 @@ def test_brentq_port_rejects_an_unbracketed_root():
 
 @pytest.mark.parametrize("beta_sq", [10.0, 47.0, 150.0, 300.0])
 def test_size_analysis_evaluates_each_sigma_once(monkeypatch, beta_sq):
-    # Brent's bracket ends are P_g(0) and the doubling search's last sigma,
-    # both already evaluated; the search must not compute them again, and
-    # every sigma it tries shares one Poisson table
+    # the search computes no sigma twice, every sigma it tries shares one
+    # Poisson table, and Newton from the Gaussian-limit start needs 3 sigma
+    # besides P_g(0) here (the Brent search it replaced took 10 or 11)
     sigmas, tables = [], []
     call, build = macro._Window.__call__, macro._Window._poisson_table
 
@@ -423,6 +511,7 @@ def test_size_analysis_evaluates_each_sigma_once(monkeypatch, beta_sq):
     assert sigmas.count(0.0) == 1
     assert len(set(sigmas)) == len(sigmas), sorted(sigmas)
     assert len(tables) == 1
+    assert len(sigmas) <= 5, sigmas
 
 
 WINDOW_LAMS = (0.0, 1e-6, 0.5, 2.0, 47.0, 47.0 / 0.55, 150.0, 300.0, 1e4, 1e6)
@@ -444,8 +533,7 @@ def test_window_form_is_bit_identical_to_the_per_call_form(lam):
 @pytest.mark.parametrize("target", [0.6, 2.0 / 3.0, 0.75])
 def test_size_analysis_is_bit_identical_to_the_per_call_form(monkeypatch, beta_sq, target):
     got = macro.size_analysis(math.sqrt(beta_sq), target)
-    monkeypatch.setattr(macro, "_Window",
-                        lambda lam: functools.partial(per_call_window_guessing_probability, lam))
+    monkeypatch.setattr(macro, "_Window", window_of(per_call_window_guessing_probability))
     assert got == macro.size_analysis(math.sqrt(beta_sq), target)
 
 
@@ -519,6 +607,45 @@ def test_unattainable_targets_rejected():
         macro.size_analysis(math.sqrt(2.0), 0.95)
     with pytest.raises(macro.UnattainableTargetError):
         macro.size_analysis(math.sqrt(2.0), 0.5)
+
+
+@pytest.mark.parametrize("alpha, target", [(0.0, 0.6), (0.0, 0.5 + 1e-9),
+                                           (math.sqrt(2.0), None)],
+                         ids=["vacuum", "vacuum_near_half", "at_p_g0"])
+def test_unattainable_targets_name_the_sigma_zero_value(alpha, target):
+    # lam = 0 has P_g = 1/2 at every sigma; a target of P_g(0) itself is out
+    p0 = macro.window_guessing_probability(alpha**2, 0.0)
+    target = p0 if target is None else target
+    with pytest.raises(macro.UnattainableTargetError,
+                       match=re.escape(f"target {target} outside (1/2, P_g(0) = {p0:.6f})")):
+        macro.size_analysis(alpha, target)
+
+
+def test_sigma_max_beyond_its_range_is_an_error():
+    # at lam = 1e6 the root of P_g = 0.5001 lies near 4e6, past SIGMA's bound
+    with pytest.raises(RuntimeError, match="^sigma_max search did not bracket the target$"):
+        macro.size_analysis(1000.0, 0.5001)
+
+
+@pytest.mark.parametrize("lam, sigma_max", [(0.5, 0.0845), (2.0, 0.172), (47.0, 0.189),
+                                            (300.0, 0.202)])
+def test_target_just_below_p_g0_has_a_small_finite_root(monkeypatch, lam, sigma_max):
+    # the root sits just above the flat sigma <= SMALL_BLUR region, where the
+    # slope of P_g is 0: the search must not divide by it.  Above it P_g
+    # falls like exp(-1 / 8 sigma^2), where Newton alone creeps: bisecting
+    # when a step does not halve keeps it to 13 sigma (Brent took 22-32)
+    target = macro.window_guessing_probability(lam, 0.0) - 1e-9
+    calls, call = [], macro._Window.__call__
+
+    def counting_call(window, sigma):
+        calls.append(sigma)
+        return call(window, sigma)
+
+    monkeypatch.setattr(macro._Window, "__call__", counting_call)
+    result = macro.size_analysis(math.sqrt(lam), target)
+    assert abs(result.sigma_max - sigma_max) < 5e-4, result
+    assert result.n_eff == 1
+    assert len(calls) <= 13, calls
 
 
 def test_lossy_mixture_guessing_value_and_decay():
