@@ -18,10 +18,10 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
-from .hom import HomParams, TemporalProfiles
+from .hom import WINDOW, HomParams, TemporalProfiles
 from .macro import LAM
 from .noise import ExperimentParams
-from .ranges import NONNEGATIVE, POSITIVE, UNIT, Range
+from .ranges import NONNEGATIVE, UNIT, Range
 from .spdc import DetailedParams
 
 
@@ -68,8 +68,8 @@ SCHEMA: dict[str, tuple] = {
     "hom.mu_min": (HomParams.range_of("mu_csp"), 0.001),
     "hom.mu_max": (HomParams.range_of("mu_csp"), 0.2),
     "hom.points": (_POINTS, 25),
-    "hom.window_min": (POSITIVE, 0.5),
-    "hom.window_max": (POSITIVE, 6.0),
+    "hom.window_min": (WINDOW, 0.5),
+    "hom.window_max": (WINDOW, 6.0),
     "hom.window_points": (_POINTS, 23),
     "detailed.mc_samples": (_ORACLE_SAMPLES, 0),
     "tomo.shots": (_SHOTS, 100_000),

@@ -69,18 +69,14 @@ def simulate_tomography(rho: TwoQubitDensity, shots: int = 10_000,
     ``counts[k]`` is the 2x2 array of setting pair ``SETTING_PAIRS[k]``,
     indexed by (outcome on side A, outcome on side B) with 0 = +1 (projection
     onto the analyzer ket) and 1 = -1 (orthogonal port); shape (36, 2, 2).
-    Each pair draws from its own generator spawned off the master seed, so
-    results do not depend on evaluation order.
+    All 36 rows come from one ``multinomial`` draw on one generator seeded
+    with ``rng_seed``.
     """
     if not (isinstance(shots, numbers.Integral) and shots >= 1):
         raise ValueError(f"shots={shots!r} must be an integer >= 1")
-    streams = np.random.SeedSequence(rng_seed).spawn(len(SETTING_PAIRS))
     q = _born_probabilities(rho.matrix)
-    counts = np.empty((len(SETTING_PAIRS), 2, 2), dtype=np.int64)
-    for k, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        counts[k] = rng.multinomial(shots, q[k] / q[k].sum()).reshape(2, 2)
-    return counts
+    rng = np.random.default_rng(rng_seed)
+    return rng.multinomial(shots, q / q.sum(axis=1, keepdims=True)).reshape(-1, 2, 2)
 
 
 #: plain R rho R steps from I/4 before the first Newton step

@@ -84,6 +84,22 @@ def sigma_max_root(lam: float, target: float, start: float):
                            (start, start * (1 + mp.mpf(10) ** -9)), solver="secant")
 
 
+def lossy_mixture_guessing(alpha: float, eta_h: float, eta_abs: float, sigma: float):
+    """P_g of the lossy storage mixture at DPS digits: 1/2 + q (P_g(lam_mem,
+    sigma) - 1/2) with ``window_guessing_probability``.
+
+    The two stored states q D(a)|+-><+-|D^dag + (1 - q)|a><a| differ only by
+    q times the pure pair's difference, so their guessing probability above
+    1/2 is q times the pure pair's.  q = eta_h eta_abs, and lam_mem = a^2
+    with a = sqrt(eta_abs) alpha rounded to float, as the package rounds it.
+    """
+    lam_mem = (math.sqrt(eta_abs) * alpha) ** 2
+    with mp.workdps(DPS):
+        q = mp.mpf(eta_h) * mp.mpf(eta_abs)
+        return 1 / mp.mpf(2) + q * (window_guessing_probability(lam_mem, sigma)[0]
+                                    - 1 / mp.mpf(2))
+
+
 @cache
 def _splitter_blocks(n_max: int) -> tuple:
     """(lowest n_a, exp of the block generator) for N = 0..2 n_max at DPS digits.
@@ -193,3 +209,51 @@ def detailed_joints(th_a: float, th_b: float, p) -> list:
         mixed, cold, hot = outcomes(nbar, mbar), outcomes(mbar, mbar), outcomes(nbar, nbar)
         return [w1 * mixed[b] - w1**2 * cold[b] for b in (0, 1)] \
             + [hot[b] - w1 * mixed[b] for b in (0, 1)]
+
+
+def hom_visibility_untruncated(mu: float, p_pair: float, eta_h: float, eta_d: float,
+                               p_dc: float, xi: float):
+    """V = (R_perp - R_par) / R_perp of the hom model with no photon or
+    herald cutoff, at DPS digits.
+
+    Detector loss on both splitter outputs equals the same loss on both
+    inputs, so the heralded photon number j is thinned by eta = eta_h eta_d
+    and the detectors count every photon that reaches them.  With pair
+    weights k p^k (p = p_pair), a = p (1 - eta) and b = p eta / (1 - a):
+
+        q_j = (1 - p)^2 / (1 - a)^2 [(1 - eta)(j + 1) b^j + eta j b^(j - 1)].
+
+    The matched CSP mean per output is u = eta_d xi' mu / 2 and the
+    unmatched one y = eta_d (1 - xi') mu / 2 (xi' = xi or 0).  For |j> and a
+    coherent input, P(no photon at one output) = e^-u 2^-j L_j(-u), and both
+    outputs are empty only at j = 0, so with A = (1 - p_dc) e^-y
+
+        c_0 = (1 - A e^-u)^2,    c_j = 1 - 2 A e^-u 2^-j L_j(-u) for j >= 1.
+
+    The q_j sum to 1 and each c_j lies in [0, 1], so the terms left out of
+    R = sum_j q_j c_j add at most 1 - sum of the kept q_j; the sum stops when
+    that is below 10^-(DPS - 10) of R.  The float inputs are taken exactly.
+    """
+    with mp.workdps(DPS):
+        mu, p, eta_h, eta_d, p_dc, xi = (
+            mp.mpf(x) for x in (mu, p_pair, eta_h, eta_d, p_dc, xi))
+        eta = eta_h * eta_d
+        a = p * (1 - eta)
+        b = p * eta / (1 - a)
+        norm = (1 - p) ** 2 / (1 - a) ** 2
+        tol = mp.mpf(10) ** -(DPS - 10)
+
+        def coincidence(frac):
+            u, y = eta_d * frac * mu / 2, eta_d * (1 - frac) * mu / 2
+            keep = (1 - p_dc) * mp.exp(-y - u)   # A e^-u
+            kept = norm * (1 - eta)              # q_0
+            rate, j = kept * (1 - keep) ** 2, 1
+            while 1 - kept > tol * rate:
+                q_j = norm * ((1 - eta) * (j + 1) * b**j + eta * j * b ** (j - 1))
+                rate += q_j * (1 - 2 * keep * mp.laguerre(j, 0, -u) / 2**j)
+                kept += q_j
+                j += 1
+            return rate
+
+        r_perp = coincidence(mp.mpf(0))
+        return (r_perp - coincidence(xi)) / r_perp

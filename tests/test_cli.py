@@ -134,6 +134,9 @@ def test_config_rejects_bad_input():
     ("hom", "hom.p_pair = -0.1"),
     ("hom", "hom.p_pair = 1"),
     ("hom", "hom.window_min = 0"),
+    ("hom", "hom.window_min = 1e-4"),
+    ("hom", "hom.window_min = 1e-300"),
+    ("hom", "hom.window_max = 1e-200"),
     ("hom", "hom.window_max = -1"),
     ("hom", "hom.window_min = 6"),
     ("curves", "curves.alpha_sq_min = 200"),

@@ -32,8 +32,8 @@ GOLDEN = {
         "detailed_summary.csv": "a013f6f87e0e0e76e11b4ab0486df551ba822e5b54cdd9bbce61f38ddb0752fa",
     },
     "tomo": {
-        "tomo_matrix.csv": "827d54745f3cf44dad8816310245000ab2468f55ea0248c6589642764a6bc2c6",
-        "tomo_summary.csv": "1783e41e37aa56f53f2947351c53b10d0e0ce80fde08670c0b22becbce249d68",
+        "tomo_matrix.csv": "fb22a894fbb79e35e2094a4833423d8923bf2e6e77083052dc6b3f9fb76da787",
+        "tomo_summary.csv": "e05b0d87d8b41d52dede517345301729c9c6a0b34d3dfe097835c3832a295f84",
     },
 }
 
@@ -66,18 +66,18 @@ GOLDEN_SVG = {
 #: bit, where the CSVs pin 12 digits: a speedup that reorders one floating-
 #: point operation changes a digest here.  Bits may differ on another BLAS.
 GOLDEN_MLE = {
-    (1.0, 1): "fcc71be190666b7c09a5b737c64931c9e6c4ca6f452fee29209943c66a56d7d6",
-    (1.0, 2): "4e5fd7f2e8e88585ed3ab16cd07abd49cd1d4b421498cc3d1351538990aa89ea",
-    (1.0, 3): "38be84b32f0d16ec0a67620b9ce7bec9b74cafb2f6146e3cd060a9bdf602b41e",
-    (0.94, 1): "d271e78ed8626b105f9b9943588c0ad02e738542ec92b67fa44e2683ae314c18",
-    (0.94, 2): "99d9182186a304fad59b0cd21acdd8b4133975fe4f8efd5f9dc02d3b154508a7",
-    (0.94, 3): "20da42bb96f6f9fb9769669047761f7b58bc7020879b774243f33741a2c1e094",
-    (0.7, 1): "d46d114375b5e3bd7a772927670f036f2b7ae02f32106b5194752ec4ae7f87ef",
-    (0.7, 2): "4079a8bf3afec1c99af02be3acd9a7e175f89fc7e18665723a54d6d4d292b21c",
-    (0.7, 3): "6855d108297f5dd043ae6b3159152cf2ef297527cbe582477cf4b36f0f02ea5e",
-    (0.999, 1): "2caa6222fb0e05c66172a962c9e07a583d4eed2c3f35b1681a928d4a70163e52",
-    (0.999, 2): "e0d3830dfe3fbb19d733581a72c34393f845832c3cbe13496fb0d4b7e27008a4",
-    (0.999, 3): "02401f8342932e83e923d562af4ff27debc58fbbad0ef7de7a6d961af6828f0e",
+    (1.0, 1): "da0b9e88c92c1d72971f7c4cb9fdce70792b337ef05f4d885914e31f945dd0d8",
+    (1.0, 2): "e12d8b289c83cf72254c405ab2e9f834f98c09fff8a9ddfe08c70f9c0c85a228",
+    (1.0, 3): "7140b1aabf3ccd4ee25aac10e61975685985f43825256762ee6951b5d784e6b5",
+    (0.94, 1): "1242121b17191d08c0295ea6d3d5dce2f7bed55f65fd4866032f59afd0958252",
+    (0.94, 2): "8195cdfc19f13da57cd56700d9fc93da6cecc2f3674263beb2478cd0e55f29af",
+    (0.94, 3): "b987f84f9542a2f4c6faa636e9dd2e4cc67d404173e297bbae23f6739a33d7af",
+    (0.7, 1): "c3ffd1f55af0328e256c7b4400b3aea38b754f1108e40f14dab7a25948d8df64",
+    (0.7, 2): "e238f5003015de36a6df3af22be9cb7c5de83c9ba4360bbbfe34334dc98fd4c7",
+    (0.7, 3): "e353efa787e0c7f9dd9a289ab8851e74058bacaae7292efcdb4953942375f32e",
+    (0.999, 1): "83691a6797bf23a50ffd5972659e14a53c9771f989e482d79d84b174ba6d1893",
+    (0.999, 2): "f97b2696818ed8320e168c75c8c3297474ddf5c3c11474a7096e6d90c93f28e5",
+    (0.999, 3): "001d47ed68a4335c16a9079c99bd76a3c8550c0455eb9e65cdf918453dd9ef79",
 }
 #: the default (4, 4, 4) joint grid over ``spdc.GRID_DEG`` and the default S
 GOLDEN_JOINT_GRID = "cc1de59a8b021118e8731977022faeb758c36230535ed2c3d2a3287a4b611111"
