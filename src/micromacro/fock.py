@@ -97,19 +97,15 @@ def poisson_pmf(mean: float, n_max: int) -> np.ndarray:
     return np.exp(-mean + n * math.log(mean) - log_fact)
 
 
-def displaced_single_photon(alpha: complex, n_max: int) -> np.ndarray:
-    """D(alpha)|1> = (a^dag - alpha*)|alpha>, amplitudes c_n (n/alpha - alpha*).
+def displaced_single_photon(alpha: complex, c: np.ndarray) -> np.ndarray:
+    """D(alpha)|1> = (a^dag - alpha*)|alpha>, amplitudes c_n (n/alpha - alpha*),
+    from the amplitudes c of |alpha> (``coherent_amplitudes``), on their cutoff.
 
     Evaluated as sqrt(n) c_{n-1} - alpha* c_n (c_n n / alpha = sqrt(n) c_{n-1}),
     which needs no division, so any complex alpha works and alpha = 0 gives
-    |1>.  Raises TruncationError when the mass beyond ``n_max`` exceeds
+    |1>.  Raises TruncationError when the mass beyond the cutoff exceeds
     ``TAU_TRUNC``.
     """
-    return _displaced_single_photon(alpha, coherent_amplitudes(alpha, n_max))
-
-
-def _displaced_single_photon(alpha: complex, c: np.ndarray) -> np.ndarray:
-    """``displaced_single_photon`` from the amplitudes c of |alpha>."""
     vec = -np.conj(alpha) * c
     vec[1:] += np.sqrt(np.arange(1, c.size)) * c[:-1]
     nrm2 = float(np.sum(np.abs(vec) ** 2))

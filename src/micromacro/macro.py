@@ -10,9 +10,9 @@ For the pure pair that L1 distance is closed (``window_guessing_probability``):
 P_g is 1/2 plus sqrt(lam) times the heaviest unit window of Poisson(lam)
 blurred by the detector, lam = alpha^2, so neither Fock amplitudes nor a
 smoothing lattice enter P_g, sigma_max or N_eff.  sigma_max, the root of
-P_g = target, comes from Newton's method on the form's closed-form slope,
-started from the Gaussian limit and safeguarded by bisection; Brent's
-method stays for the window's end inside each P_g.  The lattice
+P_g = target, and the window's end r inside each P_g both come from one
+routine, Newton's method on a closed-form slope started from the Gaussian
+limit and safeguarded by bisection (``_newton``).  The lattice
 (``guessing_probability_dists``) serves only the loss-degraded mixture of
 ``lossy_mixture_guessing``, whose components have no such form here.  It
 convolves p - q with a kernel band of WINDOW_SIGMAS sigma + 1 photons on
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (TAU_TRUNC, TruncationError, _displaced_single_photon,
-                   coherent_amplitudes)
+from .fock import (TAU_TRUNC, TruncationError, coherent_amplitudes,
+                   displaced_single_photon)
 from .ranges import Range
 
 #: fewest lattice points per photon of the Gaussian smoothing integral
@@ -112,7 +112,7 @@ def macro_components(alpha: float, n_max: int) -> MacroComponentPair:
     if alpha < 0:
         raise ValueError("alpha must be real and >= 0")
     zero = coherent_amplitudes(alpha, n_max)
-    one = _displaced_single_photon(alpha, zero)
+    one = displaced_single_photon(alpha, zero)
     pp = np.abs((zero + one) / math.sqrt(2)) ** 2
     pm = np.abs((zero - one) / math.sqrt(2)) ** 2
     return MacroComponentPair(pp, pm, float(alpha))
@@ -209,13 +209,24 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
     Larger sigma keeps Pois(m) for |m - lam| <= 10 sqrt(lam + 1) + 25, built
     outward from the mode in log form, and:
 
-    1. solves f(r) = f(r - 1) by Brent's method on the gap
-       sum_m (Pois(m) - Pois(m - 1)) exp(-(x - m)^2 / 2 sigma^2), which is
-       f(x) - f(x - 1) times sigma sqrt(2 pi).  Plain probabilities are safe
-       for sigma > 1/18: the outcome nearest any x lies within 1/2, so its
-       Gaussian factor is at least e^-40.5 = 2.6e-18.  W = P(r - 1 < Y <= r)
-       is stationary at r, |W''| <= 1 / (2 sigma^2), so a root good to
-       1e-8 sigma moves W by under 3e-17;
+    1. solves f(r) = f(r - 1) by Newton's method (``_newton``) on the gap
+       g(x) = sum_m d_m e_m, d_m = Pois(m) - Pois(m - 1),
+       e_m = exp(-(x - m)^2 / 2 sigma^2), which is f(x) - f(x - 1) times
+       sigma sqrt(2 pi), with the closed slope
+       g'(x) = sum_m d_m (m - x) e_m / sigma^2 from the same exp.  It starts
+       at the Gaussian limit lam + 1/2 inside the bracket (lam - 1,
+       lam + 3/2), where g > 0 at the lower end and g < 0 at the upper (the
+       tests check this over LAM and (SMALL_BLUR, SIGMA.hi]), neither end
+       evaluated, and stops when the Newton step is within
+       1e-8 sigma + 4 eps |x|, after 2 to 3 gap evaluations on average
+       (Brent's method took 7.5 to 8 with its bracket).  g's rounding over
+       |g'|, below 1/20 of 1e-8 sigma in 1,500 random (lam, sigma), is left
+       out of that rule.  Plain probabilities are safe for sigma > 1/18: the
+       outcome nearest any x lies within 1/2, so its Gaussian factor is at
+       least e^-40.5 = 2.6e-18.  W = P(r - 1 < Y <= r) is stationary at r,
+       |W''| <= 1 / (2 sigma^2), so a root good to 1e-8 sigma moves W by
+       under (1e-8 sigma)^2 / (4 sigma^2) = 2.5e-17 < 3e-17, and Newton's
+       last step leaves it far better than that;
     2. sums by parts, W = sum_m d_m Phi((r - m) / sigma) with
        d_m = Pois(m) - Pois(m - 1): the d_m below r telescope to
        Pois(ceil(r) - 1), and every Phi left is a normal tail erfc(|z|) / 2,
@@ -235,8 +246,10 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
 class _Window:
     """``window_guessing_probability`` at one lam, sigma -> P_g: k and
     log Pois(k) up front, the Poisson table on the first sigma > SMALL_BLUR.
-    Each call leaves dP_g/dsigma at that sigma in ``slope`` (see
-    ``_sigma_max``), from the terms of the by-parts sum."""
+    Each call finds the window's end r by ``_newton`` on the gap and its
+    closed slope, from lam + 1/2 in (lam - 1, lam + 3/2) to 1e-8 sigma, and
+    leaves dP_g/dsigma at that sigma in ``slope`` (see ``_sigma_max``), from
+    the terms of the by-parts sum."""
 
     def __init__(self, lam: float):
         self.lam, self.table = lam, None
@@ -266,16 +279,13 @@ class _Window:
         lo, m, p, d = self.table = self.table or self._poisson_table()
         scale = -0.5 / sigma**2
 
-        def gap(x):                             # f(x) - f(x - 1), scaled
-            t = m - x; t *= t; t *= scale
-            return float(np.dot(d, np.exp(t, out=t)))
+        def gap(x):                             # f(x) - f(x - 1) and its slope, scaled
+            t = m - x
+            e = t * t; e *= scale
+            np.exp(e, out=e); t *= e
+            return float(np.dot(d, e)), -2.0 * scale * float(np.dot(d, t))
 
-        xa, xb = self.lam - 1.0, self.lam + 1.5
-        while gap(xa) <= 0.0:
-            xa -= 1.0
-        while gap(xb) >= 0.0:
-            xb += 1.0
-        r = _brentq(gap, xa, xb, xtol=1e-8 * sigma)
+        r = _newton(gap, self.lam + 0.5, self.lam - 1.0, self.lam + 1.5, 1e-8 * sigma, 0.0)
         w = float(p[math.ceil(r) - lo])         # Pois(ceil(r) - 1)
         near = slice(max(0, math.floor(r - WINDOW_SIGMAS * sigma) - lo),
                      max(0, math.ceil(r + WINDOW_SIGMAS * sigma) - lo + 1))
@@ -295,47 +305,43 @@ def guessing_probability_dists(p: np.ndarray, q: np.ndarray, sigma: float) -> fl
     return 0.5 + 0.25 * _l1_smoothed(np.asarray(p, float), np.asarray(q, float), sigma)
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4), op for op
-    scipy.optimize.brentq's brentq.c at rtol = 4 eps, maxiter = 100."""
-    rtol = 4.0 * math.ulp(1.0)
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        short = False  # interpolation step short enough to take; else bisect
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Brent's method did not converge in 100 iterations")
+def _newton(f, x: float, lo: float, hi: float, tol: float, scale: float,
+            cap: float = math.inf) -> float:
+    """Root of f from x by Newton's method, safeguarded by bisection.
+
+    f(x) returns f's value and slope at x.  f falls through its one root,
+    and the sign bracket (lo, hi], f > 0 at lo and f <= 0 at hi (inf while
+    unknown), narrows at each evaluation.  A Newton step that leaves it, or
+    that is longer than half the previous move, or a slope >= 0 bisects it,
+    or doubles x while hi is unknown; x never passes ``cap``.  The search
+    stops when the Newton step is within tol + 4 eps (|x| + scale / |slope|),
+    ``scale`` the rounding of f's value, and returns x minus that step; or
+    when the bracket's half-width is within tol + 4 eps |x|, and returns its
+    midpoint.  The step is tested first, since a converged step can round
+    x - step to x itself, which may be the bracket's end.
+    """
+    eps4 = 4.0 * math.ulp(1.0)
+    last = math.inf                         # the previous move
+    while True:
+        x = min(x, cap)
+        value, slope = f(x)
+        lo, hi = (x, hi) if value > 0.0 else (lo, x)
+        step = value / slope if slope < 0.0 else math.inf
+        if slope < 0.0 and abs(step) <= tol + eps4 * (abs(x) - scale / slope):
+            return x - step
+        if lo < x - step <= hi and abs(step) <= 0.5 * last:
+            new = x - step
+        elif hi - lo <= 2.0 * (tol + eps4 * abs(x)):
+            return 0.5 * (lo + hi)
+        else:
+            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+        last, x = abs(new - x), new
 
 
 def _sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float, float]:
     """(P_g(0), largest sigma with P_g(sigma) >= target) of the pair at
-    alpha, by Newton's method on P_g(sigma) - target, safeguarded.
+    alpha, by ``_newton`` on P_g(sigma) - target, the routine that also
+    finds the window's end r inside each P_g.
 
     The window's end r is stationary in x, so by the envelope theorem the
     slope is closed, and ``_Window`` leaves it in ``slope``:
@@ -347,17 +353,16 @@ def _sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float, floa
     N(lam, lam + sigma^2) gives sigma_0^2 = lam / (2 pi (t - 1/2)^2) - lam
     (14.9094 against 14.9079 at lam = 47, t = 2/3), or sigma_0 = 1 where
     that leaves no sigma_0 above SMALL_BLUR (t near 1/2 + 1/sqrt(2 pi) or
-    above).  A sign bracket is kept, from SMALL_BLUR up (P_g is flat below
-    it): a Newton step that leaves it, or that is longer than half the
-    previous move, or a zero slope bisects it, or doubles sigma while no
-    P_g <= target is known.  The search stops when the Newton step is within
-    tol + 4 eps (sigma + 1/|slope|), or the bracket's half-width within
+    above).  The sign bracket starts at (SMALL_BLUR, inf) (P_g is flat
+    below SMALL_BLUR), sigma is capped at SIGMA.hi, and the search stops
+    when the Newton step is within tol + 4 eps (sigma + 1/|slope|) (P_g's
+    rounding scale is 1), or the bracket's half-width within
     tol + 4 eps sigma, so the root is good to ``tol`` plus P_g's error over
     |slope|: rounding, which dominates only as t -> 1/2, and the rounding
     of log Pois(k) in P_g (5.7e-12 in sigma at lam = 150).  A target that
     P_g(SIGMA.hi) still exceeds is a RuntimeError.  At t = 2/3 and lam in
     [10, 300] this takes four window evaluations, P_g(0) included, where
-    Brent's method on P_g took 11 or 12; Brent's method stays for r.
+    Brent's method on P_g took 11 or 12.
     """
     lam = alpha**2
     window = _Window(lam)
@@ -366,27 +371,16 @@ def _sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float, floa
         raise UnattainableTargetError(
             f"target {target_p_g} outside (1/2, P_g(0) = {p0:.6f})"
         )
-    eps4 = 4.0 * math.ulp(1.0)
-    lo, hi = SMALL_BLUR, math.inf           # excess > 0 at lo, <= 0 at hi
     gauss = lam / (2.0 * math.pi * (target_p_g - 0.5) ** 2) - lam
-    s = math.sqrt(gauss) if gauss > SMALL_BLUR**2 else 1.0
-    last = math.inf                         # the previous move
-    while True:
-        s = min(s, SIGMA.hi)
-        excess = window(s) - target_p_g
-        if excess > 0.0 and s == SIGMA.hi:
+    start = math.sqrt(gauss) if gauss > SMALL_BLUR**2 else 1.0
+
+    def excess(s):
+        value = window(s) - target_p_g
+        if value > 0.0 and s == SIGMA.hi:
             raise RuntimeError("sigma_max search did not bracket the target")
-        lo, hi = (s, hi) if excess > 0.0 else (lo, s)
-        step = excess / window.slope if window.slope < 0.0 else math.inf
-        if lo < s - step <= hi and abs(step) <= 0.5 * last:
-            if abs(step) <= tol + eps4 * (s - 1.0 / window.slope):
-                return p0, s - step
-            new = s - step
-        elif hi - lo <= 2.0 * (tol + eps4 * s):
-            return p0, 0.5 * (lo + hi)
-        else:
-            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * s
-        last, s = abs(new - s), new
+        return value, window.slope
+
+    return p0, _newton(excess, start, SMALL_BLUR, math.inf, tol, 1.0, cap=SIGMA.hi)
 
 
 def size_analysis(alpha: float, target_p_g: float = 2.0 / 3.0) -> SizeResult:

@@ -40,8 +40,8 @@ def _displacement_inverse():
     # the model displaces, it is the Gram matrix of D(a)|0> and D(a)|1>
     worst = 0.0
     for alpha, n_max in ((0.7, 60), (math.sqrt(47.0), macro.default_n_max(48.0))):
-        cols = np.stack([fock.coherent_amplitudes(alpha, n_max),
-                         fock.displaced_single_photon(alpha, n_max)])
+        zero = fock.coherent_amplitudes(alpha, n_max)
+        cols = np.stack([zero, fock.displaced_single_photon(alpha, zero)])
         worst = max(worst, float(np.max(np.abs(cols.conj() @ cols.T - np.eye(2)))))
     return worst < 1e-10, (f"max |D(-a)D(a) - I| = {worst:.3e} on levels 0 and 1 "
                            "at a = 0.7 and sqrt 47")

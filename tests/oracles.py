@@ -257,3 +257,22 @@ def hom_visibility_untruncated(mu: float, p_pair: float, eta_h: float, eta_d: fl
 
         r_perp = coincidence(mp.mpf(0))
         return (r_perp - coincidence(xi)) / r_perp
+
+
+def temporal_overlap(csp_fwhm: float, tau_c: float, window: float):
+    """``hom.temporal_overlap`` by tanh-sinh quadrature at DPS digits: the
+    squared overlap of g(t) = exp(-t^2 / 2s^2), s = csp_fwhm / (2 sqrt(ln 2)),
+    and h(t) = exp(-|t| / tau_c) over [-w/2, w/2], over the product of their
+    squared norms there.  Each integrand is even, so each integral is twice
+    the one over [0, w/2], where h is smooth."""
+    with mp.workdps(DPS):
+        s = mp.mpf(csp_fwhm) / (2 * mp.sqrt(mp.log(2)))
+        tau, half = mp.mpf(tau_c), mp.mpf(window) / 2
+
+        def integral(f):
+            return 2 * mp.quad(f, [0, half])
+
+        gh = integral(lambda t: mp.exp(-t**2 / (2 * s**2) - t / tau))
+        gg = integral(lambda t: mp.exp(-t**2 / s**2))
+        hh = integral(lambda t: mp.exp(-2 * t / tau))
+        return gh**2 / (gg * hh)

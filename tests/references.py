@@ -21,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from micromacro import fock, hom, macro, noise, spdc, tomography
 from micromacro.polarization import TwoQubitDensity
@@ -407,7 +407,8 @@ def three_pulse_train(alpha: complex, params: noise.ExperimentParams,
 def per_call_window_guessing_probability(lam: float, sigma: float) -> float:
     """``macro.window_guessing_probability`` as it was before ``macro._Window``
     kept the Poisson table across the sigma of one lam: every call builds
-    log Pois(m), Pois(m) and the steps d_m afresh, in the same operations."""
+    log Pois(m), Pois(m) and the steps d_m afresh, in the same operations,
+    and solves for the window's end with the package's ``_newton``."""
     if lam == 0.0:
         return 0.5
     k = math.floor(lam)
@@ -428,15 +429,12 @@ def per_call_window_guessing_probability(lam: float, sigma: float) -> float:
     scale = -0.5 / sigma**2
 
     def gap(x):
-        t = m - x; t *= t; t *= scale
-        return float(np.dot(d, np.exp(t, out=t)))
+        t = m - x
+        e = t * t; e *= scale
+        np.exp(e, out=e); t *= e
+        return float(np.dot(d, e)), -2.0 * scale * float(np.dot(d, t))
 
-    xa, xb = lam - 1.0, lam + 1.5
-    while gap(xa) <= 0.0:
-        xa -= 1.0
-    while gap(xb) >= 0.0:
-        xb += 1.0
-    r = macro._brentq(gap, xa, xb, xtol=1e-8 * sigma)
+    r = macro._newton(gap, lam + 0.5, lam - 1.0, lam + 1.5, 1e-8 * sigma, 0.0)
     w = float(p[math.ceil(r) - lo])
     near = slice(max(0, math.floor(r - macro.WINDOW_SIGMAS * sigma) - lo),
                  max(0, math.ceil(r + macro.WINDOW_SIGMAS * sigma) - lo + 1))
@@ -476,9 +474,9 @@ def residue_class_l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> flo
 
 def log_space_window_guessing_probability(lam: float, sigma: float) -> float:
     """``macro.window_guessing_probability`` as it solved for the window's
-    end before the small-blur rule: on log f(x) - log f(x - 1), each side a
-    max-shifted log-sum-exp, so that no sigma could underflow the gap.  The
-    by-parts sum is the package's."""
+    end before the small-blur rule: Brent's method (scipy's ``brentq``) on
+    log f(x) - log f(x - 1), each side a max-shifted log-sum-exp, so that no
+    sigma could underflow the gap.  The by-parts sum is the package's."""
     k = math.floor(lam)
     log_lam = math.log(lam)
     log_mode = -lam + k * log_lam - math.lgamma(k + 1)
@@ -508,7 +506,7 @@ def log_space_window_guessing_probability(lam: float, sigma: float) -> float:
         xa -= 1.0
     while log_ratio(xb) >= 0.0:
         xb += 1.0
-    r = macro._brentq(log_ratio, xa, xb, xtol=1e-8 * sigma)
+    r = brentq(log_ratio, xa, xb, xtol=1e-8 * sigma)
     p = np.exp(log_p)
     w = float(p[math.ceil(r) - lo])
     near = slice(max(0, math.floor(r - macro.WINDOW_SIGMAS * sigma) - lo),
@@ -543,7 +541,7 @@ def brent_sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float,
         hi *= 2.0
         if hi > macro.SIGMA.hi:
             raise RuntimeError("sigma_max search did not bracket the target")
-    return p0, macro._brentq(excess, 0.0, hi, xtol=tol)
+    return p0, brentq(excess, 0.0, hi, xtol=tol)
 
 
 def lattice_effective_size(sigma: float, target_p_g: float) -> int:

@@ -12,6 +12,7 @@ from scipy.stats import binom
 from micromacro import hom
 from micromacro.fock import ClickDetector, coherent_amplitudes, poisson_pmf
 from oracles import hom_visibility_truncated, hom_visibility_untruncated
+from oracles import temporal_overlap as oracle_overlap
 from references import (classical_reference_visibility, dense_output_diagonal,
                         overlap_ratio)
 
@@ -168,6 +169,16 @@ def test_temporal_overlap_of_a_wide_csp(csp_fwhm):
     # 1e8 and 0.0 at 1e150; the exponent -d (2a + d) keeps every digit
     profiles = hom.TemporalProfiles(csp_fwhm=csp_fwhm)
     assert abs(hom.temporal_overlap(profiles, 0.5) - quad_overlap(profiles, 0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("window, bound", [(1e-3, 2e-11), (1e-2, 2e-11), (0.5, 1e-12)])
+def test_temporal_overlap_of_a_wide_csp_against_the_oracle(window, bound):
+    # a CSP wide against the window loses more digits to the erfcx
+    # difference: at csp_fwhm = 100 it is off by 1.6e-11, 1.5e-11 and 5.1e-13,
+    # against 3.2e-13, 3.8e-14 and 6.7e-16 at the default profiles
+    want = oracle_overlap(100.0, hom.TemporalProfiles().hsp_tau_c, window)
+    got = hom.temporal_overlap(hom.TemporalProfiles(csp_fwhm=100.0), window)
+    assert abs(got - float(want)) <= bound, (got, want)
 
 
 def test_temporal_overlap_is_a_probability_down_to_the_window_bound():

@@ -455,27 +455,6 @@ def test_pure_pair_needs_no_lattice(monkeypatch):
         assert 0.5 < macro.guessing_probability(pair, sigma) < 1.0
 
 
-MONOTONE = (
-    lambda t, a, b: a * t + b * t**3,
-    lambda t, a, b: math.tanh(a * t) + b * t,
-    lambda t, a, b: math.expm1(a * t),
-    lambda t, a, b: a * math.atan(t) + b * t**5,
-)
-
-
-@given(kind=st.integers(0, len(MONOTONE) - 1), root=st.floats(-5.0, 5.0),
-       a=st.floats(0.01, 10.0), b=st.floats(0.0, 3.0), sign=st.sampled_from([1, -1]),
-       below=st.floats(1e-3, 20.0), above=st.floats(1e-3, 20.0),
-       log_xtol=st.floats(-15.0, 0.0))
-@settings(max_examples=300, deadline=None)
-def test_brentq_port_matches_scipy(kind, root, a, b, sign, below, above, log_xtol):
-    # the same floats: every iterate, hence the root, is bit-identical
-    def f(x):
-        return sign * MONOTONE[kind](x - root, a, b)
-    lo, hi, xtol = root - below, root + above, 10.0**log_xtol
-    assert macro._brentq(f, lo, hi, xtol) == brentq(f, lo, hi, xtol=xtol)
-
-
 @pytest.mark.parametrize("tol", [1e-3, 1e-12])
 def test_sigma_max_matches_scipy_brentq_within_tol(tol):
     alpha = math.sqrt(47.0)
@@ -485,9 +464,51 @@ def test_sigma_max_matches_scipy_brentq_within_tol(tol):
     assert abs(macro._sigma_max(alpha, 2.0 / 3.0, tol)[1] - want) <= tol
 
 
-def test_brentq_port_rejects_an_unbracketed_root():
-    with pytest.raises(ValueError, match="different signs"):
-        macro._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-6)
+def window_gap(lam, sigma):
+    """The gap g(x) = sum_m d_m exp(-(x - m)^2 / 2 sigma^2) whose root is the
+    window's end, on ``macro._Window``'s Poisson table at lam."""
+    _, m, _, d = macro._Window(lam)._poisson_table()
+    return lambda x: float(np.dot(d, np.exp(-0.5 * ((m - x) / sigma) ** 2)))
+
+
+@given(log_lam=st.floats(-12.0, 6.0),
+       log_sigma=st.floats(math.log10(JUST_ABOVE_SMALL_BLUR), 6.0))
+@example(log_lam=-300.0, log_sigma=math.log10(JUST_ABOVE_SMALL_BLUR))
+@example(log_lam=6.0, log_sigma=6.0)
+@example(log_lam=6.0, log_sigma=math.log10(JUST_ABOVE_SMALL_BLUR))
+@example(log_lam=math.log10(2.0), log_sigma=math.log10(0.3))
+@settings(max_examples=300, deadline=None)
+def test_window_end_lies_between_lam_minus_1_and_lam_plus_3_halves(log_lam, log_sigma):
+    # the Newton solve for r trusts this bracket without evaluating its ends
+    lam, sigma = 10.0**log_lam, min(10.0**log_sigma, macro.SIGMA.hi)
+    gap = window_gap(lam, sigma)
+    assert gap(lam - 1.0) > 0.0 > gap(lam + 1.5), (lam, sigma)
+
+
+def test_size_analysis_gap_evaluations(monkeypatch):
+    # Newton from lam + 1/2 takes 3 gap evaluations per P_g at the benchmark's
+    # points, 36 over the four size_analysis calls; Brent's method took 90,
+    # its two bracket ends included
+    solves, newton = [], macro._newton
+
+    def counting_newton(f, *args, **kwargs):
+        solves.append(0)
+        n = len(solves) - 1
+
+        def counted(x):
+            solves[n] += 1
+            return f(x)
+
+        return newton(counted, *args, **kwargs)
+
+    monkeypatch.setattr(macro, "_newton", counting_newton)
+    gap_evals = 0
+    for beta_sq in (10.0, 47.0, 150.0, 300.0):
+        solves.clear()
+        macro.size_analysis(math.sqrt(beta_sq))
+        assert len(solves) == 4, solves     # the sigma_max search and 3 windows
+        gap_evals += sum(solves[1:])        # solves[0] is the sigma_max search
+    assert gap_evals <= 40, gap_evals
 
 
 @pytest.mark.parametrize("beta_sq", [10.0, 47.0, 150.0, 300.0])
