@@ -28,12 +28,12 @@ from .svgplot import line_chart
 from .tables import ResultTable
 
 #: fixed comparison points measured on the reference setup
-REFERENCE_POINTS = (
-    (0.0, "chsh_s", 2.59, 0.10),
-    (13.3, "chsh_s", 2.099, 0.12),
-    (42.0, "chsh_s", 1.65, 0.10),
-    (86.0, "ppt_min_eig", -0.055, 0.015),
-)
+REFERENCE_POINTS = {
+    "alpha_sq": (0.0, 13.3, 42.0, 86.0),
+    "quantity": ("chsh_s", "chsh_s", "chsh_s", "ppt_min_eig"),
+    "value": (2.59, 2.099, 1.65, -0.055),
+    "tolerance": (0.10, 0.12, 0.10, 0.015),
+}
 
 
 def _point_seed(master: int, index: int) -> int:
@@ -74,21 +74,14 @@ def cmd_curves(cfg, seed, meta):
                        cfg["curves.points"])
     curve = noise.predict_witness_curves(grid, params, cfg["curves.band_samples"], seed)
 
-    table = ResultTable(
-        "witness_curves",
-        ["alpha_sq", "excitations", "chsh_s", "chsh_s_band", "ppt_min_eig",
-         "ppt_band", "concurrence", "concurrence_band"],
-        meta=meta,
-    )
-    for row in zip(grid, curve.excitations, curve.s, curve.band_s, curve.ppt,
-                   curve.band_ppt, curve.concurrence, curve.band_concurrence):
-        table.add_row(*map(float, row))
+    table = ResultTable("witness_curves", {
+        "alpha_sq": grid, "excitations": curve.excitations, "chsh_s": curve.s,
+        "chsh_s_band": curve.band_s, "ppt_min_eig": curve.ppt, "ppt_band": curve.band_ppt,
+        "concurrence": curve.concurrence, "concurrence_band": curve.band_concurrence,
+    }, meta)
 
     note = "reference measurements, fixed comparison targets"
-    ref = ResultTable("reference_points", ["alpha_sq", "quantity", "value", "tolerance"],
-                      meta=dict(meta, note=note))
-    for row in REFERENCE_POINTS:
-        ref.add_row(*row)
+    ref = ResultTable("reference_points", REFERENCE_POINTS, dict(meta, note=note))
 
     chart = ("witness_curves", grid,
              {"S": curve.s,
@@ -102,10 +95,7 @@ def cmd_size(cfg, seed, meta):
     grid = np.linspace(cfg["size.beta_sq_min"], cfg["size.beta_sq_max"],
                        cfg["size.points"])
     pg = [macro.window_guessing_probability(float(b), 0.0) for b in grid]
-
-    table = ResultTable("size_curve", ["beta_sq", "p_g_ideal"], meta=meta)
-    for b, p in zip(grid, pg):
-        table.add_row(float(b), p)
+    table = ResultTable("size_curve", {"beta_sq": grid, "p_g_ideal": pg}, meta)
 
     star = cfg["size.beta_sq_star"]
     target = cfg["size.target_p_g"]
@@ -113,13 +103,11 @@ def cmd_size(cfg, seed, meta):
     alpha_in = math.sqrt(star / nparams.eta_abs)
     pg_mix = macro.lossy_mixture_guessing(alpha_in, nparams.eta_h,
                                           nparams.eta_abs, [0.0])[0]
-    summary = ResultTable("size_summary", ["key", "value"],
-                          meta=dict(meta, beta_sq_star=format(star, ".12g"),
-                                    target_p_g=format(target, ".12g")))
-    summary.add_row("p_g_ideal", result.p_g)
-    summary.add_row("sigma_max", result.sigma_max)
-    summary.add_row("n_eff", result.n_eff)
-    summary.add_row("p_g_mixture_sigma0", float(pg_mix))
+    summary = ResultTable.key_value(
+        "size_summary",
+        {"p_g_ideal": result.p_g, "sigma_max": result.sigma_max, "n_eff": result.n_eff,
+         "p_g_mixture_sigma0": pg_mix},
+        dict(meta, beta_sq_star=format(star, ".12g"), target_p_g=format(target, ".12g")))
 
     chart = ("size_curve", grid, {"P_g": pg},
              "Ideal guessing probability vs stored size", "beta_sq", "P_g")
@@ -131,19 +119,14 @@ def cmd_hom(cfg, seed, meta):
     v_e = hom_mod.hom_visibility(params)
     mu_grid = np.linspace(cfg["hom.mu_min"], cfg["hom.mu_max"], cfg["hom.points"])
     vis = hom_mod.hom_visibility_curve(mu_grid, params)
-
-    table = ResultTable("hom_visibility", ["mu", "visibility"], meta=meta)
-    for m, v in zip(mu_grid, vis):
-        table.add_row(float(m), float(v))
+    table = ResultTable("hom_visibility", {"mu": mu_grid, "visibility": vis}, meta)
 
     profiles = cfg.temporal_profiles()
     windows = np.linspace(cfg["hom.window_min"], cfg["hom.window_max"],
                           cfg["hom.window_points"])
     xi, v_m = hom_mod.overlap_vs_window(profiles, windows, v_e)
-    overlap = ResultTable("hom_overlap", ["window_ns", "xi", "v_m"],
-                          meta=dict(meta, expected_visibility=format(v_e, ".12g")))
-    for w, x, v in zip(windows, xi, v_m):
-        overlap.add_row(float(w), float(x), float(v))
+    overlap = ResultTable("hom_overlap", {"window_ns": windows, "xi": xi, "v_m": v_m},
+                          dict(meta, expected_visibility=format(v_e, ".12g")))
 
     chart = ("hom_visibility", mu_grid, {"V": vis},
              "Interference visibility vs coherent pulse size", "mu", "V")
@@ -152,50 +135,40 @@ def cmd_hom(cfg, seed, meta):
 
 def cmd_detailed(cfg, seed, meta):
     params = cfg.detailed_params()
-    grid = [(ta, tb) for ta in GRID_DEG for tb in GRID_DEG]
-    th = np.radians(GRID_DEG)
+    deg = np.array(GRID_DEG)
+    theta_a, theta_b = np.repeat(deg, len(deg)), np.tile(deg, len(deg))
+    th = np.radians(deg)
     joints = spdc.joints(th[:, None], th[None, :], params).reshape(-1, 4)
     corr = spdc.correlator(joints)
-    table = ResultTable(
-        "detailed_grid",
-        ["theta_a_deg", "theta_b_deg", "p_pp", "p_pm", "p_mp", "p_mm",
-         "correlator"],
-        meta=meta,
-    )
-    for (ta, tb), j, e in zip(grid, joints.tolist(), corr.tolist()):
-        table.add_row(ta, tb, *j, e)
+    outcomes = ("pp", "pm", "mp", "mm")
+    table = ResultTable("detailed_grid", {
+        "theta_a_deg": theta_a, "theta_b_deg": theta_b,
+        **{f"p_{o}": p for o, p in zip(outcomes, joints.T)}, "correlator": corr,
+    }, meta)
 
-    summary = ResultTable(
-        "detailed_summary", ["key", "value"],
-        meta=dict(meta, settings_deg=",".join(
-            f"{d:g}" for d in polarization.CHSH_SETTINGS_DEG)),
-    )
-    summary.add_row("chsh_s", spdc.chsh_from_detailed(params))
-    summary.add_row("herald_probability",
-                    spdc.herald_probability(params.g, params.r, params.p_dc))
+    summary = ResultTable.key_value(
+        "detailed_summary",
+        {"chsh_s": float(spdc.detailed_chsh_curve(params.gamma, params)),
+         "herald_probability": spdc.herald_probability(params.g, params.r, params.p_dc)},
+        dict(meta, settings_deg=",".join(f"{d:g}" for d in polarization.CHSH_SETTINGS_DEG)))
 
     tables = [table, summary]
     samples = cfg["detailed.mc_samples"]
     if samples > 0:
-        oracle = ResultTable(
-            "detailed_oracle",
-            ["theta_a_deg", "theta_b_deg", "outcome", "analytic", "mc_value",
-             "mc_se", "deviation_se"],
-            meta=dict(meta, mc_samples=samples),
-        )
-        for i, ((ta, tb), joint) in enumerate(zip(grid, joints)):
-            est = spdc.monte_carlo_oracle(math.radians(ta), math.radians(tb), params,
-                                          samples, _point_seed(seed, i))
-            for name, ana, val, se in zip(("pp", "pm", "mp", "mm"), joint,
-                                          est.joints.as_array(), est.errors.as_array()):
-                dev = abs(ana - val) / se if se > 0 else 0.0
-                oracle.add_row(ta, tb, name, float(ana), float(val), float(se), float(dev))
-        tables.append(oracle)
+        ests = [spdc.monte_carlo_oracle(math.radians(ta), math.radians(tb), params, samples,
+                                        _point_seed(seed, i))
+                for i, (ta, tb) in enumerate(zip(theta_a, theta_b))]
+        mc = np.array([est.joints.as_array() for est in ests])
+        se = np.array([est.errors.as_array() for est in ests])
+        dev = np.divide(np.abs(joints - mc), se, out=np.zeros_like(se), where=se > 0)
+        tables.append(ResultTable("detailed_oracle", {
+            "theta_a_deg": np.repeat(theta_a, 4), "theta_b_deg": np.repeat(theta_b, 4),
+            "outcome": list(outcomes) * len(theta_a), "analytic": joints.ravel(),
+            "mc_value": mc.ravel(), "mc_se": se.ravel(), "deviation_se": dev.ravel(),
+        }, dict(meta, mc_samples=samples)))
 
-    series = {f"theta_a={ta}": row
-              for ta, row in zip(GRID_DEG, corr.reshape(len(GRID_DEG), -1).tolist())}
-    chart = ("detailed_grid", np.array(GRID_DEG), series,
-             "Correlator vs analyzer angle", "theta_b_deg", "E")
+    series = dict(zip((f"theta_a={ta}" for ta in GRID_DEG), corr.reshape(len(deg), -1)))
+    chart = ("detailed_grid", deg, series, "Correlator vs analyzer angle", "theta_b_deg", "E")
     return tables, [chart]
 
 
@@ -206,17 +179,19 @@ def cmd_tomo(cfg, seed, meta):
     record = tomography.simulate_tomography(rho, shots=shots, rng_seed=seed)
     est = tomography.reconstruct_mle(record)
 
-    summary = ResultTable("tomo_summary", ["key", "value"], meta=meta)
-    summary.add_row("werner_w", w)
-    summary.add_row("shots_per_pair", shots)
-    summary.add_row("fidelity", polarization.state_fidelity(rho, est))
-    summary.add_row("chsh_max", polarization.chsh_maximum(est))
-    summary.add_row("ppt_min_eig", polarization.ppt_min_eigenvalue(est))
-    summary.add_row("concurrence", polarization.concurrence(est))
+    summary = ResultTable.key_value("tomo_summary", {
+        "werner_w": w, "shots_per_pair": shots,
+        "fidelity": polarization.state_fidelity(rho, est),
+        "chsh_max": polarization.chsh_maximum(est),
+        "ppt_min_eig": polarization.ppt_min_eigenvalue(est),
+        "concurrence": polarization.concurrence(est),
+    }, meta)
 
-    matrix = ResultTable("tomo_matrix", ["row", "col", "re", "im"], meta=meta)
-    for (i, j), z in np.ndenumerate(est.matrix):
-        matrix.add_row(i, j, float(z.real), float(z.imag))
+    row, col = np.indices(est.matrix.shape)
+    matrix = ResultTable("tomo_matrix", {
+        "row": row.ravel(), "col": col.ravel(),
+        "re": est.matrix.real.ravel(), "im": est.matrix.imag.ravel(),
+    }, meta)
     return [summary, matrix], []
 
 

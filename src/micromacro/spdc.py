@@ -303,16 +303,9 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
         JointProbabilities(*_herald_sum(se[:, 1], se[:, 0], rows, quadrature=True).tolist()))
 
 
-def chsh_from_detailed(p: DetailedParams) -> float:
-    """CHSH S at the lab settings ``polarization.CHSH_SETTINGS``.
-
-    Lab angles map onto the model as th_a = a and th_b = b - a (side B is
-    analyzed in the frame of side A's displacement axis).
-    """
-    return float(detailed_chsh_curve(p.gamma, p))
-
-
 def detailed_chsh_curve(gammas, p: DetailedParams) -> np.ndarray:
-    """CHSH S at the lab settings for every leak gain of ``gammas``: each
-    setting's correlators come from one ``joints`` call over all of them."""
+    """CHSH S at the lab settings ``polarization.CHSH_SETTINGS`` for every leak
+    gain of ``gammas``, each setting's correlators from one ``joints`` call over
+    all of them.  Lab angles map onto the model as th_a = a and th_b = b - a
+    (side B is analyzed in the frame of side A's displacement axis)."""
     return chsh(lambda a, b: correlator(joints(a, b - a, p, gammas)))

@@ -409,6 +409,20 @@ def test_detailed_command_with_oracle(tmp_path):
     assert max(dev) < 8.0  # loose screen at 400 samples
 
 
+def test_detailed_oracle_writes_zero_deviation_where_the_se_is_zero(tmp_path):
+    # with no dark counts and no reflection, (0, 0, pp) never clicks: its two
+    # samples give a zero standard error, and the deviation is written as 0,
+    # neither NaN nor a divide-by-zero warning
+    cfg = write_config(tmp_path, "detailed.r = 0\ndetailed.p_dc = 0\n"
+                                 "detailed.mc_samples = 2\n")
+    assert run(["detailed", "--config", cfg, "--out", tmp_path]) == 0
+    _, cols, orows = read_table(tmp_path / "detailed_oracle.csv")
+    assert not any(isinstance(c, float) and math.isnan(c) for row in orows for c in row)
+    se, dev = cols.index("mc_se"), cols.index("deviation_se")
+    assert [row[:3] for row in orows if row[se] == 0.0] == [(0.0, 0.0, "pp")]
+    assert orows[0][:3] == (0.0, 0.0, "pp") and orows[0][se] == orows[0][dev] == 0.0
+
+
 def test_tomo_command(tmp_path):
     cfg = write_config(tmp_path, "tomo.shots = 2000\n")
     assert run(["tomo", "--config", cfg, "--out", tmp_path]) == 0
@@ -430,9 +444,8 @@ def test_svg_output(tmp_path):
 
 
 def test_table_round_trip(tmp_path):
-    table = ResultTable("demo", ["x", "label"], meta={"seed": "5"})
-    table.add_row(0.1, "a")
-    table.add_row(2.0 / 3.0, "b")
+    table = ResultTable("demo", {"x": np.array([0.1, 2.0 / 3.0]), "label": ["a", "b"]},
+                        meta={"seed": "5"})
     path = tmp_path / "demo.csv"
     path.write_text(table.to_csv_text(), encoding="utf-8")
     meta, cols, rows = read_table(path)
@@ -449,18 +462,24 @@ def test_format_cell():
     assert format_cell(7) == "7"
 
 
-def test_add_row_checks_arity():
-    table = ResultTable("demo", ["x", "y"])
-    with pytest.raises(ValueError):
-        table.add_row(1.0)
+def test_format_cell_writes_numpy_scalars_like_python_ones():
+    # table columns pass numpy arrays as they come, so their cells are numpy
+    # scalars: an int64 must not print as numpy 2's repr ``np.int64(7)``
+    assert format_cell(np.int64(7)) == "7"
+    assert format_cell(np.float64(1.0 / 3.0)) == "0.333333333333"
+
+
+def test_table_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="demo: columns of unequal length"):
+        ResultTable("demo", {"x": [1.0, 2.0], "y": np.array([1.0])})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
-def test_add_row_refuses_non_finite_floats(bad):
-    table = ResultTable("demo", ["x", "y"])
+def test_table_refuses_non_finite_floats(bad):
     with pytest.raises(ValueError, match="demo: non-finite y"):
-        table.add_row(1.0, bad)
-    assert table.rows == []
+        ResultTable("demo", {"x": [1.0, 2.0], "y": np.array([0.5, bad])})
+    with pytest.raises(ValueError, match="demo: non-finite y"):
+        ResultTable("demo", {"x": [1.0], "y": [bad]})
 
 
 def run_fresh_python(script):

@@ -130,7 +130,7 @@ def test_joint_grid_and_chsh_match_pinned_digests():
     p = spdc.DetailedParams()
     th = np.radians(spdc.GRID_DEG)
     assert _sha256(spdc.joints(th[:, None], th[None, :], p)) == GOLDEN_JOINT_GRID
-    assert _sha256(np.float64(spdc.chsh_from_detailed(p))) == GOLDEN_CHSH
+    assert _sha256(np.float64(spdc.detailed_chsh_curve(p.gamma, p))) == GOLDEN_CHSH
 
 
 def test_chsh_curve_matches_pinned_digest():

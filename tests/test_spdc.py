@@ -95,15 +95,14 @@ def test_near_ideal_limit_approaches_tsirelson():
     p = spdc.DetailedParams(g=0.05, r=math.sqrt(1.0 - 0.98), eta_d=0.98,
                             p_dc=0.0, t1=1.0, t2=1.0, eta_c=1.0,
                             gamma=0.0, sigma_phi=0.0)
-    s = spdc.chsh_from_detailed(p)
+    s = float(spdc.detailed_chsh_curve(p.gamma, p))
     assert abs(s - 2.8235) < 1e-3
     assert abs(s - 2.0 * math.sqrt(2.0)) < 0.02
 
 
 def test_gamma_irrelevant_without_phase_jitter():
     base = replace(spdc.DetailedParams(), sigma_phi=0.0)
-    vals = [spdc.chsh_from_detailed(replace(base, gamma=g))
-            for g in (0.0, 2.0, 6.0)]
+    vals = spdc.detailed_chsh_curve(np.array([0.0, 2.0, 6.0]), base)
     assert max(vals) - min(vals) < 1e-12
 
 
