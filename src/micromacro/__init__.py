@@ -2,15 +2,16 @@
 
 Submodules
 ----------
-fock            truncated photon-number amplitudes, splitter unitaries, click detectors
-polarization    two-qubit states, CHSH at the lab settings, PPT and concurrence witnesses
+ranges          declared parameter ranges and every model parameter dataclass
+fock            truncated photon-number amplitudes and splitter unitaries
+polarization    density-matrix check, two-qubit states, CHSH, PPT, concurrence
 tomography      joint-setting counts and maximum-likelihood reconstruction
 noise           displacement-noise model for the witness-vs-size curves, with the
                 memory's storage-loop residual and jitter visibility
 spdc            detailed double-pair source model with a sampling oracle
 macro           macroscopic distinguishability and effective size
 hom             two-photon interference visibility and temporal overlap
-cli             command-line entry point producing CSV/SVG result tables
+cli             command-line CSV/SVG tables; a subcommand loads only what it runs
 
 Nothing is re-exported here: import the submodule (``from micromacro import
 fock``).  No submodule imports scipy.  Every definition here is

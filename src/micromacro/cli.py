@@ -1,9 +1,10 @@
 """Command-line entry point: reproducible CSV (and optional SVG) outputs.
 
 ``main`` loads the config, computes, renders and writes, in that order.  Each
-``cmd_*`` maps ``(cfg, seed, meta)`` to its tables and chart specs and touches
-neither the arguments nor the filesystem; ``_write`` renders every file before
-it writes the first, so a run that fails at any stage writes nothing.
+``cmd_*`` imports the physics modules it calls, so a run loads no other, maps
+``(cfg, seed, meta)`` to its tables and chart specs, and touches neither the
+arguments nor the filesystem; ``_write`` renders every file before it writes
+the first, so a run that fails at any stage writes nothing.
 
 Every table is stamped with the resolved-config hash, the master seed and the
 command, so rerunning a command with the same inputs rewrites identical bytes.
@@ -19,11 +20,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, macro, noise, polarization, spdc, tomography
-from . import hom as hom_mod
-from . import validate as validate_mod
+from . import __version__
 from .config import SCHEMA, RunConfig
-from .spdc import GRID_DEG
+from .ranges import GRID_DEG
 from .svgplot import line_chart
 from .tables import ResultTable
 
@@ -69,6 +68,7 @@ def _write(args, tables, charts) -> None:
 # ---- subcommands: (cfg, seed, meta) -> (tables, chart specs) ----
 
 def cmd_curves(cfg, seed, meta):
+    from . import noise
     params = cfg.noise_params()
     grid = np.linspace(cfg["curves.alpha_sq_min"], cfg["curves.alpha_sq_max"],
                        cfg["curves.points"])
@@ -91,6 +91,7 @@ def cmd_curves(cfg, seed, meta):
 
 
 def cmd_size(cfg, seed, meta):
+    from . import macro
     nparams = cfg.noise_params()
     grid = np.linspace(cfg["size.beta_sq_min"], cfg["size.beta_sq_max"],
                        cfg["size.points"])
@@ -115,16 +116,17 @@ def cmd_size(cfg, seed, meta):
 
 
 def cmd_hom(cfg, seed, meta):
+    from . import hom
     params = cfg.hom_params()
-    v_e = hom_mod.hom_visibility(params)
+    v_e = hom.hom_visibility(params)
     mu_grid = np.linspace(cfg["hom.mu_min"], cfg["hom.mu_max"], cfg["hom.points"])
-    vis = hom_mod.hom_visibility_curve(mu_grid, params)
+    vis = hom.hom_visibility_curve(mu_grid, params)
     table = ResultTable("hom_visibility", {"mu": mu_grid, "visibility": vis}, meta)
 
     profiles = cfg.temporal_profiles()
     windows = np.linspace(cfg["hom.window_min"], cfg["hom.window_max"],
                           cfg["hom.window_points"])
-    xi, v_m = hom_mod.overlap_vs_window(profiles, windows, v_e)
+    xi, v_m = hom.overlap_vs_window(profiles, windows, v_e)
     overlap = ResultTable("hom_overlap", {"window_ns": windows, "xi": xi, "v_m": v_m},
                           dict(meta, expected_visibility=format(v_e, ".12g")))
 
@@ -134,6 +136,7 @@ def cmd_hom(cfg, seed, meta):
 
 
 def cmd_detailed(cfg, seed, meta):
+    from . import polarization, spdc
     params = cfg.detailed_params()
     deg = np.array(GRID_DEG)
     theta_a, theta_b = np.repeat(deg, len(deg)), np.tile(deg, len(deg))
@@ -173,6 +176,7 @@ def cmd_detailed(cfg, seed, meta):
 
 
 def cmd_tomo(cfg, seed, meta):
+    from . import polarization, tomography
     w = cfg["tomo.werner_w"]
     shots = cfg["tomo.shots"]
     rho = polarization.werner_state(w)
@@ -196,7 +200,8 @@ def cmd_tomo(cfg, seed, meta):
 
 
 def cmd_validate() -> int:
-    results = validate_mod.run_all()
+    from . import validate
+    results = validate.run_all()
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

@@ -18,11 +18,8 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
-from .hom import WINDOW, HomParams, TemporalProfiles
-from .macro import LAM
-from .noise import ExperimentParams
-from .ranges import NONNEGATIVE, UNIT, Range
-from .spdc import DetailedParams
+from .ranges import (LAM, NONNEGATIVE, UNIT, WINDOW, DetailedParams, ExperimentParams,
+                     HomParams, Range, TemporalProfiles)
 
 
 class ConfigError(ValueError):

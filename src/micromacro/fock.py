@@ -1,4 +1,4 @@
-"""Truncated photon-number amplitudes, click detectors and the 50/50 splitter.
+"""Truncated photon-number amplitudes and the 50/50 splitter.
 
 Amplitudes live on bosonic modes, each truncated at a caller-chosen photon
 number ``n_max``.  The caller owns the truncation choice;
@@ -25,15 +25,12 @@ references follow it): a transmittance-T splitter maps coherent amplitudes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .ranges import NONNEGATIVE, UNIT, Range, Ranged, ranged
+from .ranges import NONNEGATIVE, ClickDetector  # only perfbench reads fock.ClickDetector
 
-#: numerical tolerance for unitarity / hermiticity / eigenvalue checks
-TAU_NUM = 1e-10
 #: acceptable probability mass lost to photon-number truncation
 TAU_TRUNC = 1e-8
 _log_factorial_table = np.empty(0)   # log(n!), grown by ``log_factorials``
@@ -41,28 +38,6 @@ _log_factorial_table = np.empty(0)   # log(n!), grown by ``log_factorials``
 
 class TruncationError(ValueError):
     """The requested state does not fit in the truncated space."""
-
-
-def check_density_matrix(m: np.ndarray) -> None:
-    """Raise ValueError unless m is Hermitian, PSD and of unit trace, each
-    within TAU_NUM."""
-    herm = np.max(np.abs(m - m.conj().T))
-    if herm > TAU_NUM:
-        raise ValueError(f"not Hermitian: max asymmetry {herm:.3g}")
-    tr = float(np.real(np.trace(m)))
-    if abs(tr - 1.0) > TAU_NUM:
-        raise ValueError(f"trace {tr:.12g} not within {TAU_NUM} of 1")
-    lo = float(np.linalg.eigvalsh(m)[0])
-    if lo < -TAU_NUM:
-        raise ValueError(f"negative eigenvalue {lo:.3g}")
-
-
-@dataclass(frozen=True)
-class ClickDetector(Ranged):
-    """Non-photon-number-resolving detector: efficiency and dark-count probability."""
-
-    eta_d: float = ranged(UNIT)
-    p_dc: float = ranged(Range(0.0, 1.0, "[)"), 0.0)
 
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
@@ -76,7 +51,7 @@ def log_factorials(n_max: int) -> np.ndarray:
     """log(n!) = ``math.lgamma(n + 1.0)`` for n = 0..n_max, a read-only prefix
     view of one table built on first use, not at import.  A request past its
     end grows it to max(n_max + 1, twice its size), so it keeps at most
-    2 (n_max + 1) floats: 16 MB at the cutoff of ``macro.LAM``'s bound."""
+    2 (n_max + 1) floats: 16 MB at the cutoff of ``ranges.LAM``'s bound."""
     global _log_factorial_table
     if not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise ValueError(f"n_max={n_max!r} must be an integer >= 0")

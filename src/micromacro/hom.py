@@ -21,56 +21,21 @@ Poisson mass beyond it (2e-9 at mu = 0.2) as coincidences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .fock import ClickDetector, poisson_pmf, splitter_weights
-from .ranges import POSITIVE, UNIT, Range, Ranged, ranged
+from .fock import poisson_pmf, splitter_weights
+from .ranges import WINDOW, ClickDetector, HomParams, TemporalProfiles
 
 #: photon-number cutoff of each splitter input
 N_MAX = 6
 #: largest pair number kept in the heralded signal
 HERALD_KMAX = 4
-#: coincidence windows (ns) of ``temporal_overlap``.  Narrow windows lose
-#: digits to the cancellation of its two erfcx terms: at the default
-#: profiles xi is within 1e-12 of a 40-digit quadrature from 1e-3 ns up,
-#: but off by 7.1e-12 at 1e-4 and above 1 at 1e-5.  A CSP wide against the
-#: window loses more: at csp_fwhm = 100 xi is off by 1.6e-11 at 1e-3 ns,
-#: 1.5e-11 at 1e-2 and 5.1e-13 at 0.5, and by up to 2.3e-10 at 1e-3 ns
-#: (csp_fwhm 106) where a nears _erfcx's switch at 25
-WINDOW = Range(1e-3)
 
 
 class UndefinedVisibilityError(ZeroDivisionError):
     """The orthogonal-polarization coincidence rate vanished."""
-
-
-@dataclass(frozen=True)
-class HomParams(Ranged):
-    #: both splitter inputs are cut at N_MAX = 6 photons; the CSP mass past
-    #: the cut, counted as coincidences, is 2e-9 at mu = 0.2 and 8.3e-5 at 1,
-    #: and 3.4e-2 at 3, so the model stops at 1
-    mu_csp: float = ranged(Range(0.0, 1.0), 0.012)
-    #: at 0 no pair is heralded: 0/0 in the heralded weights
-    p_pair: float = ranged(Range(0.0, 1.0, "()"), 0.005)
-    eta_h: float = ranged(UNIT, 0.19)
-    xi: float = ranged(UNIT, 1.0)
-    detector: ClickDetector = field(default_factory=lambda: ClickDetector(0.5, 0.0))
-
-
-@dataclass(frozen=True)
-class TemporalProfiles(Ranged):
-    """CSP: Gaussian of intensity FWHM csp_fwhm (ns); heralded photon:
-    double-sided exponential amplitude with coherence time tau_c (ns).
-
-    The default FWHM of 1.0 ns is calibrated so the 3 ns-window mode overlap
-    reproduces the measured visibility ratio 0.74/0.85 = 0.87 (a nominal
-    2.0 ns pulse would give an overlap above 0.99 there).
-    """
-
-    csp_fwhm: float = ranged(POSITIVE, 1.0)
-    hsp_tau_c: float = ranged(POSITIVE, 1.9)
 
 
 def heralded_signal_dist(p_pair: float, eta_h: float) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fock import (TAU_TRUNC, TruncationError, coherent_amplitudes,
                    displaced_single_photon)
-from .ranges import Range
+from .ranges import LAM, Range
 
 #: fewest lattice points per photon of the Gaussian smoothing integral
 GRID_POINTS = 20
@@ -48,10 +48,6 @@ WINDOW_SIGMAS = 9.0
 #: [n - 1/2, n + 1/2), so L1 moves by at most 4 Q(1 / (2 sigma)) L1_0
 #: <= 4 Q(9) L1_0 = 4.5e-19 L1_0
 SMALL_BLUR = 0.5 / WINDOW_SIGMAS
-#: lam = alpha^2 up to 1e6 photons: the window form's rounding, eps lam
-#: log lam, stays below 1e-8 (3e-9 at 1e6), and the lossy mixture's lattice
-#: below 2e7 points (160 MB)
-LAM = Range(0.0, 1e6)
 #: alpha up to 1e3, the amplitude of LAM's bound
 ALPHA = Range(0.0, math.sqrt(LAM.hi))
 #: the lossy mixture's stored amplitude sqrt(eta_abs) alpha: ALPHA's bound

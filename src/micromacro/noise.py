@@ -21,38 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ranges import POSITIVE, UNIT, Range, Ranged, ranged
-
-#: the SD of a quantity confined to [0, 1] is at most 1/2 (half its mass at
-#: each end), so a band draw mean + sd z stays finite
-SPREAD = Range(0.0, 0.5)
-
-
-@dataclass(frozen=True)
-class ExperimentParams(Ranged):
-    """Independently measured parameters (mean and optional std for bands).
-
-    eta_h      heralding efficiency of the signal photon
-    bs_t       transmittance of the displacement beam splitter
-    eta        memory storage-retrieval efficiency, at most eta_abs
-    vis        back-displacement interference visibility
-    v_mm       entanglement visibility without displacement
-    eta_abs    memory absorption probability
-    kappa      mapping mu = kappa * |alpha|^2 from displacement size to the
-               mean photon number used by the noise formulas
-    """
-
-    eta_h: float = ranged(UNIT, 0.19)
-    bs_t: float = ranged(UNIT, 0.995)
-    eta: float = ranged(UNIT, 0.046)
-    vis: float = ranged(UNIT, 0.9985)
-    v_mm: float = ranged(UNIT, 0.94)
-    #: above 0: the size analysis divides the stored size by it
-    eta_abs: float = ranged(Range(0.0, 1.0, "(]"), 0.55)
-    kappa: float = ranged(POSITIVE, 1.0)
-    sd_eta_h: float = ranged(SPREAD, 0.02)
-    sd_eta: float = ranged(SPREAD, 0.002)
-    sd_vis: float = ranged(SPREAD, 0.0002)
+from .ranges import ExperimentParams
 
 
 @dataclass(frozen=True)

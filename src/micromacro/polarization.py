@@ -10,12 +10,27 @@ import math
 
 import numpy as np
 
-from .fock import check_density_matrix
 from .ranges import UNIT
 
+#: numerical tolerance for unitarity / hermiticity / eigenvalue checks
+TAU_NUM = 1e-10
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def check_density_matrix(m: np.ndarray) -> None:
+    """Raise ValueError unless m is Hermitian, PSD and of unit trace, each
+    within TAU_NUM."""
+    herm = np.max(np.abs(m - m.conj().T))
+    if herm > TAU_NUM:
+        raise ValueError(f"not Hermitian: max asymmetry {herm:.3g}")
+    tr = float(np.real(np.trace(m)))
+    if abs(tr - 1.0) > TAU_NUM:
+        raise ValueError(f"trace {tr:.12g} not within {TAU_NUM} of 1")
+    lo = float(np.linalg.eigvalsh(m)[0])
+    if lo < -TAU_NUM:
+        raise ValueError(f"negative eigenvalue {lo:.3g}")
 
 
 class TwoQubitDensity:

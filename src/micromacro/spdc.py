@@ -20,42 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TAU_NUM
-from .polarization import chsh
-from .ranges import UNIT, Range, Ranged, ranged
-
-
-#: the detailed analyzer grid, in degrees: ``detailed`` tabulates the joints
-#: at every (theta_a, theta_b) pair of it
-GRID_DEG = (0.0, 22.5, 45.0, 67.5)
+from .polarization import TAU_NUM, chsh
+from .ranges import DetailedParams
 
 
 class ModelInconsistencyError(ArithmeticError):
     """A quantity that must be a probability fell materially outside [0, 1]."""
-
-
-@dataclass(frozen=True)
-class DetailedParams(Ranged):
-    """Source, propagation and detection parameters of the detailed model.
-
-    ``r`` is the amplitude remainder of the herald tap: a herald efficiency
-    eta_A corresponds to r = sqrt(1 - eta_A).
-    """
-
-    #: g <= 5 keeps 1 - tanh^2 g above 1e-4, so nbar = tanh^2 g / (1 - tanh^2 g)
-    #: is good to ~1e-12; it is 4 % off at g = 18 and divides by 0 past g = 19.06
-    g: float = ranged(Range(0.0, 5.0), 0.2)
-    r: float = ranged(UNIT, 0.9)
-    eta_d: float = ranged(UNIT, 0.35)
-    p_dc: float = ranged(UNIT, 1e-4)
-    t1: float = ranged(UNIT, 0.995)
-    t2: float = ranged(UNIT, 0.995)
-    eta_c: float = ranged(UNIT, 0.5)
-    #: only gamma^2, the leak's mean photon number, enters; at 1e6 photons and
-    #: the default jitter the main detector fires in 98 % of rounds; gamma^2 stays finite
-    gamma: float = ranged(Range(0.0, 1e3), 2.0)
-    #: radians; a phase spread past pi is no small jitter, and sigma_phi^2 stays finite
-    sigma_phi: float = ranged(Range(0.0, math.pi), math.sqrt(2.0 * 0.0015))
 
 
 def renormalized(joints: np.ndarray) -> np.ndarray:

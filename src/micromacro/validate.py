@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, hom, macro, noise, polarization, spdc
+from . import fock, hom, macro, noise, polarization, ranges, spdc
 
 RT2 = math.sqrt(2.0)
 
@@ -69,7 +69,7 @@ def _werner_witnesses():
 
 
 def _poisson_series():
-    p = noise.ExperimentParams()
+    p = ranges.ExperimentParams()
     worst = 0.0
     for mu in (0.5, 13.3, 86.0):
         lam = 2.0 * mu * p.eta * (1.0 - p.vis)
@@ -89,12 +89,12 @@ def _guessing_monotone():
 
 def _memory_null_residual():
     resid = noise.back_displacement_residual(1.3 + 0.2j, math.pi,
-                                             noise.ExperimentParams())
+                                             ranges.ExperimentParams())
     return resid < 1e-12, f"residual at phi = pi is {resid:.3e}"
 
 
 def _loop_noise_ratio():
-    params = noise.ExperimentParams()
+    params = ranges.ExperimentParams()
     alpha, sigma = 2.0, 0.2
     mean_resid = noise.mean_residual_photons(alpha, sigma, params)
     one_minus_v = 1.0 - noise.visibility_from_errors(0.0, sigma)
@@ -105,8 +105,8 @@ def _loop_noise_ratio():
 
 
 def _detailed_joints():
-    th = np.deg2rad(spdc.GRID_DEG)
-    joints = spdc.joints(th[:, None], th[None, :], spdc.DetailedParams())
+    th = np.deg2rad(ranges.GRID_DEG)
+    joints = spdc.joints(th[:, None], th[None, :], ranges.DetailedParams())
     worst = float(np.max(np.abs(spdc.renormalized(joints).sum(axis=-1) - 1.0)))
     return worst < 1e-12, f"worst renormalized-sum deviation = {worst:.3e}"
 
@@ -114,7 +114,7 @@ def _detailed_joints():
 def _hom_dip():
     one = np.zeros(5)
     one[1] = 1.0
-    c = hom.coincidence_from_joint(one, one, fock.ClickDetector(1.0, 0.0))
+    c = hom.coincidence_from_joint(one, one, ranges.ClickDetector(1.0, 0.0))
     return abs(c) < 1e-12, f"two-photon coincidence = {c:.3e}"
 
 

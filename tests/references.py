@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.optimize import brentq, minimize
 
-from micromacro import fock, hom, macro, noise, spdc, tomography
+from micromacro import fock, hom, macro, noise, polarization, ranges, spdc, tomography
 from micromacro.polarization import TwoQubitDensity
 
 
@@ -56,7 +56,7 @@ class ModeTransform:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("mode matrix must be square")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev > fock.TAU_NUM:
+        if dev > polarization.TAU_NUM:
             raise ValueError(f"mode matrix not unitary: deviation {dev:.3g}")
 
     def fock_unitary(self, n_max: int) -> np.ndarray:
@@ -116,7 +116,7 @@ def dense_output_diagonal(rho: np.ndarray, n_max: int) -> np.ndarray:
     return np.real(np.diag(u @ rho @ u.conj().T)).reshape(n_max + 1, n_max + 1)
 
 
-def dense_coincidence(rho: np.ndarray, n_max: int, det: fock.ClickDetector) -> float:
+def dense_coincidence(rho: np.ndarray, n_max: int, det: ranges.ClickDetector) -> float:
     """P(click on both splitter outputs) for any two-mode density matrix."""
     diag = dense_output_diagonal(rho, n_max)
     w = (1.0 - det.eta_d) ** np.arange(n_max + 1)
@@ -168,7 +168,7 @@ def coherent_density(alpha: complex, n_max: int) -> np.ndarray:
 # ---- hom: classical bound and overlap ratio ----
 
 def classical_reference_visibility(mu_signal: float, mu_csp: float,
-                                   det: fock.ClickDetector, n_phase: int = 64) -> float:
+                                   det: ranges.ClickDetector, n_phase: int = 64) -> float:
     """Visibility when the heralded photon is replaced by a weak coherent state.
 
     The relative phase is uniformly random; coherent inputs stay coherent, so
@@ -379,7 +379,7 @@ def memory_pass(train: PulseTrain, params: noise.ExperimentParams) -> PulseTrain
         out.append((slot, rt * amp))
         out.append((slot + 1, rr * amp))
     result = PulseTrain(out)
-    if result.energy() > train.energy() * (1.0 + fock.TAU_NUM):
+    if result.energy() > train.energy() * (1.0 + polarization.TAU_NUM):
         raise AssertionError("memory pass created energy")
     return result
 

@@ -492,27 +492,38 @@ def run_fresh_python(script):
                           text=True, timeout=120, check=True).stdout
 
 
+#: the package modules that each subcommand adds to what every one loads
+COMMAND_MODULES = {
+    "curves": {"noise"}, "size": {"fock", "macro"}, "hom": {"fock", "hom"},
+    "detailed": {"polarization", "spdc"}, "tomo": {"polarization", "tomography"},
+}
+
+
 def test_no_subcommand_loads_scipy(tmp_path):
-    # the package is numpy-only: importing the CLI and running every
-    # subcommand must not load scipy.  No subcommand starts worker
-    # processes, so no process-pool module loads either
-    script = (
+    # the package is numpy-only: no subcommand loads scipy, and none starts
+    # worker processes, so no process-pool module loads either.  Each one,
+    # run in its own fresh interpreter, loads only the package modules it
+    # calls, and the run configuration alone loads not even numpy
+    report = (
         "import sys\n"
-        "from micromacro import cli\n"
         "def loaded(*roots):\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
-        "def report():\n"
-        "    print('scipy', loaded('scipy'))\n"
-        "    print('pool', loaded('multiprocessing', 'concurrent'))\n"
-        "report()\n"
-        "for cmd in ('curves', 'size', 'hom', 'detailed', 'tomo'):\n"
-        f"    cli.main([cmd, '--out', {str(tmp_path)!r}])\n"
-        "cli.main(['validate'])\n"
-        "report()\n"
+        "print('scipy', loaded('scipy'))\n"
+        "print('pool', loaded('multiprocessing', 'concurrent'))\n"
+        "print('package', *(m.split('.')[1] for m in loaded('micromacro') if '.' in m))\n"
     )
-    lines = [line for line in run_fresh_python(script).splitlines()
-             if line.startswith(("scipy ", "pool "))]
-    assert lines == ["scipy []", "pool []"] * 2
+    for cmd in (*COMMAND_MODULES, "validate"):
+        argv = [cmd] if cmd == "validate" else [cmd, "--out", str(tmp_path)]
+        argv += ["--svg"] if cmd in ("curves", "size", "hom", "detailed") else []
+        script = f"from micromacro import cli\ncode = cli.main({argv!r})\n{report}sys.exit(code)\n"
+        lines = [line.split() for line in run_fresh_python(script).splitlines()
+                 if line.startswith(("scipy ", "pool ", "package "))]
+        assert lines[:2] == [["scipy", "[]"], ["pool", "[]"]], (cmd, lines)
+        if cmd != "validate":
+            assert set(lines[2][1:]) == {"cli", "config", "ranges", "tables", "svgplot",
+                                         *COMMAND_MODULES[cmd]}, cmd
+    config_only = "import sys, micromacro.config\nprint('numpy' in sys.modules)"
+    assert run_fresh_python(config_only).split() == ["False"]
 
 
 def test_cli_import_builds_no_log_factorial_table():

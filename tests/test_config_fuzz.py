@@ -2,9 +2,8 @@
 
 The parser must return a complete, finite value map or raise ConfigError,
 whatever the keys, values and line shapes; a ConfigError for a line that
-sets a known key names that key.  The ``hom`` and ``curves``
-subcommands, fed configs built from their own keys and edge-case values,
-must exit 0 with every written cell finite, or exit 1 with an ``error:``
+sets a known key names that key.  Every subcommand but ``validate``, fed
+configs built from its own keys and edge-case values, must exit 0 with every written cell finite, or exit 1 with an ``error:``
 line on stderr: never a traceback, never a NaN or inf cell.
 """
 import contextlib
@@ -27,6 +26,16 @@ JUNK = ("1e999", "nan", "inf", "-inf", "banana", "0x10", "1 2", "=", "")
 # cheap values only: counts stay small, so every CLI run takes milliseconds
 CLI_VALUES = st.one_of(st.sampled_from(NUMBERS), st.integers(-3, 12).map(str),
                        st.floats(allow_nan=False, allow_infinity=False).map(repr))
+#: keys whose large values cost seconds per run, with cheap values instead:
+#: the lossy mixture's lattice near ``LAM.hi``, the oracle's draws and the
+#: tomography shots
+CHEAP_VALUES = {
+    **dict.fromkeys(("size.beta_sq_min", "size.beta_sq_max", "size.beta_sq_star"), st.one_of(
+        st.sampled_from([n for n in NUMBERS if float(n) <= 300.0]),
+        st.floats(max_value=300.0, allow_nan=False, allow_infinity=False).map(repr))),
+    "detailed.mc_samples": st.sampled_from(("0", "2", "50")),
+    "tomo.shots": st.integers(-3, 100).map(str),
+}
 VALUES = st.one_of(CLI_VALUES, st.sampled_from(JUNK), st.floats().map(repr),
                    st.text(max_size=12))
 LINES = st.one_of(
@@ -52,15 +61,16 @@ def test_parser_returns_finite_values_or_raises_config_error(lines):
 
 
 def _cli_keys(command):
-    sections = ("run", command) + (("noise",) if command == "curves" else ())
+    sections = ("run", command) + (("noise",) if command in ("curves", "size") else ())
     return sorted(k for k in SCHEMA if k.split(".")[0] in sections)
 
 
 @st.composite
 def cli_runs(draw):
-    command = draw(st.sampled_from(("hom", "curves")))
-    lines = draw(st.lists(st.tuples(st.sampled_from(_cli_keys(command)), CLI_VALUES)
-                          .map(" = ".join), min_size=1, max_size=4))
+    command = draw(st.sampled_from(("hom", "curves", "size", "detailed", "tomo")))
+    keys = st.sampled_from(_cli_keys(command))
+    lines = draw(st.lists(keys.flatmap(lambda key: CHEAP_VALUES.get(key, CLI_VALUES).map(
+        lambda value: f"{key} = {value}")), min_size=1, max_size=4))
     return command, lines
 
 
@@ -72,7 +82,7 @@ def _cells(out: Path):
 
 
 @given(cli_runs())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=600, deadline=None)
 def test_cli_exits_cleanly_on_any_config(run):
     command, lines = run
     with tempfile.TemporaryDirectory() as tmp:

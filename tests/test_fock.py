@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import binom, poisson
 
-from micromacro import fock, hom, macro
+from micromacro import fock, hom, macro, ranges
 from references import (ModeTransform, annihilation, beam_splitter, coherent_density,
                         dense_coincidence, displacement_operator, loss_channel,
                         thermal_dist)
@@ -250,7 +250,7 @@ def test_click_detector_on_coherent_state():
     # coherent inputs leave the 50/50 splitter as coherent states
     # (a + b)/sqrt2 and (b - a)/sqrt2, each clicking with probability
     # 1 - (1 - p_dc) exp(-eta_d |amplitude|^2), independently
-    det = fock.ClickDetector(0.33, 0.01)
+    det = ranges.ClickDetector(0.33, 0.01)
     n_max = 18
 
     def click_product(a, b):

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from micromacro import cli, fock, hom, polarization, spdc, tomography
+from micromacro import cli, hom, polarization, ranges, spdc, tomography
 
 GOLDEN = {
     "curves": {
@@ -79,7 +79,7 @@ GOLDEN_MLE = {
     (0.999, 2): "f97b2696818ed8320e168c75c8c3297474ddf5c3c11474a7096e6d90c93f28e5",
     (0.999, 3): "001d47ed68a4335c16a9079c99bd76a3c8550c0455eb9e65cdf918453dd9ef79",
 }
-#: the default (4, 4, 4) joint grid over ``spdc.GRID_DEG`` and the default S
+#: the default (4, 4, 4) joint grid over ``ranges.GRID_DEG`` and the default S
 GOLDEN_JOINT_GRID = "cc1de59a8b021118e8731977022faeb758c36230535ed2c3d2a3287a4b611111"
 GOLDEN_CHSH = "4966c6c1684a43cbf6b4d462fc034694d9cecbce59702e111aa1d58b2c71aef9"
 GOLDEN_CHSH_CURVE = "fe4d5550f89e5c80e652fbc6796054cd5797463650544779eb00058894bbe327"
@@ -128,7 +128,7 @@ def test_mle_states_match_pinned_digests():
 
 def test_joint_grid_and_chsh_match_pinned_digests():
     p = spdc.DetailedParams()
-    th = np.radians(spdc.GRID_DEG)
+    th = np.radians(ranges.GRID_DEG)
     assert _sha256(spdc.joints(th[:, None], th[None, :], p)) == GOLDEN_JOINT_GRID
     assert _sha256(np.float64(spdc.detailed_chsh_curve(p.gamma, p))) == GOLDEN_CHSH
 
@@ -140,6 +140,6 @@ def test_chsh_curve_matches_pinned_digest():
 
 def test_hom_visibility_matches_pinned_digest():
     v = np.array([hom.hom_visibility(hom.HomParams(
-                      mu_csp=float(mu), detector=fock.ClickDetector(eta_d, 0.0)))
+                      mu_csp=float(mu), detector=ranges.ClickDetector(eta_d, 0.0)))
                   for eta_d in (0.3, 0.5, 0.8) for mu in np.linspace(0.001, 0.2, 25)])
     assert _sha256(v) == GOLDEN_HOM_VISIBILITY

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from scipy.stats import binom
 
 from micromacro import hom
-from micromacro.fock import ClickDetector, coherent_amplitudes, poisson_pmf
+from micromacro.fock import coherent_amplitudes, poisson_pmf
+from micromacro.ranges import ClickDetector
 from oracles import hom_visibility_truncated, hom_visibility_untruncated
 from oracles import temporal_overlap as oracle_overlap
 from references import (classical_reference_visibility, dense_output_diagonal,

@@ -27,11 +27,13 @@ def private_imports(src=SRC) -> list[str]:
 
 
 def test_the_scan_sees_a_private_import(tmp_path):
-    # guards the scan itself, on a two-module package of both kinds of use
-    (tmp_path / "a.py").write_text("def _f():\n    pass\n")
+    # guards the scan itself, on a three-module package of both kinds of use;
+    # c's only import sits inside a function, as the CLI's imports do
+    (tmp_path / "a.py").write_text("def _f():\n    pass\n\n\ndef _g():\n    pass\n")
     (tmp_path / "b.py").write_text("from . import a\nfrom .a import _f\n\n"
                                    "def g():\n    return a._f, _f\n")
-    assert private_imports(tmp_path) == ["b uses a._f"]
+    (tmp_path / "c.py").write_text("def h():\n    from .a import _g\n    return _g\n")
+    assert private_imports(tmp_path) == ["b uses a._f", "c uses a._g"]
 
 
 def test_no_module_uses_another_modules_private_names():

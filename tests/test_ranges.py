@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from micromacro import fock, hom, noise, spdc
+from micromacro import hom, noise, ranges, spdc
 from micromacro.config import FIELD_KEYS, SCHEMA, ConfigError, parse_config_text
 from micromacro.ranges import NONNEGATIVE, Range
 
@@ -84,7 +84,7 @@ def test_range_messages():
     (lambda: spdc.DetailedParams(gamma=-3.0), "gamma=-3.0 must be in [0, 1000]"),
     (lambda: hom.HomParams(xi=-1.0), "xi=-1.0 must be in [0, 1]"),
     (lambda: hom.TemporalProfiles(hsp_tau_c=0.0), "hsp_tau_c=0.0 must be > 0"),
-    (lambda: fock.ClickDetector(0.5, 1.0), "p_dc=1.0 must be in [0, 1)"),
+    (lambda: ranges.ClickDetector(0.5, 1.0), "p_dc=1.0 must be in [0, 1)"),
 ])
 def test_constructor_names_the_field(make, message):
     with pytest.raises(ValueError) as exc:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from micromacro import polarization, spdc
+from micromacro import polarization, ranges, spdc
 from oracles import detailed_joints
 from references import (complex_monte_carlo_oracle, conditional_state_coeffs,
                         gauss_hermite_phase_average, projected_g_factor,
@@ -159,7 +159,7 @@ REFERENCE_PARAMS = {"default": spdc.DetailedParams(), "strong_leak": STRONG_LEAK
 @pytest.mark.parametrize("name", sorted(REFERENCE_PARAMS))
 def test_joints_match_the_scalar_reference(name):
     p = REFERENCE_PARAMS[name]
-    th = np.radians(spdc.GRID_DEG)
+    th = np.radians(ranges.GRID_DEG)
     got = spdc.joints(th[:, None], th[None, :], p)
     want = np.array([[scalar_joints(a, b, p) for b in th] for a in th])
     assert got.shape == (4, 4, 4) and got.tobytes() == want.tobytes()
@@ -183,7 +183,7 @@ def test_joints_match_the_scalar_reference(name):
 def _determinant_oracle_gap(p) -> float:
     """Worst relative gap between the joints and the determinant oracle on
     the 16-point grid."""
-    th = np.radians(spdc.GRID_DEG)
+    th = np.radians(ranges.GRID_DEG)
     got = spdc.joints(th[:, None], th[None, :], p)
     want = np.array([[[float(v) for v in detailed_joints(a, b, p)] for b in th]
                      for a in th])
