@@ -3,7 +3,7 @@
 Submodules
 ----------
 ranges          declared parameter ranges and every model parameter dataclass
-fock            truncated photon-number amplitudes and splitter unitaries
+fock            real truncated photon-number amplitudes and one cached splitter table
 polarization    density-matrix check, two-qubit states, CHSH, PPT, concurrence
 tomography      joint-setting counts and maximum-likelihood reconstruction
 noise           displacement-noise model for the witness-vs-size curves, with the

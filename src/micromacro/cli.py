@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -120,7 +121,7 @@ def cmd_hom(cfg, seed, meta):
     params = cfg.hom_params()
     v_e = hom.hom_visibility(params)
     mu_grid = np.linspace(cfg["hom.mu_min"], cfg["hom.mu_max"], cfg["hom.points"])
-    vis = hom.hom_visibility_curve(mu_grid, params)
+    vis = [hom.hom_visibility(replace(params, mu_csp=float(m))) for m in mu_grid]
     table = ResultTable("hom_visibility", {"mu": mu_grid, "visibility": vis}, meta)
 
     profiles = cfg.temporal_profiles()

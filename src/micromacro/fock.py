@@ -5,14 +5,16 @@ number ``n_max``.  The caller owns the truncation choice;
 ``displaced_single_photon`` checks the probability mass lost to the cutoff
 and fails loudly instead of silently clipping tails.
 
+The model displaces by a real alpha >= 0, so every amplitude is real.
 Displaced states have closed forms: D(alpha)|0> = |alpha> and
-D(alpha)|1> = (a^dag - alpha*)|alpha>, whose amplitudes are
-c_n (n/alpha - alpha*) with c_n those of |alpha>.  No model path builds a
-displacement matrix.
+D(alpha)|1> = (a^dag - alpha)|alpha>, whose amplitudes are
+c_n (n/alpha - alpha) with c_n = sqrt(Pois(n; alpha^2)) those of |alpha>.
+No model path builds a displacement matrix.
 
 The splitter conserves the total photon number N = n_a + n_b, so its
 unitary on the truncated two-mode space is one small block per N
-(``splitter_blocks``, at most ``n_max + 1`` square).  The dense Fock-space
+(``splitter_blocks``, at most ``n_max + 1`` square), cached per cutoff
+beside its transition probabilities |u|^2.  The dense Fock-space
 algebra it replaces (the k-mode ``ModeTransform``, the annihilation matrix
 and the dense displacement operator) is the test reference
 (``tests/references.py``), as are the loss channel, density operators and
@@ -40,11 +42,11 @@ class TruncationError(ValueError):
     """The requested state does not fit in the truncated space."""
 
 
-def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """Coefficients e^{-|a|^2/2} a^n / sqrt(n!): the root of the Poisson(|a|^2)
-    probabilities times the phase e^{i n arg a}."""
-    phase = np.exp(1j * np.arange(n_max + 1) * np.angle(alpha))
-    return np.sqrt(poisson_pmf(abs(alpha) ** 2, n_max)) * phase
+def coherent_amplitudes(alpha: float, n_max: int) -> np.ndarray:
+    """Coefficients e^{-a^2/2} a^n / sqrt(n!) of |a> for real a >= 0: the root
+    of the Poisson(a^2) probabilities.  A negative alpha is refused, since
+    the root would drop its sign."""
+    return np.sqrt(poisson_pmf(NONNEGATIVE.check(alpha, "alpha") ** 2, n_max))
 
 
 def log_factorials(n_max: int) -> np.ndarray:
@@ -72,18 +74,17 @@ def poisson_pmf(mean: float, n_max: int) -> np.ndarray:
     return np.exp(-mean + n * math.log(mean) - log_fact)
 
 
-def displaced_single_photon(alpha: complex, c: np.ndarray) -> np.ndarray:
-    """D(alpha)|1> = (a^dag - alpha*)|alpha>, amplitudes c_n (n/alpha - alpha*),
+def displaced_single_photon(alpha: float, c: np.ndarray) -> np.ndarray:
+    """D(alpha)|1> = (a^dag - alpha)|alpha>, amplitudes c_n (n/alpha - alpha),
     from the amplitudes c of |alpha> (``coherent_amplitudes``), on their cutoff.
 
-    Evaluated as sqrt(n) c_{n-1} - alpha* c_n (c_n n / alpha = sqrt(n) c_{n-1}),
-    which needs no division, so any complex alpha works and alpha = 0 gives
-    |1>.  Raises TruncationError when the mass beyond the cutoff exceeds
-    ``TAU_TRUNC``.
+    Evaluated as sqrt(n) c_{n-1} - alpha c_n (c_n n / alpha = sqrt(n) c_{n-1}),
+    which needs no division, so alpha = 0 gives |1>.  Raises TruncationError
+    when the mass beyond the cutoff exceeds ``TAU_TRUNC``.
     """
-    vec = -np.conj(alpha) * c
+    vec = -alpha * c
     vec[1:] += np.sqrt(np.arange(1, c.size)) * c[:-1]
-    nrm2 = float(np.sum(np.abs(vec) ** 2))
+    nrm2 = float(np.sum(vec**2))
     if not nrm2 >= 1.0 - TAU_TRUNC:
         raise TruncationError(f"squared norm {nrm2:.12g} below 1 - {TAU_TRUNC}; "
                               "increase n_max")
@@ -94,9 +95,10 @@ def displaced_single_photon(alpha: complex, c: np.ndarray) -> np.ndarray:
 def splitter_blocks(n_max: int) -> tuple:
     """The 50/50 splitter on two modes truncated at n_max, one block per N.
 
-    Entry N of the tuple (N = 0..2 n_max) is ``(n_a, u)``: the occupations
-    n_a of mode a whose partner N - n_a also fits below the cutoff, and the
-    unitary u[i, k] = <n_a[i], N - n_a[i]| U |n_a[k], N - n_a[k]>.  U is
+    Entry N of the tuple (N = 0..2 n_max) is ``(n_a, u, w)``: the occupations
+    n_a of mode a whose partner N - n_a also fits below the cutoff, the
+    unitary u[i, k] = <n_a[i], N - n_a[i]| U |n_a[k], N - n_a[k]> and its
+    transition probabilities w = |u|^2.  U is
     exp(pi/4 (a^dag b - a b^dag)) with the truncated a^dag, which cannot
     raise n_a or n_b past n_max, so for N > n_max photon flow at the cutoff
     is reflected, exactly as in the generator on the full truncated space.
@@ -110,18 +112,7 @@ def splitter_blocks(n_max: int) -> tuple:
         hop = math.pi / 4.0 * np.sqrt((n_a[:-1] + 1.0) * (total - n_a[:-1]))
         lam, v = np.linalg.eigh(1j * (np.diag(hop, -1) - np.diag(hop, 1)))
         u = (v * np.exp(-1j * lam)) @ v.conj().T
-        n_a.flags.writeable = u.flags.writeable = False
-        blocks.append((n_a, u))
-    return tuple(blocks)
-
-
-@cache
-def splitter_weights(n_max: int) -> tuple:
-    """The transition probabilities |u|^2 of ``splitter_blocks(n_max)``, one
-    read-only ``(n_a, |u|^2)`` entry per N, cached like the blocks."""
-    weights = []
-    for n_a, u in splitter_blocks(n_max):
         w = np.abs(u) ** 2
-        w.flags.writeable = False
-        weights.append((n_a, w))
-    return tuple(weights)
+        n_a.flags.writeable = u.flags.writeable = w.flags.writeable = False
+        blocks.append((n_a, u, w))
+    return tuple(blocks)

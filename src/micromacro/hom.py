@@ -12,20 +12,19 @@ N = n_a + n_b, so the coherent phase and every off-diagonal term drop out
 of the output distribution:
 P(n_a, n_b) = sum_k |<n_a, N - n_a|U_N|k, N - k>|^2 q_k p_(N - k),
 with q the heralded distribution, p the Poissonian CSP statistics and U_N
-the splitter's photon-number blocks (``fock.splitter_blocks``), whose
-|U_N|^2 are read from ``fock.splitter_weights``, cached per cutoff.  No
-two-mode density matrix is built.  Both inputs are cut at ``N_MAX``
-photons; the form 1 - P(no click a) - P(no click b) + P(neither) counts the
-Poisson mass beyond it (2e-9 at mu = 0.2) as coincidences.
+the splitter's photon-number blocks (``fock.splitter_blocks``), which
+cache |U_N|^2 beside U_N per cutoff.  No two-mode density matrix is built.
+Both inputs are cut at ``N_MAX`` photons; the form
+1 - P(no click a) - P(no click b) + P(neither) counts the Poisson mass
+beyond it (2e-9 at mu = 0.2) as coincidences.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .fock import poisson_pmf, splitter_weights
+from .fock import poisson_pmf, splitter_blocks
 from .ranges import WINDOW, ClickDetector, HomParams, TemporalProfiles
 
 #: photon-number cutoff of each splitter input
@@ -66,7 +65,7 @@ def output_distribution(q_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
     distributions q_a and p_b of its inputs, both of length n_max + 1."""
     n_max = len(q_a) - 1
     out = np.zeros((n_max + 1, n_max + 1))
-    for total, (n_a, w) in enumerate(splitter_weights(n_max)):
+    for total, (n_a, _, w) in enumerate(splitter_blocks(n_max)):
         out[n_a, total - n_a] = w @ (q_a[n_a] * p_b[total - n_a])
     return out
 
@@ -103,13 +102,6 @@ def hom_visibility(params: HomParams) -> float:
     if r_perp <= 1e-14:
         raise UndefinedVisibilityError("no coincidences in the orthogonal case")
     return (r_perp - r_par) / r_perp
-
-
-def hom_visibility_curve(mu_grid, params: HomParams) -> np.ndarray:
-    """V at every CSP mean of ``mu_grid``, the other parameters as ``params``."""
-    return np.array([
-        hom_visibility(replace(params, mu_csp=float(m))) for m in mu_grid
-    ])
 
 
 def _erfcx(x: float) -> float:

@@ -19,7 +19,7 @@ convolves p - q with a kernel band of WINDOW_SIGMAS sigma + 1 photons on
 each side, leaving out below 2 Q(9) = 2.3e-19 per unit of |p - q|.  Both
 forms take sigma <= SMALL_BLUR = 1/18 as sigma = 0, which moves L1 by at
 most 4 Q(1 / (2 sigma)) L1_0 <= 4.5e-19 L1_0.  The components come from closed
-forms: D(alpha)|0> = |alpha> and D(alpha)|1> = (a^dag - alpha*)|alpha>
+forms: D(alpha)|0> = |alpha> and D(alpha)|1> = (a^dag - alpha)|alpha>
 (see ``fock``), so no displacement matrix is built.
 """
 from __future__ import annotations
@@ -104,13 +104,12 @@ def mean_photon(p: np.ndarray) -> float:
 
 
 def macro_components(alpha: float, n_max: int) -> MacroComponentPair:
-    """Number distributions of D(alpha)(|0> + |1>)/sqrt(2) and D(alpha)(|0> - |1>)/sqrt(2)."""
-    if alpha < 0:
-        raise ValueError("alpha must be real and >= 0")
+    """Number distributions of D(alpha)(|0> + |1>)/sqrt(2) and D(alpha)(|0> - |1>)/sqrt(2),
+    for real alpha >= 0 (``fock.coherent_amplitudes`` refuses any other)."""
     zero = coherent_amplitudes(alpha, n_max)
     one = displaced_single_photon(alpha, zero)
-    pp = np.abs((zero + one) / math.sqrt(2)) ** 2
-    pm = np.abs((zero - one) / math.sqrt(2)) ** 2
+    pp = ((zero + one) / math.sqrt(2)) ** 2
+    pm = ((zero - one) / math.sqrt(2)) ** 2
     return MacroComponentPair(pp, pm, float(alpha))
 
 
@@ -214,15 +213,15 @@ def window_guessing_probability(lam: float, sigma: float) -> float:
        lam + 3/2), where g > 0 at the lower end and g < 0 at the upper (the
        tests check this over LAM and (SMALL_BLUR, SIGMA.hi]), neither end
        evaluated, and stops when the Newton step is within
-       1e-8 sigma + 4 eps |x|, after 2 to 3 gap evaluations on average
-       (Brent's method took 7.5 to 8 with its bracket).  g's rounding over
-       |g'|, below 1/20 of 1e-8 sigma in 1,500 random (lam, sigma), is left
-       out of that rule.  Plain probabilities are safe for sigma > 1/18: the
-       outcome nearest any x lies within 1/2, so its Gaussian factor is at
-       least e^-40.5 = 2.6e-18.  W = P(r - 1 < Y <= r) is stationary at r,
-       |W''| <= 1 / (2 sigma^2), so a root good to 1e-8 sigma moves W by
-       under (1e-8 sigma)^2 / (4 sigma^2) = 2.5e-17 < 3e-17, and Newton's
-       last step leaves it far better than that;
+       1e-8 sigma + 4 eps |x|, after 2 to 3 gap evaluations on average.
+       g's rounding over |g'|, below 1/20 of 1e-8 sigma in 1,500 random
+       (lam, sigma), is left out of that rule.  Plain probabilities are
+       safe for sigma > 1/18: the outcome nearest any x lies within 1/2, so
+       its Gaussian factor is at least e^-40.5 = 2.6e-18.
+       W = P(r - 1 < Y <= r) is stationary at r, |W''| <= 1 / (2 sigma^2),
+       so a root good to 1e-8 sigma moves W by under
+       (1e-8 sigma)^2 / (4 sigma^2) = 2.5e-17 < 3e-17, and Newton's last
+       step leaves it far better than that;
     2. sums by parts, W = sum_m d_m Phi((r - m) / sigma) with
        d_m = Pois(m) - Pois(m - 1): the d_m below r telescope to
        Pois(ceil(r) - 1), and every Phi left is a normal tail erfc(|z|) / 2,
@@ -357,8 +356,7 @@ def _sigma_max(alpha: float, target_p_g: float, tol: float) -> tuple[float, floa
     |slope|: rounding, which dominates only as t -> 1/2, and the rounding
     of log Pois(k) in P_g (5.7e-12 in sigma at lam = 150).  A target that
     P_g(SIGMA.hi) still exceeds is a RuntimeError.  At t = 2/3 and lam in
-    [10, 300] this takes four window evaluations, P_g(0) included, where
-    Brent's method on P_g took 11 or 12.
+    [10, 300] this takes four window evaluations, P_g(0) included.
     """
     lam = alpha**2
     window = _Window(lam)
@@ -412,7 +410,7 @@ def lossy_mixture_guessing(alpha: float, eta_h: float, eta_abs: float,
     n_max = default_n_max(a_mem**2 + 1.0)
     q = eta_h * eta_abs
     pair = macro_components(a_mem, n_max)
-    coh = np.abs(coherent_amplitudes(a_mem, n_max)) ** 2
+    coh = coherent_amplitudes(a_mem, n_max) ** 2
     mix_p = q * pair.p_plus + (1.0 - q) * coh
     mix_m = q * pair.p_minus + (1.0 - q) * coh
     return np.array([

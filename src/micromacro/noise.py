@@ -130,17 +130,19 @@ def werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vis
     ``eta_h``, ``eta`` and ``vis`` may be arrays.  A zero-size displacement
     is no operation at all and contributes no noise, so alpha_sq = 0 maps to
     W = v_mm exactly (the noise formulas themselves condition on at least one
-    displacement photon and are undefined there).  A mu that overflows to
-    infinity is refused, and so is a mean eta of 0, which retrieves nothing.
+    displacement photon and are undefined there).  A mu whose leak exponent
+    2 mu overflows to infinity is refused (a band draw at eta = 0 or vis = 1
+    would turn it into inf * 0), and so is a mean eta of 0, which retrieves
+    nothing.
     """
     if alpha_sq < 0:
         raise ValueError("alpha_sq must be >= 0")
     if alpha_sq == 0.0:
         return params.v_mm + np.zeros_like(eta)
     mu = params.kappa * float(alpha_sq)
-    if not math.isfinite(mu):
+    if not math.isfinite(2.0 * mu):
         raise ValueError(f"mu = kappa * alpha_sq = {params.kappa:g} * {alpha_sq:g} "
-                         "is not finite")
+                         "overflows: 2 mu is not finite")
     if params.eta == 0.0:
         raise ValueError("p_s + p_n = 0: noise fraction undefined at eta = 0")
     return params.v_mm * (1.0 - _noise_fraction(mu, params.bs_t, eta_h, eta, vis))
@@ -167,9 +169,8 @@ def witness_band_point(alpha_sq: float, params: ExperimentParams,
     all samples at once.  Row-major order uses the draws as one scalar
     ``rng.normal(mean, sd)`` per parameter and sample would.  The generator
     is seeded from (rng_seed, index), so the result does not depend on
-    evaluation order or on how points are split across workers.  At
-    alpha_sq = 0 every sample's W is v_mm, so the spreads are exactly zero.
-    A spread needs at least two samples.
+    evaluation order.  At alpha_sq = 0 every sample's W is v_mm, so the
+    spreads are exactly zero.  A spread needs at least two samples.
     """
     if band_samples < 2:
         raise ValueError(f"band_samples={band_samples} must be >= 2 for a spread")

@@ -159,9 +159,16 @@ def loss_channel(eta: float, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
+    """|alpha> for any complex alpha: the production amplitudes of |alpha|,
+    which the model displaces by, times the phase e^{i n arg alpha}."""
+    phase = np.exp(1j * np.arange(n_max + 1) * cmath.phase(alpha))
+    return fock.coherent_amplitudes(abs(alpha), n_max) * phase
+
+
 def coherent_density(alpha: complex, n_max: int) -> np.ndarray:
     """|alpha><alpha| on the truncated space."""
-    c = fock.coherent_amplitudes(alpha, n_max)
+    c = coherent_state(alpha, n_max)
     return np.outer(c, c.conj())
 
 

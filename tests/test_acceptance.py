@@ -75,7 +75,7 @@ def test_criterion_4_interference_visibility():
     assert abs(overlap_ratio(0.74, 0.85) - 0.8706) <= 1e-4
     assert abs(hom.temporal_overlap(hom.TemporalProfiles(), 3.0) - 0.8706) <= 0.05
     mu = np.linspace(0.001, 0.2, 25)
-    v = hom.hom_visibility_curve(mu, hom.HomParams())
+    v = [hom.hom_visibility(hom.HomParams(mu_csp=float(m))) for m in mu]
     k = int(np.argmax(v))
     assert 0 < k < mu.size - 1
 

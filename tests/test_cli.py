@@ -273,6 +273,18 @@ def test_overflowing_photon_number_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_overflowing_leak_exponent_is_an_error(tmp_path, capsys):
+    # mu = 1e308 is finite but 2 mu is not, and a band draw clipped to eta = 0
+    # made the leak exponent inf * 0: a NaN warning instead of a message
+    cfg = write_config(tmp_path, "curves.alpha_sq_max = 1e308\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["curves", "--config", cfg, "--out", out]) == 1
+    assert "overflows: 2 mu is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_grid_bounds_must_be_ordered():
     # the later of the two lines is blamed, and both keys are named
     message = (r"line 3: bad value '2' for size\.beta_sq_max: "
@@ -548,7 +560,6 @@ def test_hom_and_validate_decompose_no_dense_fock_matrix(tmp_path, monkeypatch):
     for name in ("eig", "eigh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     fock.splitter_blocks.cache_clear()
-    fock.splitter_weights.cache_clear()
     assert cli.main(["hom", "--out", str(tmp_path)]) == 0
     assert cli.main(["validate"]) == 0
     assert max(sizes) == 13

@@ -2,17 +2,19 @@
 
 The default config and seed are used throughout, plus one ``detailed`` run
 with a small sampling oracle.  A refactor that changes any written number,
-even in the twelfth digit, changes a digest.  Four layers below the CLI
-(the tomography MLE, the detailed joints and CHSH S, the CHSH curve and the
-hom visibility) have digests of their raw float64 bytes as well.  Any update to these tables is a
-deliberate change of output and has to be stated with its reason.
+even in the twelfth digit, changes a digest.  The layers below the CLI
+(the tomography MLE, the detailed joints and CHSH S, the CHSH curve, the
+hom visibility and the size_scan layers of macro) have digests of their raw
+float64 bytes as well.  Any update to these tables is a deliberate change
+of output and has to be stated with its reason.
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from micromacro import cli, hom, polarization, ranges, spdc, tomography
+from micromacro import cli, hom, macro, polarization, ranges, spdc, tomography
 
 GOLDEN = {
     "curves": {
@@ -84,6 +86,14 @@ GOLDEN_JOINT_GRID = "cc1de59a8b021118e8731977022faeb758c36230535ed2c3d2a3287a4b6
 GOLDEN_CHSH = "4966c6c1684a43cbf6b4d462fc034694d9cecbce59702e111aa1d58b2c71aef9"
 GOLDEN_CHSH_CURVE = "fe4d5550f89e5c80e652fbc6796054cd5797463650544779eb00058894bbe327"
 GOLDEN_HOM_VISIBILITY = "dd1494d3da46097679bf991dc8fc148c4b89679358e4508bab523430ca76f9a5"
+#: the size_scan benchmark grids: P_g at sigma = 0 over 30 beta^2 in [2, 300],
+#: (P_g, sigma_max, N_eff) of ``size_analysis`` at four beta^2, and the lossy
+#: mixture's P_g on 9 sigma in [0, 8] at beta^2 = 47 and 150
+GOLDEN_SIZE_SCAN = {
+    "p_g": "3ea22e74133e78c9812ab49510d6b34c5e9f03d8390d908e35551c6ddfd4359f",
+    "size_analysis": "4ed6e1e4e7bc9264e388fbcd0f8ef26e196cef263a41dcc924857e416e8667e4",
+    "lossy": "fded8bf5bf3985507bc27082c90f41cedddcbd6904777c26756be43eb893e990",
+}
 
 
 def _digests(directory, pattern="*.csv") -> dict:
@@ -143,3 +153,18 @@ def test_hom_visibility_matches_pinned_digest():
                       mu_csp=float(mu), detector=ranges.ClickDetector(eta_d, 0.0)))
                   for eta_d in (0.3, 0.5, 0.8) for mu in np.linspace(0.001, 0.2, 25)])
     assert _sha256(v) == GOLDEN_HOM_VISIBILITY
+
+
+def test_size_scan_layers_match_pinned_digests():
+    p_g = [macro.guessing_probability(macro.macro_components(
+               math.sqrt(b), macro.default_n_max(b + 1.0)), 0.0)
+           for b in np.geomspace(2.0, 300.0, 30)]
+    sizes = [macro.size_analysis(math.sqrt(b), 2.0 / 3.0) for b in (10.0, 47.0, 150.0, 300.0)]
+    p = ranges.ExperimentParams()
+    lossy = [macro.lossy_mixture_guessing(math.sqrt(b / p.eta_abs), p.eta_h, p.eta_abs,
+                                          np.linspace(0.0, 8.0, 9))
+             for b in (47.0, 150.0)]
+    got = {"p_g": _sha256(np.array(p_g)),
+           "size_analysis": _sha256(np.array([[r.p_g, r.sigma_max, r.n_eff] for r in sizes])),
+           "lossy": _sha256(np.array(lossy))}
+    assert got == GOLDEN_SIZE_SCAN

@@ -10,12 +10,12 @@ from scipy.integrate import quad
 from scipy.stats import binom
 
 from micromacro import hom
-from micromacro.fock import coherent_amplitudes, poisson_pmf
+from micromacro.fock import poisson_pmf
 from micromacro.ranges import ClickDetector
 from oracles import hom_visibility_truncated, hom_visibility_untruncated
 from oracles import temporal_overlap as oracle_overlap
-from references import (classical_reference_visibility, dense_output_diagonal,
-                        overlap_ratio)
+from references import (classical_reference_visibility, coherent_state,
+                        dense_output_diagonal, overlap_ratio)
 
 
 def test_expected_visibility_frozen_value():
@@ -39,7 +39,7 @@ def test_output_distribution_matches_dense_splitter(weights, mean, phase):
     # diag(U rho U^dag) is the block sum over q and the Poisson weights of b
     n_max = len(weights) - 1
     q = np.array(weights) / sum(weights)
-    c = coherent_amplitudes(math.sqrt(mean) * cmath.exp(1j * phase), n_max)
+    c = coherent_state(math.sqrt(mean) * cmath.exp(1j * phase), n_max)
     ref = dense_output_diagonal(np.kron(np.diag(q), np.outer(c, c.conj())), n_max)
     got = hom.output_distribution(q, poisson_pmf(mean, n_max))
     assert np.max(np.abs(got - ref)) < 1e-13
@@ -93,7 +93,7 @@ def test_visibility_matches_the_untruncated_oracle():
 def test_visibility_has_interior_maximum():
     params = hom.HomParams()
     mu = np.linspace(0.001, 0.2, 25)
-    v = hom.hom_visibility_curve(mu, params)
+    v = [hom.hom_visibility(replace(params, mu_csp=float(m))) for m in mu]
     k = int(np.argmax(v))
     assert 0 < k < mu.size - 1
     assert v[k] > v[0] and v[k] > v[-1]
