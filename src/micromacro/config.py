@@ -30,8 +30,8 @@ class ConfigError(ValueError):
 _POINTS = Range(1.0, 1e6)
 #: a band point holds its (draws, 3) normals at once: 240 MB at 1e7
 _BAND_SAMPLES = Range(0.0, 1e7)
-#: the oracle draws about 5.5e6 samples/s on a 2-vCPU machine, so 1e9 takes
-#: some 3 min per grid point
+#: the oracle draws about 2.4e7 samples/s on a 2-vCPU machine, so 1e9 takes
+#: some 40 s per grid point
 _ORACLE_SAMPLES = Range(0.0, 1e9)
 #: the 36 setting pairs' counts sum to 36 shots in int64
 _SHOTS = Range(1.0, (2**63 - 1) // 36)

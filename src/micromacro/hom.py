@@ -100,7 +100,11 @@ def hom_visibility(params: HomParams) -> float:
         unmatched_mean=(1.0 - xi) * params.mu_csp) for xi in (params.xi, 0.0))
     # below ~100 eps the subtractions above are pure cancellation noise
     if r_perp <= 1e-14:
-        raise UndefinedVisibilityError("no coincidences in the orthogonal case")
+        det = params.detector
+        raise UndefinedVisibilityError(
+            f"no coincidences in the orthogonal case (R_perp = {r_perp:.3g}): raise "
+            f"hom.eta_d ({det.eta_d:g}) or hom.p_dc ({det.p_dc:g}), or the light at the "
+            f"splitter, hom.eta_h ({params.eta_h:g}) and mu ({params.mu_csp:g})")
     return (r_perp - r_par) / r_perp
 
 
@@ -138,7 +142,10 @@ def temporal_overlap(profiles: TemporalProfiles, window: float) -> float:
         * (_erfcx(a) - math.exp(-d * (2.0 * a + d)) * _erfcx(a + d))
     gg = s * math.sqrt(math.pi) * math.erf(half / s)
     hh = -tau * math.expm1(-window / tau)
-    return gh**2 / (gg * hh)
+    # xi -> 0 as tau -> 0; where gh^2 underflows, gg * hh may too (at a
+    # subnormal tau), and 0 / 0 would stand for that limit
+    num = gh**2
+    return num / (gg * hh) if num else 0.0
 
 
 def overlap_vs_window(profiles: TemporalProfiles, windows, v_e: float = 0.85):

@@ -10,7 +10,8 @@ detector fired, main detector silent"; outcome -1 means the main detector
 fired.  The Gaussian averages over thermal modes and phase jitter have exact
 closed forms, so ``joints`` gives the four joints analytically, broadcast
 over arrays of (theta_a, theta_b, gamma); ``monte_carlo_oracle`` re-estimates
-them by direct sampling.
+them by sampling the leak-coupled imaginary quadratures of side B's detector
+amplitudes, with the real quadratures averaged exactly.
 """
 from __future__ import annotations
 
@@ -32,7 +33,12 @@ def renormalized(joints: np.ndarray) -> np.ndarray:
     """(..., 4) raw joints divided by their sum."""
     s = joints.sum(axis=-1, keepdims=True)
     if np.any(s <= 0):
-        raise ModelInconsistencyError("joint probabilities sum to zero")
+        raise ModelInconsistencyError(
+            "joint probabilities sum to zero: side B never clicks (detailed.eta_d or "
+            "detailed.t2 is 0, or so small that the joints round to 0; or one of "
+            "detailed.g, detailed.t1 and detailed.eta_c is 0 and so is detailed.gamma "
+            "or detailed.sigma_phi) or side A never heralds (detailed.p_dc 0 with "
+            "detailed.g 0 or detailed.r 1)")
     return joints / s
 
 
@@ -159,49 +165,51 @@ class OracleEstimate:
     errors: JointProbabilities
 
 
-#: samples per oracle block: a stream's (5, n) normals and (4k, n) amplitudes
+#: samples per oracle block: a stream's (2, n) normals and (2k, n) quadratures
 #: are drawn and mapped this many columns at a time, in buffers that stay in
 #: cache, so memory does not grow with n_samples
 ORACLE_BLOCK = 2**14
 
 
-def _sampled_pairs(rng, amp: np.ndarray, n_samples: int, p: DetailedParams) -> tuple:
+def _sampled_pairs(rng, chol: np.ndarray, weights: np.ndarray, n_samples: int,
+                   eta: float) -> tuple:
     """Means and standard errors, two (2k,) arrays, of P(B = -1) and P(B = +1)
-    for each of the k thermal pairs that share one stream: ``amp`` stacks
-    their (4, 5) maps, each taking the same blocks of (5, ORACLE_BLOCK)
-    standard normals onto the real and imaginary parts of the main and
-    orthogonal detector amplitudes.
+    for each of the k thermal pairs that share one stream.  ``chol`` stacks
+    their (2, 2) Cholesky factors, which take the same (2, ORACLE_BLOCK)
+    blocks of standard normals onto the imaginary parts y1, y2 of the main
+    and orthogonal detector amplitudes, and ``weights`` their (q f_re,
+    -q g_re / f_re), q = 1 - p_dc.  With e_i = exp(-eta y_i^2),
+    P(B = -1) = 1 - q f_re e1 and P(B = +1) = q f_re e1 (1 - (q g_re / f_re) e2).
 
     Each block's means and summed squared deviations are merged into running
     totals (Chan, Golub & LeVeque 1979), so only two buffers are allocated.
     """
-    rows = amp.shape[0]
+    k = len(chol)
     size = min(n_samples, ORACLE_BLOCK)
-    z_buf, c_buf = np.empty(5 * size), np.empty(rows * size)
-    # running mean and summed squared deviations, rows as ``pnc`` below
-    mean, m2 = np.zeros(rows // 2), np.zeros(rows // 2)
+    u_buf, y_buf = np.empty(2 * size), np.empty(2 * k * size)
+    # running mean and summed squared deviations, rows as ``prob`` below
+    mean, m2 = np.zeros(2 * k), np.zeros(2 * k)
     for start in range(0, n_samples, size):
         m = min(size, n_samples - start)
-        z = z_buf[:5 * m].reshape(5, m)  # contiguous, as ``out=`` requires
-        c = c_buf[:rows * m].reshape(rows, m)
-        rng.standard_normal(out=z)
-        np.matmul(amp, z, out=c)
-        c *= c
-        pnc = c[0::2]  # |c|^2, then the no-click probability: rows main, orth per pair
-        pnc += c[1::2]
-        pnc *= -p.eta_d
-        np.exp(pnc, out=pnc)
-        pnc *= 1.0 - p.p_dc
-        pnc_main, pnc_orth = pnc[0::2], pnc[1::2]
-        np.subtract(1.0, pnc_orth, out=pnc_orth)
-        pnc_orth *= pnc_main
-        np.subtract(1.0, pnc_main, out=pnc_main)  # rows P(B = -1), P(B = +1) per pair
-        block_mean = pnc.mean(axis=1)
-        pnc -= block_mean[:, None]
-        pnc *= pnc
+        u = u_buf[:2 * m].reshape(2, m)  # contiguous, as ``out=`` requires
+        y = y_buf[:2 * k * m].reshape(k, 2, m)
+        rng.standard_normal(out=u)
+        np.matmul(chol, u, out=y)
+        y *= y
+        y *= -eta
+        np.exp(y, out=y)
+        y *= weights[:, :, None]
+        main, orth = y[:, 0], y[:, 1]  # q f_re e1 and -(q g_re / f_re) e2 per pair
+        orth += 1.0
+        orth *= main
+        np.subtract(1.0, main, out=main)
+        prob = y.reshape(2 * k, m)  # rows P(B = -1), P(B = +1) per pair
+        block_mean = prob.mean(axis=1)
+        prob -= block_mean[:, None]
+        prob *= prob
         delta = block_mean - mean
         mean += delta * (m / (start + m))
-        m2 += pnc.sum(axis=1) + delta**2 * (start * m / (start + m))
+        m2 += prob.sum(axis=1) + delta**2 * (start * m / (start + m))
     return mean, np.sqrt(m2 / (n_samples - 1) / n_samples)
 
 
@@ -210,9 +218,23 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     """Sampling estimate of the four joints with standard errors.
 
     Thermal modes are complex normals, the leak phase is N(0, sigma_phi);
-    Bob's outcome probabilities are computed exactly per sample, so the only
-    noise is over the Gaussian draws.  The three thermal pairs are estimated
-    separately and combined by the herald table, errors in quadrature.
+    with t the amplitude transmission and k = t2 gamma sigma_phi,
+
+        c_main = t (cos th_b a + sin th_b b) + i k cos(th_a - th_b) phi
+        c_orth = t (sin th_b a - cos th_b b) + i k sin(th_b - th_a) phi.
+
+    The real parts are independent of the imaginary parts, which carry the
+    leak, and exp(-eta_d |c|^2) factorizes over the two, so the real parts
+    are averaged exactly (conditioning keeps each mean and raises no
+    variance).  For a thermal pair (nu_b, nu_p), with ta^2 = t^2 nu_b / 2 and
+    tb^2 = t^2 nu_p / 2, Re c_main gives f_re = (1 + 2 eta_d (cb^2 ta^2 +
+    sb^2 tb^2))^(-1/2), and both real parts, [[cb, sb], [sb, -cb]] being
+    orthogonal, g_re = ((1 + 2 eta_d ta^2)(1 + 2 eta_d tb^2))^(-1/2).  The
+    imaginary parts are drawn from two standard normals through the lower
+    Cholesky factor of their covariance, and Bob's outcome probabilities
+    given them are exact (``_sampled_pairs``).  The three thermal pairs are
+    estimated separately and combined by the herald table, errors in
+    quadrature.
 
     Pair 0 (nbar, mbar) meets pair 1 in the A = +1 joints and pair 2 in the
     A = -1 joints, but pairs 1 and 2 never meet: the herald table gives
@@ -221,47 +243,46 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     two independent estimates, which keeps its quadrature error exact.
     Two streams, children 0 and 1 of ``SeedSequence([seed]).spawn(2)``
     through SFC64 generators, feed pair 0 and pairs 1 and 2, in blocks of
-    (5, ORACLE_BLOCK) standard normals with rows Re a, Im a, Re b, Im b, phi:
-    10 draws per sample.  Pair 0 runs on one worker thread while the caller
-    runs the other stream; each stream has one owner, so the result does not
-    depend on scheduling.  The two detector amplitudes are linear in the
-    draws; with t the amplitude transmission and k = t2 gamma sigma_phi,
-
-        c_main = t (cos th_b a + sin th_b b) + i k cos(th_a - th_b) phi
-        c_orth = t (sin th_b a - cos th_b b) + i k sin(th_b - th_a) phi,
-
-    so one real 4 x 5 map per pair gives both real and imaginary parts and
-    no complex array is made.
+    (2, ORACLE_BLOCK) standard normals: 4 draws per sample.  Pair 0 runs on
+    one worker thread while the caller runs the other stream; each stream
+    has one owner, so the result does not depend on scheduling.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: a standard error needs >= 2")
     _finite(th_a, "th_a"), _finite(th_b, "th_b")
     pairs, rows = _derived(p)
-    t_amp = p.t1 * p.t2 * math.sqrt(p.eta_c)
+    t_sq = (p.t1 * p.t2) ** 2 * p.eta_c
     cb, sb = math.cos(th_b), math.sin(th_b)
     k = p.t2 * p.gamma * p.sigma_phi
     k_main, k_orth = k * math.cos(th_a - th_b), k * math.sin(th_b - th_a)
-    amp = np.empty((4 * len(pairs), 5))
+    q, eta = 1.0 - p.p_dc, p.eta_d
+    chol, weights = np.zeros((len(pairs), 2, 2)), np.empty((len(pairs), 2))
     for j, (vb, vp) in enumerate(pairs):
-        ta, tb = t_amp * math.sqrt(vb / 2), t_amp * math.sqrt(vp / 2)
-        amp[4 * j:4 * j + 4] = [[cb * ta, 0.0, sb * tb, 0.0, 0.0],
-                                [0.0, cb * ta, 0.0, sb * tb, k_main],
-                                [sb * ta, 0.0, -cb * tb, 0.0, 0.0],
-                                [0.0, sb * ta, 0.0, -cb * tb, k_orth]]
+        ta_sq, tb_sq = t_sq * vb / 2, t_sq * vp / 2
+        main_sq = cb**2 * ta_sq + sb**2 * tb_sq  # thermal variance of each part of c_main
+        f_re = 1.0 / math.sqrt(1.0 + 2.0 * eta * main_sq)
+        g_re = 1.0 / math.sqrt((1.0 + 2.0 * eta * ta_sq) * (1.0 + 2.0 * eta * tb_sq))
+        l11 = math.sqrt(main_sq + k_main**2)
+        # a singular C (no pairs, and no leak on c_main or none at all) takes
+        # l21 = 0 where l11 = 0 and clamps c22 - l21^2, which rounds below 0
+        l21 = (cb * sb * (ta_sq - tb_sq) + k_main * k_orth) / l11 if l11 > 0 else 0.0
+        c22 = sb**2 * ta_sq + cb**2 * tb_sq + k_orth**2
+        chol[j] = [[l11, 0.0], [l21, math.sqrt(max(c22 - l21**2, 0.0))]]
+        weights[j] = q * f_re, -q * g_re / f_re
     rngs = [np.random.Generator(np.random.SFC64(child))
             for child in np.random.SeedSequence([seed]).spawn(2)]
     worker_out = []  # pair 0's estimate, or the exception that ended it
 
     def run():
         try:
-            worker_out.append(_sampled_pairs(rngs[0], amp[:4], n_samples, p))
+            worker_out.append(_sampled_pairs(rngs[0], chol[:1], weights[:1], n_samples, eta))
         except BaseException as exc:  # handed to the caller, which raises it
             worker_out.append(exc)
 
     worker = threading.Thread(target=run)
     worker.start()
     try:
-        shared = _sampled_pairs(rngs[1], amp[4:], n_samples, p)
+        shared = _sampled_pairs(rngs[1], chol[1:], weights[1:], n_samples, eta)
     finally:
         worker.join()
     if isinstance(worker_out[0], BaseException):

@@ -5,14 +5,15 @@ displacement as dense exponentials on the full truncated Fock space, the
 loss channel as a Kraus sum, the double-pair source as four-mode amplitudes
 (and its rejected double-click reading), its closed form one thermal
 pair at a time in scalar arithmetic, the phase-jitter average by
-Gauss-Hermite quadrature, the sampling oracle in complex arithmetic, the
-storage loop slot by slot, the window form built afresh for every sigma and
-its root in log space, the Brent search for sigma_max, the smoothing
-lattice with its whole kernel, the effective size by a search over smoothed
-point masses, the tomography likelihood fit by scipy's L-BFGS-B and its
-Born probabilities one projector at a time.  The differential tests compare
-the closed forms with them.  Unlike ``oracles.py`` (standard library and mpmath
-only), these use numpy and may take production parameter classes as input.
+Gauss-Hermite quadrature, the sampling oracle on whole arrays and its
+direct five-normal sampler in complex arithmetic, the storage loop slot by
+slot, the window form built afresh for every sigma and its root in log
+space, the Brent search for sigma_max, the smoothing lattice with its whole
+kernel, the effective size by a search over smoothed point masses, the
+tomography likelihood fit by scipy's L-BFGS-B and its Born probabilities one
+projector at a time.  The differential tests compare the closed forms with
+them.  Unlike ``oracles.py`` (standard library and mpmath only), these use
+numpy and may take production parameter classes as input.
 """
 import cmath
 import math
@@ -319,21 +320,41 @@ def gauss_hermite_phase_average(fn, sigma: float, n_nodes: int = 61) -> float:
                      for xi, wi in zip(x, w)) / math.sqrt(math.pi))
 
 
+def _oracle_normals(child, rows: int, n_samples: int) -> np.ndarray:
+    """(rows, n_samples) standard normals from one SFC64 stream, drawn in
+    ``spdc.ORACLE_BLOCK`` blocks of ``rows`` rows each and concatenated."""
+    rng = np.random.Generator(np.random.SFC64(child))
+    return np.concatenate([rng.standard_normal((rows, min(spdc.ORACLE_BLOCK, n_samples - s)))
+                           for s in range(0, n_samples, spdc.ORACLE_BLOCK)], axis=1)
+
+
+def _oracle_estimate(rows, plus, minus, n_samples: int) -> spdc.OracleEstimate:
+    """The joints and their quadrature errors from per-pair samples of
+    P(B = +1) and P(B = -1), reduced by whole-array mean and ``std(ddof=1)``."""
+    joints, errors = [], []
+    for row in rows:
+        for samples in (plus, minus):
+            means = [x.mean() for x in samples]
+            ses = [x.std(ddof=1) / math.sqrt(n_samples) for x in samples]
+            joints.append(_weigh(row, means))
+            errors.append(math.sqrt(sum((w * se) ** 2 for w, se in zip(row, ses))))
+    return spdc.OracleEstimate(spdc.JointProbabilities(*joints),
+                               spdc.JointProbabilities(*errors))
+
+
 def complex_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedParams,
                                n_samples: int, seed: int) -> spdc.OracleEstimate:
-    """``spdc.monte_carlo_oracle`` in complex arithmetic: the thermal modes
-    a, b and the leak phase phi scaled from the same standard normals (pair 0
-    from SFC64 child 0 of the seed, pairs 1 and 2 both from child 1, in
-    ``ORACLE_BLOCK`` blocks, concatenated), displaced by the leak, rotated
-    onto the two detectors, and reduced by whole-array mean and ``std(ddof=1)``."""
+    """The direct sampler of the joints that ``spdc.monte_carlo_oracle``
+    estimates by conditioning, in complex arithmetic: the thermal modes a, b
+    and the leak phase phi scaled from five standard normals per sample (pair
+    0 from SFC64 child 0 of the seed, pairs 1 and 2 both from child 1),
+    displaced by the leak and rotated onto the two detectors."""
     pairs, rows = _pairs_and_rows(p)
     t_amp = p.t1 * p.t2 * math.sqrt(p.eta_c)
     children = np.random.SeedSequence([seed]).spawn(2)
-    plus, minus = [], []  # (mean, standard error) of P(B = +-1) per pair
+    plus, minus = [], []  # samples of P(B = +-1) per pair
     for (vb, vp), child in zip(pairs, (children[0], children[1], children[1])):
-        rng = np.random.Generator(np.random.SFC64(child))
-        z = np.concatenate([rng.standard_normal((5, min(spdc.ORACLE_BLOCK, n_samples - s)))
-                            for s in range(0, n_samples, spdc.ORACLE_BLOCK)], axis=1)
+        z = _oracle_normals(child, 5, n_samples)
         a = math.sqrt(vb / 2) * (z[0] + 1j * z[1])
         b = math.sqrt(vp / 2) * (z[2] + 1j * z[3])
         phi = p.sigma_phi * z[4]
@@ -344,17 +365,37 @@ def complex_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedParams,
         c_orth = math.sin(th_b) * a_hat - math.cos(th_b) * b_hat
         pnc_main = (1.0 - p.p_dc) * np.exp(-np.abs(c_main) ** 2 * p.eta_d)
         pnc_orth = (1.0 - p.p_dc) * np.exp(-np.abs(c_orth) ** 2 * p.eta_d)
-        for est, x in ((plus, pnc_main * (1.0 - pnc_orth)), (minus, 1.0 - pnc_main)):
-            est.append((x.mean(), x.std(ddof=1) / math.sqrt(n_samples)))
+        plus.append(pnc_main * (1.0 - pnc_orth))
+        minus.append(1.0 - pnc_main)
+    return _oracle_estimate(rows, plus, minus, n_samples)
 
-    joints, errors = [], []
-    for row in rows:
-        for est in (plus, minus):
-            means, ses = zip(*est)
-            joints.append(_weigh(row, means))
-            errors.append(math.sqrt(sum((w * se) ** 2 for w, se in zip(row, ses))))
-    return spdc.OracleEstimate(spdc.JointProbabilities(*joints),
-                               spdc.JointProbabilities(*errors))
+
+def conditional_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedParams,
+                                   n_samples: int, seed: int) -> spdc.OracleEstimate:
+    """``spdc.monte_carlo_oracle`` on whole arrays, from the same two streams
+    in the same blocks: the detector amplitudes' real parts averaged in
+    closed form, their imaginary parts drawn through ``np.linalg.cholesky`` of
+    the covariance that the thermal modes' imaginary parts and the leak give
+    them, which must be nonsingular here."""
+    pairs, rows = _pairs_and_rows(p)
+    t_amp = p.t1 * p.t2 * math.sqrt(p.eta_c)
+    cb, sb = math.cos(th_b), math.sin(th_b)
+    k = p.t2 * p.gamma * p.sigma_phi
+    q, eta = 1.0 - p.p_dc, p.eta_d
+    children = np.random.SeedSequence([seed]).spawn(2)
+    plus, minus = [], []  # samples of P(B = +-1) given the imaginary parts, per pair
+    for (vb, vp), child in zip(pairs, (children[0], children[1], children[1])):
+        ta, tb = t_amp * math.sqrt(vb / 2), t_amp * math.sqrt(vp / 2)
+        # rows main, orth on (Im a, Im b, phi)
+        im = np.array([[cb * ta, sb * tb, k * math.cos(th_a - th_b)],
+                       [sb * ta, -cb * tb, k * math.sin(th_b - th_a)]])
+        f_re = (1.0 + 2.0 * eta * (cb**2 * ta**2 + sb**2 * tb**2)) ** -0.5
+        g_re = ((1.0 + 2.0 * eta * ta**2) * (1.0 + 2.0 * eta * tb**2)) ** -0.5
+        y = np.linalg.cholesky(im @ im.T) @ _oracle_normals(child, 2, n_samples)
+        e1, e2 = np.exp(-eta * y[0] ** 2), np.exp(-eta * y[1] ** 2)
+        plus.append(q * f_re * e1 * (1.0 - (q * g_re / f_re) * e2))
+        minus.append(1.0 - q * f_re * e1)
+    return _oracle_estimate(rows, plus, minus, n_samples)
 
 
 # ---- noise: the memory's storage loop slot by slot ----

@@ -407,6 +407,29 @@ def test_hom_command_tables(tmp_path):
     assert xis == sorted(xis, reverse=True)
 
 
+def test_hom_runs_at_a_subnormal_coherence_time(tmp_path):
+    # the overlap takes its limit 0 instead of dividing 0 by 0
+    cfg = write_config(tmp_path, "hom.hsp_tau_c = 5e-324\nhom.points = 2\n"
+                                 "hom.window_points = 4\n")
+    assert run(["hom", "--config", cfg, "--out", tmp_path]) == 0
+    _, cols, orows = read_table(tmp_path / "hom_overlap.csv")
+    assert [(r[cols.index("xi")], r[cols.index("v_m")]) for r in orows] == [(0.0, 0.0)] * 4
+
+
+@pytest.mark.parametrize("command, text, keys", [
+    ("detailed", "detailed.eta_d = 0\n", ["detailed.eta_d"]),
+    ("detailed", "detailed.t2 = 0\n", ["detailed.t2"]),
+    ("detailed", "detailed.g = 0\ndetailed.p_dc = 0\n", ["detailed.g", "detailed.p_dc"]),
+    ("detailed", "detailed.g = 0\ndetailed.gamma = 0\n", ["detailed.g", "detailed.gamma"]),
+    ("hom", "hom.eta_d = 0\nhom.points = 2\n", ["hom.eta_d", "hom.p_dc"])])
+def test_a_run_where_nothing_can_click_names_the_keys(tmp_path, capsys, command, text, keys):
+    cfg = write_config(tmp_path, text)
+    assert run([command, "--config", cfg, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(key in err for key in keys), err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_detailed_command_with_oracle(tmp_path):
     cfg = write_config(tmp_path, "detailed.mc_samples = 400\n")
     assert run(["detailed", "--config", cfg, "--out", tmp_path]) == 0

@@ -42,7 +42,7 @@ GOLDEN = {
 #: ``detailed`` with ``detailed.mc_samples = 2000``
 GOLDEN_ORACLE = {
     "detailed_grid.csv": "1ca64fc43c0c15631a8d4a7ba3794ffbdf6a6673998596486868fbde4b9b9e28",
-    "detailed_oracle.csv": "c31a79b019171ba746ed9b27212178a50acdd42d764b3ede8f7c72718f5d482e",
+    "detailed_oracle.csv": "b6cdcdb9363d797e190a5d5f6a7cd27919bdbd8bfce6ddd5476d0712fe106607",
     "detailed_summary.csv": "65ebd96d3a716381577a5cb4571dc785d2d4bf328aed39c17f2431b1473697f7",
 }
 

@@ -172,6 +172,17 @@ def test_temporal_overlap_of_a_wide_csp(csp_fwhm):
     assert abs(hom.temporal_overlap(profiles, 0.5) - quad_overlap(profiles, 0.5)) < 1e-12
 
 
+@pytest.mark.parametrize("tau_c", [5e-324, 1e-310, 1e-200])
+def test_temporal_overlap_takes_its_limit_at_a_vanishing_coherence_time(tau_c):
+    # xi -> 0 with tau_c (xi = 8.5e-100 at 1e-100 and w = 0.5); at a
+    # subnormal tau_c both gh^2 and gg * hh underflow, and 0 / 0 raised
+    # ZeroDivisionError
+    profiles = hom.TemporalProfiles(hsp_tau_c=tau_c)
+    for window in (1e-3, 0.5, 3.0, 6.0):
+        assert hom.temporal_overlap(profiles, window) == 0.0
+    assert 0.0 < hom.temporal_overlap(hom.TemporalProfiles(hsp_tau_c=1e-100), 0.5) < 1e-99
+
+
 @pytest.mark.parametrize("window, bound", [(1e-3, 2e-11), (1e-2, 2e-11), (0.5, 1e-12)])
 def test_temporal_overlap_of_a_wide_csp_against_the_oracle(window, bound):
     # a CSP wide against the window loses more digits to the erfcx

@@ -11,9 +11,10 @@ import pytest
 
 from micromacro import polarization, ranges, spdc
 from oracles import detailed_joints
-from references import (complex_monte_carlo_oracle, conditional_state_coeffs,
-                        gauss_hermite_phase_average, projected_g_factor,
-                        scalar_joints, spdc_amplitudes, thermal_dist)
+from references import (complex_monte_carlo_oracle, conditional_monte_carlo_oracle,
+                        conditional_state_coeffs, gauss_hermite_phase_average,
+                        projected_g_factor, scalar_joints, spdc_amplitudes,
+                        thermal_dist)
 
 #: the regime of ``test_sampling_arbitrates_double_click_reading``
 STRONG_LEAK = spdc.DetailedParams(g=0.8, r=0.1, eta_d=0.9, p_dc=0.0, t1=1.0,
@@ -236,8 +237,8 @@ def test_monte_carlo_agrees_with_closed_form(th_a, th_b):
 @pytest.mark.parametrize("p_dc", [0.05, 0.3])
 @pytest.mark.parametrize("th_a,th_b", [(0.0, 0.0), (0.3, 0.9)])
 def test_monte_carlo_agrees_with_closed_form_under_dark_counts(th_a, th_b, p_dc):
-    # misses by 89 to 4,512 SE at seed 3; at p_dc = 0 and 1e-4 the same
-    # comparison reads 0.9 to 3.2 SE
+    # misses by 109 to 5,589 SE at seed 3; at p_dc = 0 and 1e-4 the same
+    # comparison reads 0.55 to 0.98 SE
     p = replace(spdc.DetailedParams(), p_dc=p_dc)
     est = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=100_000, seed=3)
     ana = spdc.joint_probabilities(th_a, th_b, p)
@@ -276,12 +277,50 @@ def test_sampling_arbitrates_double_click_reading():
 @pytest.mark.parametrize("th_a,th_b", [(0.0, 0.0), (0.3, 0.9),
                                        (math.pi / 4, -math.pi / 8), (1.2, -0.4)])
 def test_monte_carlo_matches_complex_reference(th_a, th_b, n_samples, p):
-    # same seed, same normals: the real 4 x 5 map with block-merged moments
-    # and the complex arithmetic on whole arrays differ only by rounding
+    # same seed, same normals: the hand-written Cholesky factor with
+    # block-merged moments and np.linalg.cholesky on whole arrays differ
+    # only by rounding (2.9e-13 relative at worst here)
     got = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=n_samples, seed=13)
-    want = complex_monte_carlo_oracle(th_a, th_b, p, n_samples=n_samples, seed=13)
+    want = conditional_monte_carlo_oracle(th_a, th_b, p, n_samples=n_samples, seed=13)
     for g, w in ((got.joints, want.joints), (got.errors, want.errors)):
         np.testing.assert_allclose(g.as_array(), w.as_array(), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [spdc.DetailedParams(), STRONG_LEAK],
+                         ids=["default", "strong_leak"])
+def test_conditioning_agrees_with_the_direct_sampler(p):
+    # averaging the real quadratures exactly keeps each mean and lowers no
+    # variance: 0.70-0.92 of the direct sampler's errors on the default
+    # grid, 0.73-0.99 at STRONG_LEAK, at 2e4 samples
+    th = np.radians(ranges.GRID_DEG)
+    for th_a in th:
+        for th_b in th:
+            got = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=20_000, seed=21)
+            want = complex_monte_carlo_oracle(th_a, th_b, p, n_samples=20_000, seed=21)
+            g, w = got.joints.as_array(), want.joints.as_array()
+            se, se_direct = got.errors.as_array(), want.errors.as_array()
+            assert np.all(np.abs(g - w) <= 4.0 * np.hypot(se, se_direct))
+            assert np.all(se <= 1.05 * se_direct)
+
+
+@pytest.mark.parametrize("th_b", [0.0, math.pi / 2])
+@pytest.mark.parametrize("params, offset", [
+    (dict(g=0.0, gamma=0.0), 0.3), (dict(g=0.0), math.pi / 2),
+    (dict(sigma_phi=0.0), 0.3)], ids=["no_pairs_no_leak", "no_pairs_leak_orthogonal",
+                                      "no_jitter"])
+def test_monte_carlo_at_a_degenerate_covariance(params, offset, th_b):
+    # with no pairs and no leak the imaginary parts' covariance is 0, and with
+    # the leak orthogonal to the main detector its first row is 0 up to
+    # cos(pi/2); the Cholesky factor must stay finite.  Where every sample is
+    # the same, the errors are 0 or rounding-sized, and the joints meet the
+    # 40-digit oracle to the herald sum's rounding
+    p = replace(spdc.DetailedParams(), **params)
+    th_a = th_b + offset
+    est = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=20_000, seed=5)
+    got, se = est.joints.as_array(), est.errors.as_array()
+    want = np.array([float(v) for v in detailed_joints(th_a, th_b, p)])
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(se))
+    assert np.all(np.abs(got - want) <= 4.0 * se + 1e-11 * np.abs(want))
 
 
 @pytest.mark.parametrize("n_samples", [-1, 0, 1])
@@ -292,16 +331,18 @@ def test_monte_carlo_needs_two_samples(n_samples):
 
 @pytest.mark.parametrize("n_samples", [200_000, 2_000_000])
 def test_monte_carlo_peak_memory(n_samples):
-    # two reused buffers per stream, (5 + 4) and (5 + 8) rows of
-    # ORACLE_BLOCK, 2.75 MiB in all, whatever n_samples; whole (5, n) and
-    # (4, n) blocks per pair peaked at 13.7 MiB at 2e5 samples and 137 MiB at 2e6
+    # two reused buffers per stream, (2 + 2) and (2 + 4) rows of
+    # ORACLE_BLOCK, 1.25 MiB in all, whatever n_samples: the peak read 1.31
+    # MiB, and 2.04 MiB in a first call in a fresh process, so 3 MiB leaves
+    # about 1 MiB of margin; whole (5, n) and (4, n) blocks per pair peaked
+    # at 13.7 MiB at 2e5 samples and 137 MiB at 2e6
     tracemalloc.start()
     try:
         spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=n_samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20
+    assert peak < 3 * 2**20
 
 
 def test_monte_carlo_is_reproducible_across_threads():
@@ -336,14 +377,14 @@ def test_herald_table_keeps_pairs_1_and_2_apart():
 #: sha256 of the joints' and errors' float64 bytes at (0.3, 0.9), seed 17,
 #: on both sides of one ORACLE_BLOCK
 ORACLE_DIGESTS = {
-    (2, "default"): "118af26a4f31151ba8a049bcf909a555e9d3026ca93e43dbd04613629eda7d1e",
-    (2, "strong_leak"): "76714ae5e121bb119f655c45491bf47e664bcd2cfcf65dd4b320c18baa6f48c8",
-    (1000, "default"): "84f0d8873e8afce23ecb35160eefc5436548752ef6a9e8699c2901871e05db34",
-    (1000, "strong_leak"): "7ea2c7f872348acade277e3db14c3b122bc5f89785d9dc6a7142b39d3dfe26e2",
-    (2**14, "default"): "3f4efa97b0d1a6d1028d3230bba0c1248fb59bb18cd69e3fc606c58953db8807",
-    (2**14, "strong_leak"): "091d68df63bab0a15a3813f926e211088777cb52f5cf77279684da086ec7cf47",
-    (2**14 + 1, "default"): "abd7312d4cc771427cf227ff97ae043f3526f851496d43b0700ee9cc2b3081e4",
-    (2**14 + 1, "strong_leak"): "a30c781e2bd4c702ad976569d3c534a3b34a79d15768499eb497c4bb377251e4",
+    (2, "default"): "295d320c0b4fabe99bd3613053696e33a7bf3e700f9bb1527955b547d045996d",
+    (2, "strong_leak"): "a2448fb32043bfb4bf46d3db012dd03870331316423b869cbbd6ec5333811638",
+    (1000, "default"): "05c4e44e9238a448c098ff43196e62b3f8123352008212abb2e16778d2af9085",
+    (1000, "strong_leak"): "d9cc74021dc0e6a6a1ea69e8c353a96e7286c1d433c0019541303d08d703adc9",
+    (2**14, "default"): "0d5ad404a36f29ffe941ce3220c1da1b17ec6f680c18c11d25fa7d006f60d7cf",
+    (2**14, "strong_leak"): "da795995a9761594fb7083b53def9f6b9c33eaf782d9330480f10b2bcad69153",
+    (2**14 + 1, "default"): "f2ed860764d27827d9daec8068dd9a4f6b3d50519582ee3269530e739157f88b",
+    (2**14 + 1, "strong_leak"): "8cf8c58bcf06599cc8f87d0f6353380e93ce8228af0eeb6912e632e5f8542cc8",
 }
 
 
@@ -356,24 +397,36 @@ def test_oracle_gives_the_pinned_bytes(n_samples, name):
     assert hashlib.sha256(raw).hexdigest() == ORACLE_DIGESTS[n_samples, name]
 
 
-@pytest.mark.parametrize("failing_rows", [4, 8], ids=["worker_stream", "caller_stream"])
-def test_monte_carlo_raises_what_a_stream_raises(monkeypatch, failing_rows):
-    # the worker thread maps pair 0 (4 rows), the caller pairs 1 and 2 (8 rows)
+@pytest.mark.parametrize("failing_pairs", [1, 2], ids=["worker_stream", "caller_stream"])
+def test_monte_carlo_raises_what_a_stream_raises(monkeypatch, failing_pairs):
+    # the worker thread samples pair 0, the caller pairs 1 and 2
     class StreamFailure(RuntimeError):
         pass
 
     sampled_pairs = spdc._sampled_pairs
 
-    def failing(rng, amp, n_samples, p):
-        if amp.shape[0] == failing_rows:
-            raise StreamFailure(f"{failing_rows}-row stream failed")
-        return sampled_pairs(rng, amp, n_samples, p)
+    def failing(rng, chol, weights, n_samples, eta):
+        if len(chol) == failing_pairs:
+            raise StreamFailure(f"{failing_pairs}-pair stream failed")
+        return sampled_pairs(rng, chol, weights, n_samples, eta)
 
     before = threading.active_count()
     monkeypatch.setattr(spdc, "_sampled_pairs", failing)
-    with pytest.raises(StreamFailure, match=f"{failing_rows}-row stream failed"):
+    with pytest.raises(StreamFailure, match=f"{failing_pairs}-pair stream failed"):
         spdc.monte_carlo_oracle(0.3, 0.9, spdc.DetailedParams(), n_samples=1000)
     assert threading.active_count() == before
+
+
+def _assert_calibrated(th_a, th_b, p, want):
+    """The oracle's z-scores against ``want`` over 400 seeds have mean ~0
+    and spread ~1."""
+    z = []
+    for seed in range(400):
+        est = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=4000, seed=seed)
+        z.append((est.joints.as_array() - want) / est.errors.as_array())
+    z = np.array(z)
+    assert np.all(np.abs(z.mean(axis=0)) < 0.2)
+    assert np.all((z.std(axis=0) > 0.85) & (z.std(axis=0) < 1.15))
 
 
 def test_monte_carlo_errors_are_calibrated():
@@ -382,15 +435,14 @@ def test_monte_carlo_errors_are_calibrated():
     # quadrature errors wrong; a same-seed reference draws the same streams
     # and cannot see that
     p = spdc.DetailedParams()
-    th_a, th_b = 0.3, 0.9
-    want = spdc.joint_probabilities(th_a, th_b, p).as_array()
-    z = []
-    for seed in range(400):
-        est = spdc.monte_carlo_oracle(th_a, th_b, p, n_samples=4000, seed=seed)
-        z.append((est.joints.as_array() - want) / est.errors.as_array())
-    z = np.array(z)
-    assert np.all(np.abs(z.mean(axis=0)) < 0.2)
-    assert np.all((z.std(axis=0) > 0.85) & (z.std(axis=0) < 1.15))
+    _assert_calibrated(0.3, 0.9, p, spdc.joint_probabilities(0.3, 0.9, p).as_array())
+
+
+def test_monte_carlo_errors_are_calibrated_against_the_exact_joints():
+    # without dark counts the 40-digit determinant form is exact, so no
+    # closed-form defect can hide in the spread
+    p = replace(spdc.DetailedParams(), p_dc=0.0)
+    _assert_calibrated(0.3, 0.9, p, np.array([float(v) for v in detailed_joints(0.3, 0.9, p)]))
 
 
 def test_gauss_hermite_average():
