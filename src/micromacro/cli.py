@@ -153,7 +153,7 @@ def cmd_detailed(cfg, seed, meta):
     summary = ResultTable.key_value(
         "detailed_summary",
         {"chsh_s": float(spdc.detailed_chsh_curve(params.gamma, params)),
-         "herald_probability": spdc.herald_probability(params.g, params.r, params.p_dc)},
+         "herald_probability": spdc.herald_probability(params)},
         dict(meta, settings_deg=",".join(f"{d:g}" for d in polarization.CHSH_SETTINGS_DEG)))
 
     tables = [table, summary]

@@ -139,7 +139,10 @@ def werner_visibility(alpha_sq: float, params: ExperimentParams, eta_h, eta, vis
         raise ValueError("alpha_sq must be >= 0")
     if alpha_sq == 0.0:
         return params.v_mm + np.zeros_like(eta)
-    mu = params.kappa * float(alpha_sq)
+    # below mu = 1e-250 the fraction is its mu -> 0 limit to rounding, but p_s
+    # and p_n (factors of mu) lose digits in the subnormals (W off by 3.7e-5 at
+    # mu = 1e-318) and are 0 at 5e-324, or where mu itself rounds to 0
+    mu = max(params.kappa * float(alpha_sq), 1e-250)
     if not math.isfinite(2.0 * mu):
         raise ValueError(f"mu = kappa * alpha_sq = {params.kappa:g} * {alpha_sq:g} "
                          "overflows: 2 mu is not finite")

@@ -150,8 +150,8 @@ class DetailedParams(Ranged):
     eta_A corresponds to r = sqrt(1 - eta_A).
     """
 
-    #: g <= 5 keeps 1 - tanh^2 g above 1e-4, so nbar = tanh^2 g / (1 - tanh^2 g)
-    #: is good to ~1e-12; it is 4 % off at g = 18 and divides by 0 past g = 19.06
+    #: g <= 5 (nbar = sinh^2 g ~ 5,500) is the widest gain tested: at g = 0, 0.2,
+    #: 2 and 5 nbar, mbar and w1 meet a 40-digit tanh evaluation within 4.3e-16
     g: float = ranged(Range(0.0, 5.0), 0.2)
     r: float = ranged(UNIT, 0.9)
     eta_d: float = ranged(UNIT, 0.35)

@@ -159,6 +159,20 @@ def hom_visibility_truncated(mu: float, p_pair: float, eta_h: float, eta_d: floa
         return (r_perp - coincidence(xi)) / r_perp
 
 
+def herald(g: float, r: float, p_dc: float) -> tuple:
+    """(nbar, mbar, w1) of the double-pair source's herald at DPS digits, in
+    the tanh form.  With T = tanh^2 g the Boltzmann ratio of each
+    two-mode squeezer, side B's unconditional thermal mean is nbar =
+    T / (1 - T).  Analyzer output a stays silent with probability w1 =
+    (1 - p_dc)(1 - T) / (1 - r^2 T), r the amplitude remainder of the herald
+    tap, and leaves its partner b_perp thermal of mean mbar =
+    r^2 T / (1 - r^2 T).  The float inputs are taken exactly.
+    """
+    with mp.workdps(DPS):
+        r, p_dc, tt = mp.mpf(r), mp.mpf(p_dc), mp.tanh(mp.mpf(g)) ** 2
+        return tt / (1 - tt), r**2 * tt / (1 - r**2 * tt), (1 - p_dc) * (1 - tt) / (1 - r**2 * tt)
+
+
 def detailed_joints(th_a: float, th_b: float, p) -> list:
     """The raw joints pp, pm, mp, mm of the double-pair model at DPS digits,
     by the determinant form of its Gaussian averages.
@@ -173,21 +187,22 @@ def detailed_joints(th_a: float, th_b: float, p) -> list:
 
     With A the real and imaginary rows of the silent detectors' amplitudes,
     c = A z, E[exp(-eta_d |c|^2)] = det(I + 2 eta_d A^T A)^(-1/2), times
-    (1 - p_dc) per silent detector.  On side A, analyzer output a stays
-    silent with probability w1 = (1 - p_dc)(1 - T)/(1 - r^2 T), T = tanh^2 g,
-    and leaves its partner b_perp thermal of mean mbar = r^2 T/(1 - r^2 T)
-    instead of nbar = T/(1 - T).  Herald A = +1 (a silent, a_perp clicks)
-    weighs the pairs (nbar, mbar) and (mbar, mbar) by w1 and -w1^2; A = -1
-    (a clicks) weighs (nbar, mbar) and (nbar, nbar) by -w1 and 1.  The float
-    inputs are taken exactly.
+    (1 - p_dc) per silent detector.  Side A's herald is ``herald``'s:
+    herald A = +1 (a silent, a_perp clicks) weighs the pairs (nbar, mbar) and
+    (mbar, mbar) by w1 and -w1^2; A = -1 (a clicks) weighs (nbar, mbar) and
+    (nbar, nbar) by -w1 and 1.  The float inputs are taken exactly.
+
+    1 - F and F - G fall to the order of the detected light, so the working
+    precision is DPS digits plus those by which its smaller part, the
+    thermal modes' eta_d t^2 or the leak's eta_d k^2, lies below 1.
     """
-    with mp.workdps(DPS):
-        g, r, eta_d, p_dc, t1, t2, eta_c, gamma, sigma_phi, th_a, th_b = (
-            mp.mpf(x) for x in (p.g, p.r, p.eta_d, p.p_dc, p.t1, p.t2, p.eta_c,
+    light = [x for x in (p.eta_d * (p.t1 * p.t2) ** 2 * p.eta_c,
+                         p.eta_d * (p.t2 * p.gamma * p.sigma_phi) ** 2) if x > 0.0]
+    with mp.workdps(DPS + max(0, -math.floor(math.log10(min(light, default=1.0))))):
+        r, eta_d, p_dc, t1, t2, eta_c, gamma, sigma_phi, th_a, th_b = (
+            mp.mpf(x) for x in (p.r, p.eta_d, p.p_dc, p.t1, p.t2, p.eta_c,
                                 p.gamma, p.sigma_phi, th_a, th_b))
-        tt = mp.tanh(g) ** 2
-        nbar, mbar = tt / (1 - tt), r**2 * tt / (1 - r**2 * tt)
-        w1 = (1 - p_dc) * (1 - tt) / (1 - r**2 * tt)
+        nbar, mbar, w1 = herald(p.g, p.r, p.p_dc)
         t, k = t1 * t2 * mp.sqrt(eta_c), t2 * gamma * sigma_phi
         cb, sb = mp.cos(th_b), mp.sin(th_b)
 

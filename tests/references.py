@@ -245,19 +245,18 @@ def conditional_state_coeffs(g: float, r: float, p_dc: float,
     n_bperp axis can be negative only through the subtraction and the
     matrix total stays positive for g > 0.
     """
-    nbar, mbar = spdc.thermal_means(g, r)
-    w1, w2 = spdc.herald_weights(g, r, p_dc)
+    pairs, rows = _pairs_and_rows(spdc.DetailedParams(g=g, r=r, p_dc=p_dc))
+    (nbar, mbar), (w1, minus_w2) = pairs[0], rows[0][:2]
     pn = thermal_dist(nbar, n_max)
     pm = thermal_dist(mbar, n_max)
-    return w1 * np.outer(pn, pm) - w2 * np.outer(pm, pm)
+    return w1 * np.outer(pn, pm) + minus_w2 * np.outer(pm, pm)
 
 
 def _pairs_and_rows(p: spdc.DetailedParams) -> tuple:
     """Side B's thermal pairs (nu_b, nu_p) and the herald rows A = +1, A = -1
-    that weigh them."""
-    nbar, mbar = spdc.thermal_means(p.g, p.r)
-    w1, w2 = spdc.herald_weights(p.g, p.r, p.p_dc)
-    return ((nbar, mbar), (mbar, mbar), (nbar, nbar)), ((w1, -w2, 0.0), (-w1, 0.0, 1.0))
+    that weigh them, as ``spdc._derived`` tabulates them, in Python floats."""
+    pairs, rows = spdc._derived(p)
+    return pairs.tolist(), rows.tolist()
 
 
 def _weigh(row, vals):
@@ -266,47 +265,57 @@ def _weigh(row, vals):
 
 
 def f_factor(nu_b, nu_p, th_a, th_b, p, eta: float, eps: float) -> float:
-    """E[no-click on the main detector] over thermal modes and phase jitter,
-    with ``eta`` the overall efficiency and ``eps`` = sigma_phi^2 / 2."""
-    d = 1.0 + (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
-    zeta = p.t2**2 * p.gamma**2 * p.eta_d * math.cos(th_a - th_b) ** 2 / d
-    return (1.0 / d) / math.sqrt(1.0 + 4.0 * zeta * eps)
+    """log F, F = E[no-click on the main detector] over thermal modes and
+    phase jitter, with ``eta`` the overall efficiency and ``eps`` =
+    sigma_phi^2 / 2."""
+    x_b = (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
+    m = 4.0 * eps * (p.t2**2 * p.gamma**2 * p.eta_d) * math.cos(th_a - th_b) ** 2
+    return -np.log1p(x_b) - 0.5 * np.log1p(m / (1.0 + x_b))
 
 
 def g_factor(nu_b, nu_p, th_a, th_b, p, eta: float, eps: float) -> float:
-    """E[no click on either detector]; arguments as for ``f_factor``.  Each
-    thermal mode damps the leak exponent on its own axis."""
-    gg = 1.0 / ((1.0 + nu_b * eta) * (1.0 + nu_p * eta))
-    z = p.t2**2 * p.gamma**2 * p.eta_d * (
-        math.cos(th_a) ** 2 / (1.0 + nu_b * eta)
-        + math.sin(th_a) ** 2 / (1.0 + nu_p * eta)
-    )
-    return gg / math.sqrt(1.0 + 4.0 * z * eps)
+    """log(G / F), G = E[no click on either detector]; arguments as for
+    ``f_factor``.  Each thermal mode damps the leak exponent on its own axis,
+    which leaves the orthogonal detector the leak amplitude v below."""
+    cb, sb = math.cos(th_b), math.sin(th_b)
+    eps4_leak = 4.0 * eps * (p.t2**2 * p.gamma**2 * p.eta_d)
+    x_b, o = _thermal_light(nu_b, nu_p, cb, sb, eta)
+    m = eps4_leak * math.cos(th_a - th_b) ** 2
+    v = math.sin(th_a - th_b) + eta * (math.sin(th_a) * cb * nu_b - math.cos(th_a) * sb * nu_p)
+    return -np.log1p(o / (1.0 + x_b)) - 0.5 * np.log1p(
+        eps4_leak * v**2 / ((1.0 + x_b + o) * (1.0 + x_b + m)))
+
+
+def _thermal_light(nu_b, nu_p, cb, sb, eta) -> tuple:
+    """x_b and o, the thermal light on the main and the orthogonal detector,
+    with 1 + x_b + o = (1 + eta nu_b)(1 + eta nu_p)."""
+    return ((cb**2 * nu_b + sb**2 * nu_p) * eta,
+            (sb**2 * nu_b + cb**2 * nu_p + nu_b * nu_p * eta) * eta)
 
 
 def projected_g_factor(nu_b, nu_p, th_a, th_b, p, eta, eps) -> float:
     """The rejected reading of ``g_factor``: the leak exponent damped by the
-    analyzer-projected thermal mean, as in ``f_factor``, not mode by mode.
-    Same arguments; the sampling test shows it wrong."""
-    gg = 1.0 / ((1.0 + nu_b * eta) * (1.0 + nu_p * eta))
-    d = 1.0 + (math.cos(th_b) ** 2 * nu_b + math.sin(th_b) ** 2 * nu_p) * eta
-    z = p.t2**2 * p.gamma**2 * p.eta_d * math.cos(th_a - th_b) ** 2 / d
-    return gg / math.sqrt(1.0 + 4.0 * z * eps)
+    analyzer-projected thermal mean, as in ``f_factor``, not mode by mode,
+    so that G / F keeps no leak term.  Same arguments; the sampling test
+    shows it wrong."""
+    x_b, o = _thermal_light(nu_b, nu_p, math.cos(th_b), math.sin(th_b), eta)
+    return -np.log1p(o / (1.0 + x_b))
 
 
 def scalar_joints(th_a: float, th_b: float, p: spdc.DetailedParams,
                   g_factor=g_factor) -> np.ndarray:
     """The joints pp, pm, mp, mm of ``spdc.joints`` one thermal pair at a time
-    in scalar arithmetic, clipped to [0, 1]; ``g_factor`` picks the reading
-    of the double no-click factor."""
+    on floats, clipped to [0, 1]; ``g_factor`` picks the reading of the
+    double no-click factor.  Exponentials and logarithms are numpy's ufuncs,
+    whose last bit ``math``'s functions do not always share."""
     pairs, rows = _pairs_and_rows(p)
     eta = p.eta_d * p.t1**2 * p.t2**2 * p.eta_c
     eps = p.sigma_phi**2 / 2.0
     plus, minus = [], []  # P(B = +1) = F - G and P(B = -1) = 1 - F per pair
     for nb, np_ in pairs:
-        f = f_factor(nb, np_, th_a, th_b, p, eta, eps)
-        plus.append(f - g_factor(nb, np_, th_a, th_b, p, eta, eps))
-        minus.append(1.0 - f)
+        log_f = f_factor(nb, np_, th_a, th_b, p, eta, eps)
+        plus.append(-np.exp(log_f) * np.expm1(g_factor(nb, np_, th_a, th_b, p, eta, eps)))
+        minus.append(-np.expm1(log_f))
     return np.array([min(max(_weigh(row, b), 0.0), 1.0) for row in rows
                      for b in (plus, minus)])
 

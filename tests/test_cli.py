@@ -247,6 +247,22 @@ def test_curves_run_at_a_vanishing_size(tmp_path):
     assert all(math.isfinite(v) for row in rows for v in row)
 
 
+@pytest.mark.parametrize("line", ["curves.alpha_sq_min = 5e-324", "noise.kappa = 5e-324"])
+def test_curves_run_at_a_subnormal_photon_number(tmp_path, line):
+    # mu = 5e-324 rounded p_s and p_n to 0 together, and the run exited 1
+    # blaming eta_h bs_t and vis; the fraction now takes its mu -> 0 limit
+    cfg = write_config(tmp_path, f"{line}\ncurves.points = 4\ncurves.band_samples = 24\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["curves", "--config", cfg, "--out", tmp_path]) == 0
+    _, cols, rows = read_table(tmp_path / "witness_curves.csv")
+    assert all(math.isfinite(v) for row in rows for v in row)
+    x = 2.0 * (1.0 - 0.9985)
+    limit = 2.0 * math.sqrt(2.0) * 0.94 * (1.0 - x / (x + 0.19 * 0.995 * (1.0 - 0.046 * x)))
+    s = [dict(zip(cols, row))["chsh_s"] for row in rows]
+    assert abs(s[0 if line.startswith("curves") else -1] - limit) < 1e-11
+
+
 @pytest.mark.parametrize("sd_eta", [0.012, 0.05])
 def test_curves_bands_take_draws_clipped_to_no_retrieval(tmp_path, sd_eta):
     # some band draws clip to eta = 0 (at 0.012 on seed 1 here, at 0.05 on
@@ -428,6 +444,15 @@ def test_a_run_where_nothing_can_click_names_the_keys(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and all(key in err for key in keys), err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_detailed_runs_at_a_small_transmission(tmp_path):
+    # 1 - F and F - G rounded to exactly 0 at t2 = 1e-7, and the run exited
+    # 1 with "joint probabilities sum to zero"; the log form keeps them
+    cfg = write_config(tmp_path, "detailed.t2 = 1e-7\n")
+    assert run(["detailed", "--config", cfg, "--out", tmp_path]) == 0
+    _, cols, grid = read_table(tmp_path / "detailed_grid.csv")
+    assert len(grid) == 16 and all(row[cols.index("p_mm")] > 0.0 for row in grid)
 
 
 def test_detailed_command_with_oracle(tmp_path):

@@ -30,7 +30,7 @@ GOLDEN = {
         "hom_visibility.csv": "002490ab2e148ed19c8177d7536eaf85028321d2640bca54a9839877788205da",
     },
     "detailed": {
-        "detailed_grid.csv": "a85536367a2c6f29cd9991dcfd5fec42edf4814105fa6a4c009ae178477cb25a",
+        "detailed_grid.csv": "56ae1b27f0cf621b009cd4fabfad511dcc86cb2ffa859e77a2f28effe9149457",
         "detailed_summary.csv": "a013f6f87e0e0e76e11b4ab0486df551ba822e5b54cdd9bbce61f38ddb0752fa",
     },
     "tomo": {
@@ -41,8 +41,8 @@ GOLDEN = {
 
 #: ``detailed`` with ``detailed.mc_samples = 2000``
 GOLDEN_ORACLE = {
-    "detailed_grid.csv": "1ca64fc43c0c15631a8d4a7ba3794ffbdf6a6673998596486868fbde4b9b9e28",
-    "detailed_oracle.csv": "b6cdcdb9363d797e190a5d5f6a7cd27919bdbd8bfce6ddd5476d0712fe106607",
+    "detailed_grid.csv": "d36d25022ce03adb7dd1c1b0ea7624209904d81de053a38ded9f963b1b118d74",
+    "detailed_oracle.csv": "d98850d4f056ad9aa243bc6731904353cf63b75e9daab7b205c09f8995cda26e",
     "detailed_summary.csv": "65ebd96d3a716381577a5cb4571dc785d2d4bf328aed39c17f2431b1473697f7",
 }
 
@@ -82,9 +82,9 @@ GOLDEN_MLE = {
     (0.999, 3): "001d47ed68a4335c16a9079c99bd76a3c8550c0455eb9e65cdf918453dd9ef79",
 }
 #: the default (4, 4, 4) joint grid over ``ranges.GRID_DEG`` and the default S
-GOLDEN_JOINT_GRID = "cc1de59a8b021118e8731977022faeb758c36230535ed2c3d2a3287a4b611111"
-GOLDEN_CHSH = "4966c6c1684a43cbf6b4d462fc034694d9cecbce59702e111aa1d58b2c71aef9"
-GOLDEN_CHSH_CURVE = "fe4d5550f89e5c80e652fbc6796054cd5797463650544779eb00058894bbe327"
+GOLDEN_JOINT_GRID = "2a825eda92f20f40f1d8d2c36b5390f8c682f4f3e5f38b9d7b07d5e91c06035c"
+GOLDEN_CHSH = "4556e9ab8e48d1e1c2b3d1d2a7e8b4877bf1b2427cb091bcd031b9108019509a"
+GOLDEN_CHSH_CURVE = "8a46fd22c65574ee940ba6107fae6642879f6dddb8748d6724bfa32d01eefdb7"
 GOLDEN_HOM_VISIBILITY = "dd1494d3da46097679bf991dc8fc148c4b89679358e4508bab523430ca76f9a5"
 #: the size_scan benchmark grids: P_g at sigma = 0 over 30 beta^2 in [2, 300],
 #: (P_g, sigma_max, N_eff) of ``size_analysis`` at four beta^2, and the lossy

@@ -64,6 +64,22 @@ def test_noise_fraction_small_size_limit(alpha_sq):
     assert abs(noise_fraction(alpha_sq) - limit) <= 1e-9 * limit
 
 
+@pytest.mark.parametrize("alpha_sq, kappa", [(5e-324, 1.0), (1e-318, 1.0), (1e-310, 1.0),
+                                             (1e-240, 1.0), (0.25, 5e-324)])
+def test_visibility_at_a_subnormal_size_is_the_limit(alpha_sq, kappa):
+    # mu below 1e-250 is raised to it, where the fraction is its limit
+    # x / (x + eta_h bs_t (1 - eta x)), x = 2 (1 - vis), on band draws too (eta
+    # clipped to 0 in one); p_s and p_n themselves lost digits in the
+    # subnormals (W off by 3.7e-5 at 1e-318) and both rounded to 0 at 5e-324,
+    # as did mu = 5e-324 * 0.25, which exited 1 blaming eta_h bs_t and vis.
+    # Above it, at 1e-240, the full form meets the same limit
+    eta_h, eta, vis = np.array([[P.eta_h, 0.3, 0.0], [P.eta, 0.0, 0.2], [P.vis, 0.9, 0.95]])
+    x = 2.0 * (1.0 - vis)
+    want = P.v_mm * (1.0 - x / (x + eta_h * P.bs_t * (1.0 - eta * x)))
+    got = noise.werner_visibility(alpha_sq, replace(P, kappa=kappa), eta_h, eta, vis)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 def test_click_formulas_match_poisson_series():
     # both click formulas are Poisson sums: sum_n pmf(n, mu) x^n with
     # x = 1 - 2 eta (1 - vis), once including and once excluding n = 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from micromacro import polarization, ranges, spdc
-from oracles import detailed_joints
+from oracles import detailed_joints, herald
 from references import (complex_monte_carlo_oracle, conditional_monte_carlo_oracle,
                         conditional_state_coeffs, gauss_hermite_phase_average,
                         projected_g_factor, scalar_joints, spdc_amplitudes,
@@ -81,15 +81,16 @@ def test_jitter_factor_matches_the_phase_average(gamma, sigma_phi, eta_d):
         amp = p.t2 * p.gamma * math.cos(th_a - th_b)
         want = gauss_hermite_phase_average(
             lambda phi: math.exp(-p.eta_d * (amp * phi) ** 2 / d) / d, p.sigma_phi, 181)
-        got, _ = spdc._no_click(nu_b, nu_p, th_a, th_b, p, p.gamma)
-        assert abs(got - want) < 1e-12
+        log_f, _ = spdc._no_click(nu_b, nu_p, th_a, th_b, p, p.gamma)
+        assert abs(math.exp(log_f) - want) < 1e-12
 
 
 def test_conditional_trace_is_herald_probability():
     g, r, p_dc = 0.3, 0.9, 1e-4
     coeffs = conditional_state_coeffs(g, r, p_dc, 120)
-    assert abs(coeffs.sum() - spdc.herald_probability(g, r, p_dc)) < 1e-10
-    assert spdc.herald_probability(g, r, p_dc) > 0.0
+    herald = spdc.herald_probability(spdc.DetailedParams(g=g, r=r, p_dc=p_dc))
+    assert abs(coeffs.sum() - herald) < 1e-10
+    assert herald > 0.0
 
 
 def test_near_ideal_limit_approaches_tsirelson():
@@ -191,11 +192,40 @@ def _determinant_oracle_gap(p) -> float:
     return float(np.max(np.abs(got - want) / want))
 
 
-@pytest.mark.parametrize("p", [replace(spdc.DetailedParams(), p_dc=0.0), STRONG_LEAK],
-                         ids=["default_without_dark_counts", "strong_leak"])
+#: without dark counts, at efficiencies that 1 - F and F - G fall with:
+#: t2 = 1e-7, eta_d = 1e-9, and draws of t2, eta_d and eta_c log-uniform over
+#: [1e-9, 1] and of t1 over [1e-6, 1]
+SMALL_LIGHT = {
+    "t2=1e-07": replace(spdc.DetailedParams(), p_dc=0.0, t2=1e-7),
+    "eta_d=1e-09": replace(spdc.DetailedParams(), p_dc=0.0, eta_d=1e-9),
+    **{f"draw_{i}": replace(spdc.DetailedParams(), p_dc=0.0, t2=t2, eta_d=eta_d, eta_c=eta_c,
+                            t1=t1)
+       for i, (t2, eta_d, eta_c, t1) in enumerate(10.0 ** np.random.default_rng(2).uniform(
+           [-9.0, -9.0, -9.0, -6.0], 0.0, (12, 4)))}}
+
+
+@pytest.mark.parametrize("p", [replace(spdc.DetailedParams(), p_dc=0.0), STRONG_LEAK,
+                               *SMALL_LIGHT.values()],
+                         ids=["default_without_dark_counts", "strong_leak", *SMALL_LIGHT])
 def test_joints_match_the_determinant_oracle_without_dark_counts(p):
-    # 4.1e-12 at the default parameters
+    # 3.7e-14 at the default parameters, and 1.2e-13 at worst over 120
+    # draws as in SMALL_LIGHT (seeds 2 and 3); 1 - F and F - G taken as
+    # differences, joints read 0 at t2 = 1e-7, and log G - log F in place of
+    # log(G / F) missed by up to 1.9 over 60 draws
     assert _determinant_oracle_gap(p) < 1e-10
+
+
+@pytest.mark.parametrize("g", [0.0, 0.2, 2.0, 5.0])
+@pytest.mark.parametrize("r", [0.0, 0.9, 1.0])
+def test_herald_meets_the_tanh_form_at_40_digits(g, r):
+    # the sinh^2 form subtracts nothing: within 4.3e-16 here, where the
+    # tanh form in floats was off by up to 3.0e-13 at g = 5
+    p = spdc.DetailedParams(g=g, r=r)
+    pairs, rows = spdc._derived(p)
+    got = (pairs[0, 0], pairs[0, 1], rows[0, 0])  # nbar, mbar, w1
+    for x, want in zip(got, herald(g, r, p.p_dc)):
+        assert abs(x - want) <= 1e-15 * (abs(want) if want != 0 else 1.0)
+    assert rows[0, 1] == -rows[0, 0] ** 2
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -211,8 +241,8 @@ def test_a_nan_joint_fails_the_range_check(monkeypatch):
     no_click = spdc._no_click
 
     def nan_g(*args):
-        f, g = no_click(*args)
-        return f, g * math.nan
+        log_f, log_gf = no_click(*args)
+        return log_f, log_gf * math.nan
 
     monkeypatch.setattr(spdc, "_no_click", nan_g)
     with pytest.raises(spdc.ModelInconsistencyError, match="out of range"):
@@ -377,14 +407,14 @@ def test_herald_table_keeps_pairs_1_and_2_apart():
 #: sha256 of the joints' and errors' float64 bytes at (0.3, 0.9), seed 17,
 #: on both sides of one ORACLE_BLOCK
 ORACLE_DIGESTS = {
-    (2, "default"): "295d320c0b4fabe99bd3613053696e33a7bf3e700f9bb1527955b547d045996d",
-    (2, "strong_leak"): "a2448fb32043bfb4bf46d3db012dd03870331316423b869cbbd6ec5333811638",
-    (1000, "default"): "05c4e44e9238a448c098ff43196e62b3f8123352008212abb2e16778d2af9085",
-    (1000, "strong_leak"): "d9cc74021dc0e6a6a1ea69e8c353a96e7286c1d433c0019541303d08d703adc9",
-    (2**14, "default"): "0d5ad404a36f29ffe941ce3220c1da1b17ec6f680c18c11d25fa7d006f60d7cf",
-    (2**14, "strong_leak"): "da795995a9761594fb7083b53def9f6b9c33eaf782d9330480f10b2bcad69153",
-    (2**14 + 1, "default"): "f2ed860764d27827d9daec8068dd9a4f6b3d50519582ee3269530e739157f88b",
-    (2**14 + 1, "strong_leak"): "8cf8c58bcf06599cc8f87d0f6353380e93ce8228af0eeb6912e632e5f8542cc8",
+    (2, "default"): "d05fb2772a4052edb140b5fa27a0541c33864d49e6fbebd94f132aa37aab9004",
+    (2, "strong_leak"): "a1f789fff26fe2d80dbe617d865537ec5508b5b67bc207eeb49530eba9d584c3",
+    (1000, "default"): "7538a1b9752a2e3f2f713f9f018f32225185aaab3a264bd1f8f7f3e4ebc8255c",
+    (1000, "strong_leak"): "a8b68741b25dec45aeff81fc45824caa150db7150e4afbd38451db53fa9fcca4",
+    (2**14, "default"): "1d5011e23e4cbbf71db011e45a3e4accb0d704469ccc3783a1a17c0c0baec87e",
+    (2**14, "strong_leak"): "349fb9bf53b39c411ed07b3624cf5466d7029043b1ee2e43dce32da2c287c119",
+    (2**14 + 1, "default"): "31523ddacda829a2935c054ee1cf1468d613a81723e6a3ad7211e2cf5a0a31f8",
+    (2**14 + 1, "strong_leak"): "2466110f64aaaa946e52c6c9ad8e815d2424bba6736dba628f6fa136234e8846",
 }
 
 
