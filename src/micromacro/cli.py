@@ -101,7 +101,11 @@ def cmd_size(cfg, seed, meta):
 
     star = cfg["size.beta_sq_star"]
     target = cfg["size.target_p_g"]
-    result = macro.size_analysis(math.sqrt(star), target)
+    try:
+        result = macro.size_analysis(math.sqrt(star), target)
+    except (macro.UnattainableTargetError, RuntimeError) as exc:
+        raise ValueError(f"{exc}: size.target_p_g = {target!r} is out of reach at "
+                         f"size.beta_sq_star = {star!r}") from exc
     alpha_in = math.sqrt(star / nparams.eta_abs)
     pg_mix = macro.lossy_mixture_guessing(alpha_in, nparams.eta_h,
                                           nparams.eta_abs, [0.0])[0]

@@ -36,6 +36,11 @@ from .ranges import LAM, Range
 
 #: fewest lattice points per photon of the Gaussian smoothing integral
 GRID_POINTS = 20
+#: Toeplitz rows per matrix product of the lattice: a product's call cost is
+#: amortised by then (32 rows took 1.5 times as long at lam = 1e4, sigma = 1),
+#: and the copy of a block's rows, at most 18,000 columns at LATTICE_SIGMA's
+#: bound, stays below 10 MB
+BAND_ROWS = 64
 #: root tolerance (photons) of sigma_max; P_g's own error over |dP_g/dsigma|
 #: adds to it
 SIGMA_MAX_TOL = 1e-12
@@ -58,8 +63,10 @@ STORED_ALPHA = Range(0.0, ALPHA.hi * (1.0 + 2.0 * sys.float_info.epsilon))
 #: blur up to 1e6 photons: the sigma_max search gives up on a target that
 #: P_g still exceeds there
 SIGMA = Range(0.0, 1e6)
-#: the lattice's blur up to 1e3 photons: its points and kernel band grow by
-#: about 320 and 360 per photon of sigma (2.6 and 2.9 MB at 1e3)
+#: the lattice's blur up to 1e3 photons: its kernel band grows by about 360
+#: entries per photon of sigma (2.9 MB at 1e3), and each product copies
+#: BAND_ROWS Toeplitz rows no wider than the band; a call at lam = 1e4 and
+#: sigma = 1e3 peaks at 9.2 MB traced
 LATTICE_SIGMA = Range(0.0, 1e3)
 
 
@@ -127,13 +134,17 @@ def _l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     +- 8 sigma (no mass of a wide input is dropped), on a lattice of
     m = max(GRID_POINTS, ceil(6 / sigma)) points per photon, at most 108
     (h = 1/20 for sigma >= 0.3).  Grid point k = r + m j (residue class r)
-    sees n through the offset u = j - n, at distance start + r/m + u, so each
-    class is one convolution of p - q with a row of one (m, B) kernel band:
-    the offsets within WINDOW_SIGMAS sigma + 1 of every class.  A term left
-    out weighs below 2 Q(9) = 2.3e-19 per unit of |p - q|, and the work per
-    class is len(p - q) (18 sigma + 3), not the whole support.  The error
-    sits at the sign changes x0 of the difference d, h^2 sum |d'(x0)| / 6
-    to leading order (the tests allow 1.25 times that).  Against a 1/4000
+    sees n through the offset u = j - n, at distance start + r/m + u, so
+    class r is the convolution of p - q with row r of one kernel band: the
+    offsets within WINDOW_SIGMAS sigma + 1 of every class.  A term left out
+    weighs below 2 Q(9) = 2.3e-19 per unit of |p - q|.  All m classes come
+    from one matrix product, Toeplitz rows of the zero-padded p - q (a
+    sliding window, no copy) times the (B, m) band, BAND_ROWS rows at a
+    time and over only the columns where those rows hold p - q.  So the
+    work is at most (len(p - q) + B) min(B, len(p - q) + BAND_ROWS) m
+    multiply-adds, B = 18 sigma + 3, not the whole support.  The error sits
+    at the sign changes x0 of the difference d, h^2 sum |d'(x0)| / 6 to
+    leading order (the tests allow 1.25 times that).  Against a 1/4000
     grid, P_g is off by up to 1.2e-4 at sigma = 0.29, 6e-5 at 0.5, 1.5e-5
     at 1 and 5e-7 at 5 for macro pairs with alpha in [0.3, 3]; point masses
     at 0 and N are off from Phi(N / 2 sigma) by 4.0e-5 at (N, sigma) = (3, 1)
@@ -155,19 +166,35 @@ def _l1_smoothed(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     stop = max(hi_mean + margin, diff.size - 1 + 8.0 * sigma)
     n_x = math.ceil((stop + spacing - start) / spacing)
     # one offset range u for all classes: each class's |start + r/m + u| <= reach
-    # and up to one offset more on either side
+    # and up to one offset more on either side.  Band row s holds offset u[s],
+    # descending, so a Toeplitz row of p - q times the band is a convolution
     reach = WINDOW_SIGMAS * sigma + 1.0
     u_lo = math.ceil(-reach - start - (m - 1) * spacing)
-    u = np.arange(u_lo, math.floor(reach - start) + 1)
-    kernel = spacing * (np.arange(m)[:, None] + m * u)   # lattice index r + m u
-    kernel += start; kernel /= sigma; kernel *= -0.5 * kernel
-    np.exp(kernel, out=kernel); kernel /= sigma * math.sqrt(2.0 * math.pi)
-    d = np.zeros(n_x)
-    for r in range(m):
-        row = d[r::m]                       # point j of class r is entry j - u_lo
-        lo, hi = max(0, u_lo), min(row.size, u_lo + diff.size + u.size - 1)
-        row[lo:hi] = np.convolve(diff, kernel[r])[lo - u_lo:hi - u_lo]
-    return float(np.abs(d, out=d).sum() * spacing)
+    u = np.arange(math.floor(reach - start), u_lo - 1, -1)
+    band = spacing * (np.arange(m) + m * u[:, None])    # lattice index r + m u
+    band += start; band /= sigma; band *= -0.5 * band
+    np.exp(band, out=band); band /= sigma * math.sqrt(2.0 * math.pi)
+    # rows[c, s] = padded[c + s], a sliding window viewed without a copy
+    # (sliding_window_view's checks took 30 us a call, a fifth of a lattice at
+    # perfbench's points).  Row c holds diff[c - t] at column b - 1 - t, so
+    # point r + m j is entry (c, r) of the product, c = j - u_lo
+    b = u.size
+    padded = np.zeros(diff.size + 2 * (b - 1))
+    padded[b - 1:b - 1 + diff.size] = diff
+    rows = np.ndarray((padded.size - b + 1, b), buffer=padded,
+                      strides=(padded.itemsize, padded.itemsize))
+    n_j = -(-n_x // m)                  # rows j of points; the last may be short
+    c_hi = min(rows.shape[0], n_j - u_lo)
+    total = 0.0
+    for c0 in range(max(0, -u_lo), c_hi, BAND_ROWS):
+        c1 = min(c0 + BAND_ROWS, c_hi)
+        s0, s1 = max(0, b - c1), min(b, b - 1 - c0 + diff.size)   # columns holding diff
+        block = np.dot(rows[c0:c1, s0:s1], band[s0:s1])
+        np.abs(block, out=block)
+        if c1 + u_lo == n_j:
+            block[-1, n_x - m * (n_j - 1):] = 0.0     # the points past n_x
+        total += float(block.sum())
+    return total * spacing
 
 
 def guessing_probability(pair: MacroComponentPair, sigma: float) -> float:

@@ -167,15 +167,18 @@ class OracleEstimate:
 ORACLE_BLOCK = 2**14
 
 
-def _sampled_pairs(rng, chol: np.ndarray, weights: np.ndarray, n_samples: int,
+def _sampled_pairs(rng, chol: np.ndarray, log_weights: np.ndarray, n_samples: int,
                    eta: float) -> tuple:
     """Means and standard errors, two (2k,) arrays, of P(B = -1) and P(B = +1)
     for each of the k thermal pairs that share one stream.  ``chol`` stacks
     their (2, 2) Cholesky factors, which take the same (2, ORACLE_BLOCK)
     blocks of standard normals onto the imaginary parts y1, y2 of the main
-    and orthogonal detector amplitudes, and ``weights`` their (q f_re,
-    -q g_re / f_re), q = 1 - p_dc.  With e_i = exp(-eta y_i^2),
-    P(B = -1) = 1 - q f_re e1 and P(B = +1) = q f_re e1 (1 - (q g_re / f_re) e2).
+    and orthogonal detector amplitudes, and ``log_weights`` their
+    (log(q f_re), log(q g_re / f_re)), q = 1 - p_dc.  With
+    l1 = log(q f_re) - eta y1^2 and l2 = log(q g_re / f_re) - eta y2^2,
+    P(B = -1) = -expm1(l1) and P(B = +1) = -expm1(l2) (1 + expm1(l1)): no
+    probability is 1 minus a number near 1, which lost its digits at small
+    light (9 to 10 SE off the exact joints at t2 = 1e-7 and 2e4 samples).
 
     Each block's means and summed squared deviations are merged into running
     totals (Chan, Golub & LeVeque 1979), so only two buffers are allocated.
@@ -193,12 +196,12 @@ def _sampled_pairs(rng, chol: np.ndarray, weights: np.ndarray, n_samples: int,
         np.matmul(chol, u, out=y)
         y *= y
         y *= -eta
-        np.exp(y, out=y)
-        y *= weights[:, :, None]
-        main, orth = y[:, 0], y[:, 1]  # q f_re e1 and -(q g_re / f_re) e2 per pair
-        orth += 1.0
-        orth *= main
-        np.subtract(1.0, main, out=main)
+        y += log_weights[:, :, None]
+        np.expm1(y, out=y)  # expm1(l1), expm1(l2) per pair
+        e1 = u_buf[:k * m].reshape(k, m)  # the normals are spent
+        np.add(y[:, 0], 1.0, out=e1)
+        y[:, 1] *= e1
+        np.negative(y, out=y)
         prob = y.reshape(2 * k, m)  # rows P(B = -1), P(B = +1) per pair
         block_mean = prob.mean(axis=1)
         prob -= block_mean[:, None]
@@ -251,34 +254,36 @@ def monte_carlo_oracle(th_a: float, th_b: float, p: DetailedParams,
     cb, sb = math.cos(th_b), math.sin(th_b)
     k = p.t2 * p.gamma * p.sigma_phi
     k_main, k_orth = k * math.cos(th_a - th_b), k * math.sin(th_b - th_a)
-    q, eta = 1.0 - p.p_dc, p.eta_d
-    chol, weights = np.zeros((len(pairs), 2, 2)), np.empty((len(pairs), 2))
+    eta = p.eta_d
+    log_q = math.log1p(-p.p_dc) if p.p_dc < 1.0 else -math.inf
+    chol, log_weights = np.zeros((len(pairs), 2, 2)), np.empty((len(pairs), 2))
     for j, (vb, vp) in enumerate(pairs):
         ta_sq, tb_sq = t_sq * vb / 2, t_sq * vp / 2
         main_sq = cb**2 * ta_sq + sb**2 * tb_sq  # thermal variance of each part of c_main
-        f_re = 1.0 / math.sqrt(1.0 + 2.0 * eta * main_sq)
-        g_re = 1.0 / math.sqrt((1.0 + 2.0 * eta * ta_sq) * (1.0 + 2.0 * eta * tb_sq))
+        log_f_re = -0.5 * math.log1p(2.0 * eta * main_sq)
+        log_g_re = -0.5 * (math.log1p(2.0 * eta * ta_sq) + math.log1p(2.0 * eta * tb_sq))
         l11 = math.sqrt(main_sq + k_main**2)
         # a singular C (no pairs, and no leak on c_main or none at all) takes
         # l21 = 0 where l11 = 0 and clamps c22 - l21^2, which rounds below 0
         l21 = (cb * sb * (ta_sq - tb_sq) + k_main * k_orth) / l11 if l11 > 0 else 0.0
         c22 = sb**2 * ta_sq + cb**2 * tb_sq + k_orth**2
         chol[j] = [[l11, 0.0], [l21, math.sqrt(max(c22 - l21**2, 0.0))]]
-        weights[j] = q * f_re, -q * g_re / f_re
+        log_weights[j] = log_q + log_f_re, log_q + log_g_re - log_f_re
     rngs = [np.random.Generator(np.random.SFC64(child))
             for child in np.random.SeedSequence([seed]).spawn(2)]
     worker_out = []  # pair 0's estimate, or the exception that ended it
 
     def run():
         try:
-            worker_out.append(_sampled_pairs(rngs[0], chol[:1], weights[:1], n_samples, eta))
+            worker_out.append(_sampled_pairs(rngs[0], chol[:1], log_weights[:1], n_samples,
+                                             eta))
         except BaseException as exc:  # handed to the caller, which raises it
             worker_out.append(exc)
 
     worker = threading.Thread(target=run)
     worker.start()
     try:
-        shared = _sampled_pairs(rngs[1], chol[1:], weights[1:], n_samples, eta)
+        shared = _sampled_pairs(rngs[1], chol[1:], log_weights[1:], n_samples, eta)
     finally:
         worker.join()
     if isinstance(worker_out[0], BaseException):

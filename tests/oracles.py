@@ -25,26 +25,16 @@ def ideal_guessing_probability(lam: float) -> float:
     return 0.5 + math.exp(-lam + (k + 0.5) * math.log(lam) - math.lgamma(k + 1))
 
 
-def window_guessing_probability(lam: float, sigma: float):
-    """(P_g, r) of D(alpha)|+> vs D(alpha)|-> at lam = alpha^2 under a
-    width-sigma Gaussian detector, at DPS digits.
-
-    P_g = 1/2 + sqrt(lam) max_x P(x - 1 < Y <= x), Y = Poisson(lam) +
-    N(0, sigma^2), the maximum at the root r of f(r) = f(r - 1), f the
-    density of Y (r is None at sigma = 0, where the window holds the Poisson
-    mode).  Poisson terms below 1e-45 are left out, as are Gaussian factors
-    beyond 16 sigma + 1, below e^-128 of the nearest one.  The root is
-    bracketed by sign, bisected to sigma / 4, then polished by
-    ``mp.findroot``.  The float inputs are taken exactly.
-    """
+@cache
+def _poisson_terms(lam: float) -> dict:
+    """n -> Pois(n; lam) at DPS digits, outward from the mode k = floor(lam)
+    until a term falls below 1e-45; built once per lam, so the secant steps
+    of ``sigma_max_root`` share it.  The float input is taken exactly."""
     with mp.workdps(DPS):
-        lam_, s = mp.mpf(lam), mp.mpf(sigma)
+        lam_ = mp.mpf(lam)
         k = int(mp.floor(lam_))
-        mode = mp.exp(-lam_) * lam_**k / mp.factorial(k)
-        if sigma == 0:
-            return 1 / mp.mpf(2) + mp.sqrt(lam_) * mode, None
+        p = {k: mp.exp(-lam_) * lam_**k / mp.factorial(k)}
         tiny = mp.mpf(10) ** -(DPS + 5)
-        p = {k: mode}
         n = k
         while p[n] > tiny:
             p[n + 1] = p[n] * lam_ / (n + 1)
@@ -53,13 +43,37 @@ def window_guessing_probability(lam: float, sigma: float):
         while n > 0 and p[n] > tiny:
             p[n - 1] = p[n] * n / lam_
             n -= 1
+        return p
 
-        def log_f(x):
-            return mp.log(mp.fsum(pn * mp.exp(-(x - n) ** 2 / (2 * s * s))
-                                  for n, pn in p.items() if abs(x - n) <= 16 * s + 1))
 
-        def g(x):
-            return log_f(x) - log_f(x - 1)
+def window_guessing_probability(lam: float, sigma: float):
+    """(P_g, r) of D(alpha)|+> vs D(alpha)|-> at lam = alpha^2 under a
+    width-sigma Gaussian detector, at DPS digits.
+
+    P_g = 1/2 + sqrt(lam) max_x P(x - 1 < Y <= x), Y = Poisson(lam) +
+    N(0, sigma^2), the maximum at the root r of f(r) = f(r - 1), f the
+    density of Y (r is None at sigma = 0, where the window holds the Poisson
+    mode).  Poisson terms below 1e-45 are left out (``_poisson_terms``), as
+    are Gaussian factors beyond 16 sigma + 1, below e^-128 of the nearest
+    one.  Since x - 1 - n = x - (n + 1), one Gaussian factor per outcome m
+    serves f(x) at m = n and f(x - 1) at m = n + 1, and one normal cdf per
+    m serves both ends of the window.  The root is bracketed by sign,
+    bisected to sigma / 4, then polished by ``mp.findroot``.  The float
+    inputs are taken exactly.
+    """
+    p = _poisson_terms(lam)
+    with mp.workdps(DPS):
+        lam_, s = mp.mpf(lam), mp.mpf(sigma)
+        k = int(mp.floor(lam_))
+        if sigma == 0:
+            return 1 / mp.mpf(2) + mp.sqrt(lam_) * p[k], None
+        outcomes = range(min(p), max(p) + 2)
+
+        def g(x):                       # log f(x) - log f(x - 1)
+            e = {m: mp.exp(-(x - m) ** 2 / (2 * s * s)) for m in outcomes
+                 if abs(x - m) <= 16 * s + 1}
+            return (mp.log(mp.fsum(pn * e[n] for n, pn in p.items() if n in e))
+                    - mp.log(mp.fsum(pn * e[n + 1] for n, pn in p.items() if n + 1 in e)))
 
         a, b = lam_ - 1, lam_ + mp.mpf(1.5)
         while g(a) <= 0:
@@ -70,8 +84,9 @@ def window_guessing_probability(lam: float, sigma: float):
             mid = (a + b) / 2
             a, b = (mid, b) if g(mid) > 0 else (a, mid)
         r = mp.findroot(g, (a, b), solver="anderson")
-        w = mp.fsum(pn * (mp.ncdf((r - n) / s) - mp.ncdf((r - 1 - n) / s))
-                    for n, pn in p.items() if abs(r - n) <= 16 * s + 1)
+        near = [n for n in p if abs(r - n) <= 16 * s + 1]
+        c = {m: mp.ncdf((r - m) / s) for m in {*near, *(n + 1 for n in near)}}
+        w = mp.fsum(p[n] * (c[n] - c[n + 1]) for n in near)
         return 1 / mp.mpf(2) + mp.sqrt(lam_) * w, r
 
 

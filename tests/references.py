@@ -390,7 +390,8 @@ def conditional_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedPar
     t_amp = p.t1 * p.t2 * math.sqrt(p.eta_c)
     cb, sb = math.cos(th_b), math.sin(th_b)
     k = p.t2 * p.gamma * p.sigma_phi
-    q, eta = 1.0 - p.p_dc, p.eta_d
+    eta = p.eta_d
+    log_q = math.log1p(-p.p_dc) if p.p_dc < 1.0 else -math.inf
     children = np.random.SeedSequence([seed]).spawn(2)
     plus, minus = [], []  # samples of P(B = +-1) given the imaginary parts, per pair
     for (vb, vp), child in zip(pairs, (children[0], children[1], children[1])):
@@ -398,12 +399,14 @@ def conditional_monte_carlo_oracle(th_a: float, th_b: float, p: spdc.DetailedPar
         # rows main, orth on (Im a, Im b, phi)
         im = np.array([[cb * ta, sb * tb, k * math.cos(th_a - th_b)],
                        [sb * ta, -cb * tb, k * math.sin(th_b - th_a)]])
-        f_re = (1.0 + 2.0 * eta * (cb**2 * ta**2 + sb**2 * tb**2)) ** -0.5
-        g_re = ((1.0 + 2.0 * eta * ta**2) * (1.0 + 2.0 * eta * tb**2)) ** -0.5
+        log_f_re = -0.5 * math.log1p(2.0 * eta * (cb**2 * ta**2 + sb**2 * tb**2))
+        log_g_re = -0.5 * (math.log1p(2.0 * eta * ta**2) + math.log1p(2.0 * eta * tb**2))
         y = np.linalg.cholesky(im @ im.T) @ _oracle_normals(child, 2, n_samples)
-        e1, e2 = np.exp(-eta * y[0] ** 2), np.exp(-eta * y[1] ** 2)
-        plus.append(q * f_re * e1 * (1.0 - (q * g_re / f_re) * e2))
-        minus.append(1.0 - q * f_re * e1)
+        # log(q f_re e1) and log((q g_re / f_re) e2), e_i = exp(-eta y_i^2)
+        l1 = log_q + log_f_re - eta * y[0] ** 2
+        l2 = log_q + log_g_re - log_f_re - eta * y[1] ** 2
+        plus.append(-np.expm1(l2) * (1.0 + np.expm1(l1)))
+        minus.append(-np.expm1(l1))
     return _oracle_estimate(rows, plus, minus, n_samples)
 
 

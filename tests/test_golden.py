@@ -42,7 +42,7 @@ GOLDEN = {
 #: ``detailed`` with ``detailed.mc_samples = 2000``
 GOLDEN_ORACLE = {
     "detailed_grid.csv": "d36d25022ce03adb7dd1c1b0ea7624209904d81de053a38ded9f963b1b118d74",
-    "detailed_oracle.csv": "d98850d4f056ad9aa243bc6731904353cf63b75e9daab7b205c09f8995cda26e",
+    "detailed_oracle.csv": "e86267bc43c75b89effe8067ced7bd0e94d21a82c76fc22f42f596f6df91d68b",
     "detailed_summary.csv": "65ebd96d3a716381577a5cb4571dc785d2d4bf328aed39c17f2431b1473697f7",
 }
 

@@ -59,6 +59,12 @@ def reference_l1_smoothed(p, q, sigma, spacing=None):
                  * spacing)
 
 
+def macro_pair(lam):
+    """p_plus, p_minus of the macro pair at alpha^2 = lam, at the default cutoff."""
+    pair = macro.macro_components(math.sqrt(lam), macro.default_n_max(lam + 1.0))
+    return pair.p_plus, pair.p_minus
+
+
 @st.composite
 def distribution_pairs(draw, max_size=300):
     """Two normalised distributions on 0..size-1: random weights with zeros,
@@ -205,6 +211,18 @@ def test_banded_lattice_matches_the_support_wide_lattice(lam):
 @example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=JUST_ABOVE_SMALL_BLUR)
 @example(pair=(np.eye(300)[0], np.eye(300)[299]), sigma=0.3)
 @example(pair=(np.eye(300)[299], np.eye(300)[0]), sigma=60.0)
+# macro.BAND_ROWS - 1, BAND_ROWS and BAND_ROWS + 1 Toeplitz rows (63, 64, 65),
+# the first on n_x = 1,540 = 77 m points, m = 20, the others on 1,543 and 1,552
+@example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=3.33)
+@example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=3.34)
+@example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=3.37)
+# the last row of points inside the product: n_x = 3,520 = 176 m, and
+# 3,536, which leaves 16 of that row's 20 points
+@example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=9.52)
+@example(pair=(np.eye(2)[0], np.eye(2)[1]), sigma=9.57)
+# a band of 5,403 offsets against 42 outcomes, and 11,027 outcomes against 21
+@example(pair=macro_pair(0.25), sigma=300.0)
+@example(pair=macro_pair(1e4), sigma=1.0)
 @settings(max_examples=60, deadline=None)
 def test_banded_lattice_matches_on_random_pairs(pair, sigma):
     p, q = pair
@@ -214,8 +232,10 @@ def test_banded_lattice_matches_on_random_pairs(pair, sigma):
 
 
 def test_banded_lattice_peak_memory():
-    # the lattice itself (12,540 points, 100 KB) and a 20 x 147 kernel band;
-    # the support-wide kernel of 22,520 samples peaked at 431 KB
+    # a 147 x 20 kernel band (24 KB) and the copy of 64 x 147 Toeplitz rows
+    # that each product takes (75 KB) read 133 KB; holding the lattice itself
+    # (12,540 points, 100 KB) read 136 KB, and the support-wide kernel of
+    # 22,520 samples peaked at 431 KB
     pair = macro.macro_components(math.sqrt(300.0), macro.default_n_max(301.0))
     tracemalloc.start()
     try:

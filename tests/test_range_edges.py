@@ -14,6 +14,7 @@ from dataclasses import fields
 import pytest
 
 from micromacro import cli
+from micromacro.config import SCHEMA
 from micromacro.ranges import DetailedParams
 
 
@@ -30,6 +31,12 @@ SMALL = {"t1": 1e-7, "t2": 1e-7, "eta_c": 1e-7, "eta_d": 1e-7}
 DETAILED_EDGES = [(f.name, value) for f in fields(DetailedParams)
                   for value in (*_ends(DetailedParams.range_of(f.name)),
                                 *([SMALL[f.name]] if f.name in SMALL else []))]
+
+
+#: every float key of ``size``, at each end of its range
+SIZE_EDGES = [(key, value) for key, (rng, default) in SCHEMA.items()
+              if key.startswith("size.") and isinstance(default, float)
+              for value in _ends(rng)]
 
 
 def run_clean(tmp_path, command, lines):
@@ -55,3 +62,15 @@ def test_detailed_runs_at_each_range_end(tmp_path, name, value):
     if value == SMALL.get(name):
         assert code == 0, err
     assert code == 0 or (code == 1 and err.startswith("error: ") and key in err), (code, err)
+
+
+@pytest.mark.parametrize("key, value", SIZE_EDGES,
+                         ids=[f"{key}={value!r}" for key, value in SIZE_EDGES])
+def test_size_runs_at_each_range_end(tmp_path, key, value):
+    # the target and beta*^2 fix sigma_max together, so a refusal of either
+    # names both: beta*^2 = 0 leaves P_g(0) = 1/2, and a target one float
+    # above 1/2 puts sigma_max past SIGMA's bound
+    code, err = run_clean(tmp_path, "size", [f"{key} = {value!r}"])
+    assert code == 0 or (code == 1 and err.startswith("error: ") and key in err), (code, err)
+    if "out of reach" in err:
+        assert "size.target_p_g = " in err and "size.beta_sq_star = " in err, err
